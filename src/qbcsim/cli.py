@@ -18,10 +18,8 @@ import numpy as np
 
 from .analytics import (
     classical_ep_lower_bound,
-    erfc_eval,
     eve_exponent_ratio,
     eve_random_phase_ber,
-    exponent_gain_db,
     pa_ep_upper_bound,
     power_divider_penalty,
     sfg_ep_upper_bound,
@@ -29,12 +27,16 @@ from .analytics import (
 from .config import DEFAULT_SEED, ConfigError, load_config, parse_sweep
 from .link import (
     channel_phase,
+    make_alphabet_bpsk,
+    make_alphabet_pam,
+    make_alphabet_qpsk,
+    min_squared_distance,
     mode_pairs,
     rtt_from_link_budget,
     thermal_occupancy,
 )
 from .montecarlo import BerCurve, derive_trial_seed, fit_error_exponent, run_experiment
-from .receivers import ReceiverKind, UnsupportedAlphabetError
+from .receivers import UnsupportedAlphabetError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,22 +61,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: unit-eta alphabets by name: OOK d^2 = 1, BPSK d^2 = 4, QPSK d^2 = 2
+_UNIT_ALPHABETS = {
+    "pam": make_alphabet_pam(0.0, 1.0),
+    "bpsk": make_alphabet_bpsk(1.0),
+    "qpsk": make_alphabet_qpsk(1.0),
+}
+_BOUNDS = {"het": classical_ep_lower_bound, "pa": pa_ep_upper_bound, "sfg": sfg_ep_upper_bound}
+
+
 def bound_table_row(s: float) -> dict[str, float]:
     """Analytic bound values at one sweep point of s = eta N_S M / N_Z.
 
-    Expressed through the minimum squared distance of each scheme: OOK d^2 = eta,
-    BPSK d^2 = 4 eta, QPSK d^2 = 2 eta.
+    Each column is the `analytics` bound on the unit-eta alphabet with
+    (N_S, M, N_Z) = (s, 1, 1), so that d^2 N_S M / N_Z = d^2(eta = 1) s.
     """
-    return {
-        "het_pam": 0.25 * erfc_eval(math.sqrt(s / 4.0)),
-        "het_bpsk": 0.25 * erfc_eval(math.sqrt(s)),
-        "het_qpsk": 0.125 * erfc_eval(math.sqrt(s / 2.0)),
-        "pa_pam": math.exp(-s / 2.0),
-        "pa_bpsk": math.exp(-2.0 * s),
-        "sfg_pam": math.exp(-s),
-        "sfg_bpsk": math.exp(-4.0 * s),
-        "sfg_qpsk": min(1.0, 4.0 * math.exp(-s)),
-    }
+    row = {}
+    for col in BOUND_COLUMNS:
+        receiver, alphabet = col.split("_")
+        row[col] = _BOUNDS[receiver](_UNIT_ALPHABETS[alphabet], s, 1, 1.0).value
+    return row
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -154,14 +160,6 @@ def _curve_json(curve: BerCurve) -> list[dict]:
     ]
 
 
-#: exponent coefficients (per unit d^2 N_S M / N_Z) used for summary gains
-_EXPONENT_COEFF = {
-    ReceiverKind.HETERODYNE: 0.25,
-    ReceiverKind.PA: 0.5,
-    ReceiverKind.SFG: 1.0,
-}
-
-
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -170,9 +168,6 @@ def cmd_simulate(args) -> int:
         return EXIT_IO
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not cfg.experiments:
-        print("config defines no experiment", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out else cfg.output_directory
@@ -205,7 +200,7 @@ def cmd_simulate(args) -> int:
             slope = fit_error_exponent(curve, s_min=curve.points[0].s)
             # exponent in units of s, compared against the classical coefficient
             # scaled by this scheme's d^2/eta ratio
-            d2_per_eta = {"pam": 1.0, "bpsk": 4.0, "qpsk": 2.0}[exp.alphabet_kind.value]
+            d2_per_eta = min_squared_distance(_UNIT_ALPHABETS[exp.alphabet_kind.value])
             classical_slope = 0.25 * d2_per_eta
             entry["fitted_exponent"] = slope
             entry["exponent_ratio_vs_classical"] = slope / classical_slope

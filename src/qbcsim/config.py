@@ -2,9 +2,10 @@
 
 The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
-experiment block; [link_budget] and [output] appear at most once.  Unknown
-sections or keys, bad values and unsupported receiver/alphabet pairs (PA with
-QPSK) are rejected with file:line diagnostics.
+experiment block, and at least one is required; [output] is optional.  Unknown
+sections or keys, bad values (a sweep must be finite with s_min >= 0) and
+unsupported receiver/alphabet pairs (PA with QPSK) are rejected with file:line
+diagnostics.
 
 Example::
 
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .link import AlphabetKind, LinkBudget
+from .link import AlphabetKind
 from .montecarlo import ExperimentConfig
 from .receivers import ReceiverKind, ReceiverSpec
 
@@ -47,11 +48,15 @@ class ConfigError(ValueError):
 
 
 def parse_sweep(text: str) -> tuple[float, ...]:
-    """Parse 's_min:s_max:n' into n evenly spaced sweep points."""
+    """Parse 's_min:s_max:n' into n evenly spaced sweep points, 0 <= s_min."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"sweep must be 's_min:s_max:n', got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"sweep endpoints must be finite, got {text!r}")
+    if lo < 0:
+        raise ValueError(f"sweep needs s_min >= 0, got {lo:g}")
     if n < 1:
         raise ValueError("sweep needs at least one point")
     if n == 1:
@@ -64,10 +69,9 @@ def parse_sweep(text: str) -> tuple[float, ...]:
 
 @dataclass
 class RunConfig:
-    """Parsed configuration: named experiments plus optional link budget and output."""
+    """Parsed configuration: named experiments plus output settings."""
 
     experiments: list[tuple[str, ExperimentConfig]] = field(default_factory=list)
-    link_budget: LinkBudget | None = None
     output_directory: Path = Path(".")
     output_format: str = "csv"
 
@@ -87,7 +91,6 @@ _EXPERIMENT_KEYS = {
     "sfg_capture_eps",
     "include_thermal_residual",
 }
-_LINK_KEYS = {"G_t", "G_r", "f_Hz", "R_t", "R_r", "sigma_Q", "T", "W", "T_s", "varphi_tag"}
 _OUTPUT_KEYS = {"directory", "format"}
 
 _RECEIVERS = {k.value: k for k in ReceiverKind}
@@ -148,27 +151,6 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
     return name, cfg
 
 
-def _build_link_budget(path: str, line: int, raw: dict) -> LinkBudget:
-    for key in ("G_t", "G_r", "f_Hz", "R_t", "R_r", "sigma_Q", "T", "W", "T_s"):
-        if key not in raw:
-            raise ConfigError(path, line, f"link_budget is missing required key '{key}'")
-    try:
-        return LinkBudget(
-            G_t=float(raw["G_t"]),
-            G_r=float(raw["G_r"]),
-            omega=2.0 * math.pi * float(raw["f_Hz"]),
-            R_t=float(raw["R_t"]),
-            R_r=float(raw["R_r"]),
-            sigma_Q=float(raw["sigma_Q"]),
-            T=float(raw["T"]),
-            W=float(raw["W"]),
-            T_s=float(raw["T_s"]),
-            varphi_tag=float(raw.get("varphi_tag", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, line, str(exc)) from None
-
-
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
@@ -182,10 +164,6 @@ def load_config(path: str | Path) -> RunConfig:
         nonlocal raw
         if section == "experiment":
             cfg.experiments.append(_build_experiment(str(path), section_line, raw))
-        elif section == "link_budget":
-            if cfg.link_budget is not None:
-                raise ConfigError(str(path), section_line, "duplicate [link_budget] section")
-            cfg.link_budget = _build_link_budget(str(path), section_line, raw)
         elif section == "output":
             cfg.output_directory = Path(raw.get("directory", "."))
             fmt = raw.get("format", "csv").strip().lower()
@@ -197,7 +175,7 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.output_format = fmt
         raw = {}
 
-    allowed = {"experiment": _EXPERIMENT_KEYS, "link_budget": _LINK_KEYS, "output": _OUTPUT_KEYS}
+    allowed = {"experiment": _EXPERIMENT_KEYS, "output": _OUTPUT_KEYS}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -224,6 +202,6 @@ def load_config(path: str | Path) -> RunConfig:
         raw["_lines"][key] = lineno
     if section is not None:
         close_section()
-    if not cfg.experiments and cfg.link_budget is None:
-        raise ConfigError(str(path), 1, "configuration defines no experiment or link budget")
+    if not cfg.experiments:
+        raise ConfigError(str(path), 1, "configuration defines no experiment")
     return cfg

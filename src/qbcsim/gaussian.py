@@ -199,19 +199,6 @@ def apply_two_mode_squeeze(
     return _apply_symplectic(state, _embed_two_mode(state.n_modes, mode_a, mode_b, block))
 
 
-def phase_rotate(state: GaussianState, mode: int, theta: float) -> GaussianState:
-    """Rotate one mode, a <- e^{-i theta} a."""
-    state.check_mode(mode)
-    s = np.eye(2 * state.n_modes)
-    c, si = np.cos(theta), np.sin(theta)
-    i = 2 * mode
-    s[i, i] = c
-    s[i, i + 1] = si
-    s[i + 1, i] = -si
-    s[i + 1, i + 1] = c
-    return _apply_symplectic(state, s)
-
-
 def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:
     """Restrict the state to the listed modes, discarding the rest."""
     if len(keep) == 0:

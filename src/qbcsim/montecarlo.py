@@ -4,8 +4,10 @@ Sweeps are parameterized by the composite s = eta N_S M / N_Z with eta
 back-solved at fixed N_S, N_Z, M.  Every trial owns an independent RNG stream
 derived from (master_seed, point_index, trial_index) by counter-mode mixing,
 so results are bit-identical for any execution order or degree of parallelism;
-aggregation is by error counts.  The number of worker processes is capped by
-the QBC_THREADS environment variable (default 1).
+aggregation is by error counts.  The trial loop knows no receiver: once per
+sweep point it takes the decision rule from `receivers.point_decider` and
+applies it to each trial's true symbol and stream.  The number of worker
+processes is capped by the QBC_THREADS environment variable (default 1).
 """
 
 from __future__ import annotations
@@ -22,24 +24,8 @@ from .analytics import (
     pa_ep_upper_bound,
     sfg_ep_upper_bound,
 )
-from .link import (
-    Alphabet,
-    AlphabetKind,
-    ChannelParams,
-    Symbol,
-    make_alphabet_bpsk,
-    make_alphabet_pam,
-    make_alphabet_qpsk,
-)
-from .receivers import (
-    ReceiverKind,
-    ReceiverSpec,
-    UnsupportedAlphabetError,
-    pa_decision_grid,
-    sequential_click_test,
-    sfg_count_rate,
-    sfg_null_symbol,
-)
+from .link import Alphabet, AlphabetKind, ChannelParams, Symbol
+from .receivers import ReceiverKind, ReceiverSpec, UnsupportedAlphabetError, point_decider
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -185,14 +171,6 @@ def _nominal_symbols(kind: AlphabetKind, eta: float) -> tuple[Symbol, ...]:
     raise UnsupportedAlphabetError(f"unsupported alphabet kind {kind}")
 
 
-def _alphabet(kind: AlphabetKind, eta: float) -> Alphabet:
-    if kind is AlphabetKind.PAM:
-        return make_alphabet_pam(0.0, eta)
-    if kind is AlphabetKind.BPSK:
-        return make_alphabet_bpsk(eta)
-    return make_alphabet_qpsk(eta)
-
-
 def analytic_bound_value(
     receiver_kind: ReceiverKind,
     alphabet_kind: AlphabetKind,
@@ -205,7 +183,7 @@ def analytic_bound_value(
     nsym = 4 if alphabet_kind is AlphabetKind.QPSK else 2
     if eta <= 0.0:
         return 1.0 / (2.0 * nsym) if receiver_kind is ReceiverKind.HETERODYNE else 1.0
-    a = _alphabet(alphabet_kind, eta)
+    a = Alphabet(_nominal_symbols(alphabet_kind, eta), alphabet_kind)
     if receiver_kind is ReceiverKind.HETERODYNE:
         return classical_ep_lower_bound(a, N_S, M, N_Z).value
     if receiver_kind is ReceiverKind.PA:
@@ -224,98 +202,21 @@ def _count_point_errors(
     Each trial's randomness is a pure function of (master_seed, point_index,
     trial_index): the true symbol comes from one hash word and the receiver
     noise from the PCG64 stream positioned by the rest, so any partition of
-    the trial range reproduces the same counts.
+    the trial range reproduces the same counts.  The decision itself is the
+    receiver's per-point rule from `receivers.point_decider`.
     """
-    s = cfg.sweep[point_index]
-    eta = cfg.eta_for(s)
+    eta = cfg.eta_for(cfg.sweep[point_index])
     symbols = _nominal_symbols(cfg.alphabet_kind, eta)
-    nsym = len(symbols)
-    mask = nsym - 1  # nsym is 2 or 4
     cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
-    kind = cfg.receiver.kind
-    gen, reseed = _trial_generator_factory()
-    mix, chash = _mix64, _counter_hash
-    ms = cfg.master_seed
+    decide = point_decider(cp, cfg.alphabet_kind, symbols, cfg.receiver)
+    mask = len(symbols) - 1  # 2 or 4 symbols
+    _, reseed = _trial_generator_factory()
+    mix, chash, ms = _mix64, _counter_hash, cfg.master_seed
     errors = 0
-
-    if kind is ReceiverKind.HETERODYNE:
-        points = [sym.complex_point() for sym in symbols]
-        sd = math.sqrt(((1.0 - eta) * cfg.N_Z + 1.0) / (2.0 * cfg.M * cfg.N_S))
-        for t in range(start, start + count):
-            h = chash(ms, point_index, t)
-            rng = reseed(h)
-            i = mix(h ^ _SYMBOL_SALT) & mask
-            noise = rng.standard_normal(2)
-            env = points[i] + sd * complex(noise[0], noise[1])
-            best, best_d = 0, abs(env - points[0])
-            for k in range(1, nsym):
-                d = abs(env - points[k])
-                if d < best_d:
-                    best, best_d = k, d
-            errors += best != i
-        return errors
-
-    if kind is ReceiverKind.PA:
-        cfg.receiver.resolved(cp)  # validates the epsilon window
-        if eta > 0.0:
-            grid = pa_decision_grid(_alphabet(cfg.alphabet_kind, eta), cp)
-        else:
-            grid = [0.0] * nsym
-        sd = math.sqrt(cfg.N_Z / cfg.M)
-        threshold = 0.5 * (grid[0] + grid[1])
-        sign = 1.0 if grid[0] >= grid[1] else -1.0
-        degenerate = grid[0] == grid[1]  # ties always resolve to index 0
-        for t in range(start, start + count):
-            h = chash(ms, point_index, t)
-            rng = reseed(h)
-            i = mix(h ^ _SYMBOL_SALT) & mask
-            stat = grid[i] + sd * rng.standard_normal()
-            best = 0 if degenerate or sign * (stat - threshold) >= 0.0 else 1
-            errors += best != i
-        return errors
-
-    # SFG receiver
-    spec = cfg.receiver.resolved(cp)
-    if cfg.alphabet_kind in (AlphabetKind.PAM, AlphabetKind.BPSK):
-        if eta > 0.0:
-            null_sym = sfg_null_symbol(_alphabet(cfg.alphabet_kind, eta))
-            null_idx = next(k for k, sym in enumerate(symbols) if sym == null_sym)
-        else:
-            null_idx = 0 if cfg.alphabet_kind is AlphabetKind.PAM else 1
-        # zero-count probability per true symbol; the decision needs only that
-        p_zero = []
-        for k, sym in enumerate(symbols):
-            if k == null_idx or eta <= 0.0:
-                p_zero.append(1.0)
-            else:
-                d2 = abs(sym.complex_point() - symbols[null_idx].complex_point()) ** 2
-                p_zero.append(math.exp(-sfg_count_rate(cp, d2, spec)))
-        other_idx = 1 - null_idx
-        for t in range(start, start + count):
-            h = chash(ms, point_index, t)
-            rng = reseed(h)
-            i = mix(h ^ _SYMBOL_SALT) & mask
-            declared = null_idx if rng.random() < p_zero[i] else other_idx
-            errors += declared != i
-        return errors
-
-    # QPSK sequential test with cached per-pair rates
-    pair_rate = np.zeros((nsym, nsym))
-    if eta > 0.0:
-        for i in range(nsym):
-            for j in range(nsym):
-                if i != j:
-                    d2 = abs(symbols[i].complex_point() - symbols[j].complex_point()) ** 2
-                    pair_rate[i, j] = sfg_count_rate(cp, d2, spec) / cfg.M
     for t in range(start, start + count):
         h = chash(ms, point_index, t)
-        rng = reseed(h)
         i = mix(h ^ _SYMBOL_SALT) & mask
-        offset = int(rng.integers(nsym))
-        visit = [(offset + step) % nsym for step in range(nsym)]
-        rates = [pair_rate[i, hyp] for hyp in visit]
-        declared = visit[sequential_click_test(rates, cfg.M, rng)]
-        errors += declared != i
+        errors += decide(i, reseed(h)) != i
     return errors
 
 

@@ -1,11 +1,19 @@
 """Decision procedures for the heterodyne, parametric-amplifier, and SFG receivers.
 
 The heterodyne receiver averages complex envelope samples and picks the nearest
-constellation point.  The PA receiver thresholds the phase-sensitive
-cross-correlation statistic O = a_I a_R + a_I^dag a_R^dag averaged over the M
-mode pairs.  The SFG receiver is simulated at the photon-bookkeeping level: the
-return-idler correlation is converted cycle by cycle into a coherent amplitude
-read out by photon counting, after a two-mode squeeze nulls one hypothesis.
+constellation point.  The PA receiver picks the nearest expected value of the
+phase-sensitive cross-correlation statistic O = a_I a_R + a_I^dag a_R^dag
+averaged over the M mode pairs.  The SFG receiver is simulated at the
+photon-bookkeeping level: the return-idler correlation is converted cycle by
+cycle into a coherent amplitude read out by photon counting, after a two-mode
+squeeze nulls one hypothesis.
+
+Each decision rule exists once, shared by the scalar deciders and by
+`point_decider`, the per-point rule the Monte Carlo harness runs: nearest point
+(ties to the lowest index), the zero-photon test's no-click probability, and
+the sequential phase test over a row of click rates.  `point_decider` takes a
+bare symbol tuple, so the all-zero constellation of eta = 0 needs no special
+case: every distance ties and no photon ever arrives.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import enum
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,10 +103,19 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
     return complex(np.sum(samples) / (samples.size * math.sqrt(N_S)))
 
 
+def _nearest_index(x, points) -> int:
+    """Index of the point nearest to x (real or complex); ties go to the lowest index."""
+    best, best_d = 0, abs(x - points[0])
+    for k in range(1, len(points)):
+        d = abs(x - points[k])
+        if d < best_d:
+            best, best_d = k, d
+    return best
+
+
 def heterodyne_decide(envelope: complex, a: Alphabet) -> Symbol:
     """Nearest constellation point; ties resolve to the lowest symbol index."""
-    dists = [abs(envelope - s.complex_point()) for s in a.symbols]
-    return a.symbols[int(np.argmin(dists))]
+    return a.symbols[_nearest_index(envelope, [s.complex_point() for s in a.symbols])]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +142,7 @@ def pa_statistic_moments(
             + "; ".join(flags),
             stacklevel=2,
         )
-    phi = symbol.phase + cp.phi
-    mean = 2.0 * math.sqrt(symbol.eta * cp.N_S * (cp.N_S + 1.0)) * math.cos(phi)
+    mean = _pa_mean(symbol, cp)
     if not exact_variance:
         return mean, cp.N_Z
     state = apply_channel(cp, symbol)
@@ -147,12 +164,20 @@ def pa_sample(
     return float(rng.normal(mean, math.sqrt(var / M)))
 
 
+def _pa_mean(symbol: Symbol, cp: ChannelParams) -> float:
+    return 2.0 * math.sqrt(symbol.eta * cp.N_S * (cp.N_S + 1.0)) * math.cos(symbol.phase + cp.phi)
+
+
 def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
     """Expected statistic value for each symbol of an aligned alphabet."""
-    return [
-        2.0 * math.sqrt(s.eta * cp.N_S * (cp.N_S + 1.0)) * math.cos(s.phase + cp.phi)
-        for s in a.symbols
-    ]
+    return [_pa_mean(s, cp) for s in a.symbols]
+
+
+def _require_pa_alphabet(kind: AlphabetKind, n_symbols: int) -> None:
+    if kind is AlphabetKind.QPSK or n_symbols != 2:
+        raise UnsupportedAlphabetError(
+            "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
+        )
 
 
 def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
@@ -161,13 +186,8 @@ def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
     QPSK is rejected: the statistic projects onto one axis, so orthogonal-phase
     symbols are indistinguishable and the receiver offers no gain there.
     """
-    if a.kind is AlphabetKind.QPSK or len(a) != 2:
-        raise UnsupportedAlphabetError(
-            "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
-        )
-    grid = pa_decision_grid(a, cp)
-    dists = [abs(statistic - g) for g in grid]
-    return a.symbols[int(np.argmin(dists))]
+    _require_pa_alphabet(a.kind, len(a))
+    return a.symbols[_nearest_index(statistic, pa_decision_grid(a, cp))]
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +210,20 @@ class SfgBookkeeping:
     total: float
 
 
-def sfg_cycle_count(cp: ChannelParams, spec: ReceiverSpec) -> int:
-    """Minimal K capturing a 1 - eps fraction of the infinite cycle series."""
-    spec = spec.resolved(cp)
+def _cycle_ratio(cp: ChannelParams, spec: ReceiverSpec) -> float:
+    """Per-cycle amplitude ratio x = 1 - tau (1 + N_Z) of a resolved spec."""
     x = 1.0 - spec.sfg_tau * (1.0 + cp.N_Z)
     if x <= 0.0:
         raise ValueError(
             f"tau (1 + N_Z) = {spec.sfg_tau * (1.0 + cp.N_Z):g} must be < 1"
         )
+    return x
+
+
+def sfg_cycle_count(cp: ChannelParams, spec: ReceiverSpec) -> int:
+    """Minimal K capturing a 1 - eps fraction of the infinite cycle series."""
+    spec = spec.resolved(cp)
+    x = _cycle_ratio(cp, spec)
     return max(1, math.ceil(math.log(spec.sfg_capture_eps) / (2.0 * math.log(x))))
 
 
@@ -216,11 +242,7 @@ def sfg_bookkeeping(
     if symbol_distance_sq < 0:
         raise ValueError("squared distance must be >= 0")
     spec = spec.resolved(cp)
-    x = 1.0 - spec.sfg_tau * (1.0 + cp.N_Z)
-    if x <= 0.0:
-        raise ValueError(
-            f"tau (1 + N_Z) = {spec.sfg_tau * (1.0 + cp.N_Z):g} must be < 1"
-        )
+    x = _cycle_ratio(cp, spec)
     C0_sq = symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
     K = sfg_cycle_count(cp, spec)
     base = spec.sfg_tau * cp.M * C0_sq
@@ -238,9 +260,7 @@ def sfg_infinite_total(
 ) -> float:
     """Closed form of the infinite cycle series, 2 tau M C0_sq x^2 / (1 - x^2)."""
     spec = spec.resolved(cp)
-    x = 1.0 - spec.sfg_tau * (1.0 + cp.N_Z)
-    if x <= 0.0:
-        raise ValueError("tau (1 + N_Z) must be < 1")
+    x = _cycle_ratio(cp, spec)
     C0_sq = symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
     return 2.0 * spec.sfg_tau * cp.M * C0_sq * x * x / (1.0 - x * x)
 
@@ -307,20 +327,30 @@ def _residual_context(
     return n_i * spec.sfg_tau * n_r, sfg_cycle_count(cp, spec)
 
 
-def _thermal_residual_counts(
-    cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec, rng: np.random.Generator
-) -> int:
-    """Bose-Einstein background photons accumulated over the K cycles.
+def sfg_no_click_probability(
+    cp: ChannelParams, true_symbol: Symbol, null_symbol: Symbol, spec: ReceiverSpec
+) -> float:
+    """Probability that the zero-photon test counts nothing over the K cycles.
 
-    Each cycle's converted mode rides on a weak thermal floor with mean
-    occupancy n_I * (tau n_R); dropped by default since it is bounded by
-    tau N_S N_Z << 1 per cycle.
+    exp(-sfg_count_rate) at the true-to-nulled distance, times (1 + nbar)^-K
+    with include_thermal_residual, where nbar = n_I (tau n_R) is the
+    Bose-Einstein floor under each cycle's converted mode (dropped by default:
+    it is bounded by tau N_S N_Z << 1 per cycle).
     """
-    nbar, K = _residual_context(cp, true_symbol, spec.resolved(cp))
-    if nbar <= 0.0:
-        return 0
-    draws = rng.geometric(1.0 / (1.0 + nbar), size=K) - 1
-    return int(np.sum(draws))
+    spec = spec.resolved(cp)
+    p = math.exp(-sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, null_symbol), spec))
+    if spec.include_thermal_residual:
+        nbar, K = _residual_context(cp, true_symbol, spec)
+        p *= (1.0 + nbar) ** -K
+    return p
+
+
+def _null_index(kind: AlphabetKind, symbols: tuple[Symbol, ...]) -> int:
+    if len(symbols) != 2:
+        raise UnsupportedAlphabetError("zero-photon test needs a two-symbol alphabet")
+    if kind is AlphabetKind.BPSK:
+        return max(range(2), key=lambda k: symbols[k].phase)
+    return min(range(2), key=lambda k: symbols[k].amplitude)
 
 
 def sfg_null_symbol(a: Alphabet) -> Symbol:
@@ -328,11 +358,7 @@ def sfg_null_symbol(a: Alphabet) -> Symbol:
 
     For PAM the lower-amplitude symbol is nulled; for BPSK the phase-pi symbol.
     """
-    if len(a) != 2:
-        raise UnsupportedAlphabetError("zero-photon test needs a two-symbol alphabet")
-    if a.kind is AlphabetKind.BPSK:
-        return max(a.symbols, key=lambda s: s.phase)
-    return min(a.symbols, key=lambda s: s.amplitude)
+    return a.symbols[_null_index(a.kind, a.symbols)]
 
 
 def sfg_decide_zero_photon(
@@ -345,23 +371,12 @@ def sfg_decide_zero_photon(
     """Zero-photon test for two-symbol alphabets.
 
     Nulls one hypothesis, counts all converted photons over the K cycles, and
-    declares the nulled hypothesis iff the count is zero.  The count is Poisson
-    with rate sfg_count_rate at the pair distance (zero when the truth is the
-    nulled hypothesis), plus an optional thermal-residual background.
+    declares the nulled hypothesis iff the count is zero: one uniform draw
+    against sfg_no_click_probability.
     """
-    if len(a) != 2:
-        raise UnsupportedAlphabetError("zero-photon test needs a two-symbol alphabet")
-    spec = spec.resolved(cp)
-    null = sfg_null_symbol(a)
-    other = a.symbols[1] if a.symbols[0] == null else a.symbols[0]
-    if true_symbol == null:
-        lam = 0.0
-    else:
-        lam = sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, null), spec)
-    count = int(rng.poisson(lam)) if lam > 0.0 else 0
-    if spec.include_thermal_residual:
-        count += _thermal_residual_counts(cp, true_symbol, spec, rng)
-    return null if count == 0 else other
+    null = _null_index(a.kind, a.symbols)
+    p_no_click = sfg_no_click_probability(cp, true_symbol, a.symbols[null], spec)
+    return a.symbols[null if rng.random() < p_no_click else 1 - null]
 
 
 def sequential_click_test(rates, modes_budget: int, rng: np.random.Generator) -> int:
@@ -387,6 +402,25 @@ def sequential_click_test(rates, modes_budget: int, rng: np.random.Generator) ->
     return declared
 
 
+def _click_rates(
+    cp: ChannelParams, symbols: tuple[Symbol, ...], true_symbol: Symbol, spec: ReceiverSpec
+) -> list[float]:
+    """Per-mode-pair click rate with each hypothesis nulled (zero for the truth)."""
+    return [
+        sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, hyp), spec) / cp.M
+        for hyp in symbols
+    ]
+
+
+def _sequential_phase_test(rates: list[float], M: int, rng: np.random.Generator) -> int:
+    """Enter the cyclic hypothesis order at a uniform offset, then run
+    sequential_click_test; returns the declared index into `rates`."""
+    n = len(rates)
+    offset = int(rng.integers(n))
+    visit = [(offset + step) % n for step in range(n)]
+    return visit[sequential_click_test([rates[k] for k in visit], M, rng)]
+
+
 def sfg_decide_qpsk(
     cp: ChannelParams,
     a: Alphabet,
@@ -405,16 +439,49 @@ def sfg_decide_qpsk(
     """
     if a.kind is not AlphabetKind.QPSK or len(a) != 4:
         raise UnsupportedAlphabetError("sequential phase test needs a QPSK alphabet")
+    rates = _click_rates(cp, a.symbols, true_symbol, spec)
+    return a.symbols[_sequential_phase_test(rates, cp.M, rng)]
+
+
+def point_decider(
+    cp: ChannelParams, kind: AlphabetKind, symbols: tuple[Symbol, ...], spec: ReceiverSpec
+) -> Callable[[int, np.random.Generator], int]:
+    """The receiver's rule at one operating point: decide(true_index, rng) -> index.
+
+    Everything that depends only on the point is computed here once; each call
+    then draws the decision statistic for the true symbol from its exact law
+    and applies the rule the scalar decider applies.  The heterodyne envelope
+    is the M-sample average, complex Gaussian with per-quadrature variance
+    ((1 - eta) N_Z + 1) / (2 M N_S); the PA statistic is Normal(mean, N_Z / M).
+    """
     spec = spec.resolved(cp)
-    offset = int(rng.integers(4))
-    order = [(offset + step) % 4 for step in range(4)]
-    rates = []
-    for idx in order:
-        hyp = a.symbols[idx]
-        if hyp == true_symbol:
-            rates.append(0.0)
-        else:
-            d2 = _pairwise_distance_sq(true_symbol, hyp)
-            rates.append(sfg_count_rate(cp, d2, spec) / cp.M)
-    j = sequential_click_test(rates, cp.M, rng)
-    return a.symbols[order[j]]
+    if spec.kind is ReceiverKind.HETERODYNE:
+        points = [s.complex_point() for s in symbols]
+        sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
+
+        def decide(i: int, rng: np.random.Generator) -> int:
+            noise = rng.standard_normal(2)
+            return _nearest_index(points[i] + sd * complex(noise[0], noise[1]), points)
+
+    elif spec.kind is ReceiverKind.PA:
+        _require_pa_alphabet(kind, len(symbols))
+        grid = [_pa_mean(s, cp) for s in symbols]
+        sd = math.sqrt(cp.N_Z / cp.M)
+
+        def decide(i: int, rng: np.random.Generator) -> int:
+            return _nearest_index(grid[i] + sd * rng.standard_normal(), grid)
+
+    elif kind is AlphabetKind.QPSK:
+        rows = [_click_rates(cp, symbols, s, spec) for s in symbols]
+
+        def decide(i: int, rng: np.random.Generator) -> int:
+            return _sequential_phase_test(rows[i], cp.M, rng)
+
+    else:
+        null = _null_index(kind, symbols)
+        p_no_click = [sfg_no_click_probability(cp, s, symbols[null], spec) for s in symbols]
+
+        def decide(i: int, rng: np.random.Generator) -> int:
+            return null if rng.random() < p_no_click[i] else 1 - null
+
+    return decide

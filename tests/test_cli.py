@@ -51,6 +51,9 @@ def test_parse_sweep():
         parse_sweep("3:1:5")
     with pytest.raises(ValueError):
         parse_sweep("1:2")
+    for bad in ("-1:1:3", "-0.5:-0.5:1", "nan:1:3", "0:nan:3", "0:inf:3", "-inf:1:3", "inf:inf:1"):
+        with pytest.raises(ValueError):
+            parse_sweep(bad)
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -78,6 +81,23 @@ def test_load_config_unknown_section(tmp_path):
     path = _write_config(tmp_path, text="[inventory]\nx = 1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+#: GOOD_CONFIG followed by a complete [link_budget] section, which the format
+#: does not have: nothing would read it
+LINK_BUDGET_CONFIG = GOOD_CONFIG + (
+    "\n[link_budget]\nG_t = 100\nG_r = 100\nf_Hz = 1e9\nR_t = 10\nR_r = 10\n"
+    "sigma_Q = 0.01\nT = 290\nW = 1e6\nT_s = 1e-3\n"
+)
+LINK_BUDGET_LINE = LINK_BUDGET_CONFIG.splitlines().index("[link_budget]") + 1
+
+
+def test_load_config_rejects_link_budget_section(tmp_path):
+    cfgpath = _write_config(tmp_path, text=LINK_BUDGET_CONFIG)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfgpath)
+    assert err.value.line == LINK_BUDGET_LINE
+    assert "unknown section [link_budget]" in str(err.value)
 
 
 def test_load_config_missing_key(tmp_path):
@@ -133,8 +153,10 @@ def test_bounds_pa_qpsk_refused(capsys):
     assert "no gain" in capsys.readouterr().err
 
 
-def test_bounds_bad_sweep_usage_error():
-    assert main(["bounds", "--sweep", "bogus"]) == 2
+def test_bounds_bad_sweep_usage_error(capsys):
+    for sweep in ("bogus", "-1:1:3", "nan:1:3"):
+        assert main(["bounds", f"--sweep={sweep}"]) == 2
+        assert "bad sweep" in capsys.readouterr().err
 
 
 def test_bounds_io_error(tmp_path):
@@ -186,6 +208,20 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{cfgpath}:{EXPERIMENT_LINE}:" in err
     assert "PA" in err and "QPSK" in err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (GOOD_CONFIG.replace("sweep = 0.25:0.75:3", "sweep = nan:1:3"), EXPERIMENT_LINE),
+        (LINK_BUDGET_CONFIG, LINK_BUDGET_LINE),
+    ],
+    ids=["nan-sweep", "link-budget-section"],
+)
+def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
+    cfgpath = _write_config(tmp_path, text=text)
+    assert main(["simulate", str(cfgpath)]) == 2
+    assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_io_error(tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, determinism, curves, exponent fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from qbcsim.receivers import (
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
+    _residual_context,
     heterodyne_decide,
     heterodyne_envelope,
+    sfg_count_rate,
 )
 
 
@@ -124,6 +127,31 @@ def test_chance_level_at_zero_snr():
     )
     ber0 = run_experiment(cfg).points[0].empirical_ber
     assert abs(ber0 - 0.5) < 3 * math.sqrt(0.25 / 4000)
+
+
+def test_sfg_thermal_residual_reaches_simulation():
+    """include_thermal_residual changes what run_experiment counts: each point
+    matches the exact zero-photon error probability with the Bose-Einstein
+    floor, 1/2 (1 - p0(null)) + 1/2 p0(other), within a z = 4 Wilson interval."""
+    on = ReceiverSpec(kind=ReceiverKind.SFG, include_thermal_residual=True)
+    cfg = _config(receiver=on, N_S=0.01, N_Z=100.0, M=1_000_000, sweep=(0.25, 0.5, 1.0),
+                  trials_per_point=20_000)
+    curve = run_experiment(cfg)
+    for pt in curve.points:
+        eta = cfg.eta_for(pt.s)
+        cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
+        amp = math.sqrt(eta)
+        other, null = Symbol(amp, 0.0), Symbol(amp, math.pi)
+        spec = on.resolved(cp)
+        nbar_null, K = _residual_context(cp, null, spec)
+        nbar_other, _ = _residual_context(cp, other, spec)
+        p0_null = (1.0 + nbar_null) ** -K
+        p0_other = math.exp(-sfg_count_rate(cp, 4.0 * eta, spec)) * (1.0 + nbar_other) ** -K
+        exact = 0.5 * (1.0 - p0_null) + 0.5 * p0_other
+        lo, hi = wilson_interval(pt.errors, pt.trials, z=4.0)
+        assert lo <= exact <= hi, (pt.s, pt.errors, exact)
+    off = run_experiment(replace(cfg, receiver=ReceiverSpec(kind=ReceiverKind.SFG)))
+    assert [p.errors for p in off.points] != [p.errors for p in curve.points]
 
 
 def test_heterodyne_ber_respects_lower_bound():

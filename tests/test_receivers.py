@@ -25,6 +25,7 @@ from qbcsim.receivers import (
     pa_decide,
     pa_sample,
     pa_statistic_moments,
+    point_decider,
     sfg_bookkeeping,
     sfg_count_rate,
     sfg_cycle_count,
@@ -481,6 +482,27 @@ def test_decides_are_deterministic_given_seed():
         z1 = [sfg_decide_zero_photon(cp, b, b.symbols[0], spec, r1) for _ in range(50)]
         z2 = [sfg_decide_zero_photon(cp, b, b.symbols[0], spec, r2) for _ in range(50)]
         assert z1 == z2
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("alphabet", ["pam", "bpsk", "qpsk"])
+def test_scalar_and_point_deciders_agree(alphabet, residual):
+    """The scalar SFG deciders and the Monte Carlo's per-point rule declare
+    the same symbol from identically seeded generators."""
+    cp = _cp(eta=0.02, M=100_000)  # s = 0.2: both outcomes are common
+    a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
+         "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
+    spec = _sfg_spec(include_thermal_residual=residual)
+    scalar = sfg_decide_qpsk if alphabet == "qpsk" else sfg_decide_zero_photon
+    decide = point_decider(cp, a.kind, a.symbols, spec)
+    errors = 0
+    for i, true in enumerate(a.symbols):
+        r1 = np.random.default_rng([i, 17])
+        r2 = np.random.default_rng([i, 17])
+        got = [scalar(cp, a, true, spec, r1) for _ in range(300)]
+        assert got == [a.symbols[decide(i, r2)] for _ in range(300)]
+        errors += sum(g != true for g in got)
+    assert errors > 0
 
 
 # ---------------------------------------------------------------------------
