@@ -3,9 +3,10 @@
 The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
 experiment block, and at least one is required; [output] is optional.  Unknown
-sections or keys, bad values (a sweep must be finite with s_min >= 0) and
-unsupported receiver/alphabet pairs (PA with QPSK) are rejected with file:line
-diagnostics.
+sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
+N_Z finite and > 0; M >= 1), unsupported receiver/alphabet pairs (PA with
+QPSK), and experiment names that are not safe file stems or repeat an earlier
+name are rejected with file:line diagnostics.
 
 Example::
 
@@ -28,6 +29,7 @@ Example::
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +94,8 @@ _EXPERIMENT_KEYS = {
     "include_thermal_residual",
 }
 _OUTPUT_KEYS = {"directory", "format"}
+#: experiment names become output file stems; summary.json is the run summary
+_SAFE_NAME = re.compile(r"(?!summary$)[A-Za-z0-9][A-Za-z0-9._-]*")
 
 _RECEIVERS = {k.value: k for k in ReceiverKind}
 _ALPHABETS = {
@@ -147,7 +151,10 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
         )
     except ValueError as exc:
         raise ConfigError(path, line, str(exc)) from None
-    name = raw.get("name", f"experiment{line}").strip()
+    name = raw.get("name", f"experiment{line}")
+    if not _SAFE_NAME.fullmatch(name):
+        raise ConfigError(path, raw["_lines"]["name"], f"experiment name {name!r} is not a "
+                          "file stem of letters, digits, '.', '_', '-' other than 'summary'")
     return name, cfg
 
 
@@ -163,7 +170,10 @@ def load_config(path: str | Path) -> RunConfig:
     def close_section():
         nonlocal raw
         if section == "experiment":
-            cfg.experiments.append(_build_experiment(str(path), section_line, raw))
+            name, exp = _build_experiment(str(path), section_line, raw)
+            if any(name == other for other, _ in cfg.experiments):
+                raise ConfigError(str(path), section_line, f"duplicate experiment name {name!r}")
+            cfg.experiments.append((name, exp))
         elif section == "output":
             cfg.output_directory = Path(raw.get("directory", "."))
             fmt = raw.get("format", "csv").strip().lower()

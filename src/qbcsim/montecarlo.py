@@ -1,20 +1,17 @@
 """Reproducible bit-error-rate experiments against the analytic bounds.
 
 Sweeps are parameterized by the composite s = eta N_S M / N_Z with eta
-back-solved at fixed N_S, N_Z, M.  Every trial owns an independent RNG stream
-derived from (master_seed, point_index, trial_index) by counter-mode mixing,
-so results are bit-identical for any execution order or degree of parallelism;
-aggregation is by error counts.  The trial loop knows no receiver: once per
-sweep point it takes the decision rule from `receivers.point_decider` and
-applies it to each trial's true symbol and stream.  The number of worker
-processes is capped by the QBC_THREADS environment variable (default 1).
+back-solved at fixed N_S, N_Z, M.  The trial engine is counter-based, after
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
+of (master_seed, point_index, trial_index) gives each trial's true symbol and
+uniforms, so counts do not depend on how trials are split into blocks;
+aggregation is by error counts.  The engine knows no receiver: per sweep point
+it applies the array-form rule from `receivers.point_decider` to numpy blocks.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +22,14 @@ from .analytics import (
     sfg_ep_upper_bound,
 )
 from .link import Alphabet, AlphabetKind, ChannelParams, Symbol
-from .receivers import ReceiverKind, ReceiverSpec, UnsupportedAlphabetError, point_decider
+from .receivers import (
+    DRAWS,
+    ReceiverKind,
+    ReceiverSpec,
+    UnsupportedAlphabetError,
+    point_decider,
+    uniforms,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -34,15 +38,17 @@ _GAMMA = 0x9E3779B97F4A7C15
 WILSON_Z = 1.959963984540054
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
+    """SplitMix64 finalizer on a Python int or, wrapping, on a uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _counter_hash(master_seed: int, point_index: int, trial_index: int) -> int:
-    """64-bit hash of the (master, point, trial) counter triple."""
+def _counter_hash(master_seed: int, point_index: int, trial_index):
+    """64-bit hash of the (master, point, trial) counter triple; trial_index
+    may be a uint64 array, giving one hash per trial."""
     h = 0x243F6A8885A308D3
     for w in (master_seed, point_index, trial_index):
         h = _mix64(h ^ _mix64((w + _GAMMA) & _MASK64))
@@ -56,39 +62,13 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
     Counter-mode mixing: the three inputs are hashed to a 64-bit counter state
     which is expanded through the finalizer with distinct salts into the two
     words of the seed.  Identical inputs give identical seeds; distinct pairs
-    give distinct streams.
+    give distinct streams.  It seeds the numpy generator of `security
+    --simulate`; the Monte Carlo engine draws from the counter hash itself.
     """
     if point_index < 0 or trial_index < 0:
         raise ValueError("indices must be >= 0")
     h = _counter_hash(master_seed, point_index, trial_index)
     return (_mix64(h ^ 0x2545F4914F6CDD1D) << 64) | _mix64(h ^ 0x9E3779B97F4A7C15)
-
-
-def _trial_generator_factory():
-    """Returns (generator, reseed) where reseed(h) repositions the stream.
-
-    `h` is the 64-bit counter hash of one trial; the PCG64 state and stream
-    increment are expanded from it exactly as derive_trial_seed does.
-    """
-    bg = np.random.PCG64(0)
-    gen = np.random.Generator(bg)
-    outer = bg.state
-    inner = {"state": 0, "inc": 1}
-    outer["state"] = inner
-    outer["has_uint32"] = 0
-    outer["uinteger"] = 0
-
-    def reseed(h: int) -> np.random.Generator:
-        inner["state"] = (_mix64(h ^ 0x2545F4914F6CDD1D) << 64) | _mix64(
-            h ^ 0x9E3779B97F4A7C15
-        )
-        inner["inc"] = (
-            (_mix64(h ^ 0xA5A5A5A5A5A5A5A5) << 64) | _mix64(h ^ 0x5A5A5A5A5A5A5A5A)
-        ) | 1
-        bg.state = outer
-        return gen
-
-    return gen, reseed
 
 
 @dataclass(frozen=True)
@@ -106,6 +86,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
+        for name, value in (("N_S", self.N_S), ("N_Z", self.N_Z)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.M < 1:
+            raise ValueError(f"M must be >= 1, got {self.M}")
         if self.trials_per_point < 1000:
             raise ValueError(f"need at least 1000 trials per point, got {self.trials_per_point}")
         if len(self.sweep) == 0:
@@ -192,6 +177,11 @@ def analytic_bound_value(
 
 
 _SYMBOL_SALT = 0xD1342543DE82EF95
+#: trials per block: amortizes numpy's per-call cost; DRAWS x block uniforms take 2.6 MB
+_BLOCK = 1 << 16
+#: a trial's uniforms are the SplitMix64 sequence started at its hash h:
+#: draw k is _mix64(h + (k + 1) * _GAMMA)
+_DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], dtype=np.uint64)
 
 
 def _count_point_errors(
@@ -199,66 +189,33 @@ def _count_point_errors(
 ) -> int:
     """Symbol errors over trials [start, start+count) of one sweep point.
 
-    Each trial's randomness is a pure function of (master_seed, point_index,
-    trial_index): the true symbol comes from one hash word and the receiver
-    noise from the PCG64 stream positioned by the rest, so any partition of
-    the trial range reproduces the same counts.  The decision itself is the
-    receiver's per-point rule from `receivers.point_decider`.
+    Trial t's counter hash h gives its true symbol, _mix64(h ^ _SYMBOL_SALT)
+    masked to the alphabet, and its DRAWS uniforms, so any partition of the
+    trial range reproduces the same counts.  The decision is the receiver's
+    per-point rule from `receivers.point_decider`, applied to blocks of
+    _BLOCK trials.
     """
     eta = cfg.eta_for(cfg.sweep[point_index])
     symbols = _nominal_symbols(cfg.alphabet_kind, eta)
     cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
     decide = point_decider(cp, cfg.alphabet_kind, symbols, cfg.receiver)
     mask = len(symbols) - 1  # 2 or 4 symbols
-    _, reseed = _trial_generator_factory()
-    mix, chash, ms = _mix64, _counter_hash, cfg.master_seed
+    stop = start + count
     errors = 0
-    for t in range(start, start + count):
-        h = chash(ms, point_index, t)
-        i = mix(h ^ _SYMBOL_SALT) & mask
-        errors += decide(i, reseed(h)) != i
+    for lo in range(start, stop, _BLOCK):
+        trials = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint64)
+        h = _counter_hash(cfg.master_seed, point_index, trials)
+        i = (_mix64(h ^ _SYMBOL_SALT) & mask).astype(np.intp)
+        errors += int(np.count_nonzero(decide(i, uniforms(_mix64(h + _DRAW_STEPS))) != i))
     return errors
 
 
-def _point_tasks(cfg: ExperimentConfig, workers: int):
-    chunk = max(1, math.ceil(cfg.trials_per_point / (4 * workers)))
-    for point_index in range(len(cfg.sweep)):
-        start = 0
-        while start < cfg.trials_per_point:
-            count = min(chunk, cfg.trials_per_point - start)
-            yield point_index, start, count
-            start += count
-
-
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:
-    """Run all sweep points and return the empirical curve with bounds attached.
-
-    Deterministic for a fixed master_seed regardless of execution order or the
-    QBC_THREADS worker count.
-    """
-    workers = max(1, int(os.environ.get("QBC_THREADS", "1")))
-    errors_per_point = [0] * len(cfg.sweep)
-    if workers == 1:
-        for p in range(len(cfg.sweep)):
-            errors_per_point[p] = _count_point_errors(cfg, p, 0, cfg.trials_per_point)
-    else:
-        tasks = list(_point_tasks(cfg, workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _count_point_errors,
-                [cfg] * len(tasks),
-                [t[0] for t in tasks],
-                [t[1] for t in tasks],
-                [t[2] for t in tasks],
-            )
-            for (p, _, _), err in zip(tasks, results):
-                errors_per_point[p] += err
-
+    """Run all sweep points; the empirical curve with bounds attached, fixed by master_seed."""
     points = []
     for p, s in enumerate(cfg.sweep):
-        errors = errors_per_point[p]
+        errors = _count_point_errors(cfg, p, 0, cfg.trials_per_point)
         trials = cfg.trials_per_point
-        ber = errors / trials
         lo, hi = wilson_interval(errors, trials)
         bound = analytic_bound_value(
             cfg.receiver.kind, cfg.alphabet_kind, cfg.eta_for(s), cfg.N_S, cfg.M, cfg.N_Z
@@ -266,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> BerCurve:
         points.append(
             BerCurvePoint(
                 s=s,
-                empirical_ber=ber,
+                empirical_ber=errors / trials,
                 wilson_ci_low=lo,
                 wilson_ci_high=hi,
                 analytic_bound=bound,

@@ -8,12 +8,13 @@ photon-bookkeeping level: the return-idler correlation is converted cycle by
 cycle into a coherent amplitude read out by photon counting, after a two-mode
 squeeze nulls one hypothesis.
 
-Each decision rule exists once, shared by the scalar deciders and by
-`point_decider`, the per-point rule the Monte Carlo harness runs: nearest point
-(ties to the lowest index), the zero-photon test's no-click probability, and
-the sequential phase test over a row of click rates.  `point_decider` takes a
-bare symbol tuple, so the all-zero constellation of eta = 0 needs no special
-case: every distance ties and no photon ever arrives.
+Each decision rule exists once, in `point_decider`: the array-form rule
+decide(true_index[n], u[DRAWS, n]) -> index[n] that the Monte Carlo harness
+runs on blocks of trials and the scalar SFG deciders on one trial.  Nearest
+point (ties to the lowest index) is shared with `heterodyne_decide` and
+`pa_decide`.  `point_decider` takes a bare symbol tuple, so the all-zero
+constellation of eta = 0 needs no special case: every distance ties and no
+photon ever arrives.
 """
 
 from __future__ import annotations
@@ -103,14 +104,10 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
     return complex(np.sum(samples) / (samples.size * math.sqrt(N_S)))
 
 
-def _nearest_index(x, points) -> int:
-    """Index of the point nearest to x (real or complex); ties go to the lowest index."""
-    best, best_d = 0, abs(x - points[0])
-    for k in range(1, len(points)):
-        d = abs(x - points[k])
-        if d < best_d:
-            best, best_d = k, d
-    return best
+def _nearest_index(x, points):
+    """Index of the point nearest to x (real or complex, scalar or array of
+    trials); ties go to the lowest index."""
+    return np.argmin(np.abs(np.asarray(x)[..., None] - np.asarray(points)), axis=-1)
 
 
 def heterodyne_decide(envelope: complex, a: Alphabet) -> Symbol:
@@ -374,51 +371,26 @@ def sfg_decide_zero_photon(
     declares the nulled hypothesis iff the count is zero: one uniform draw
     against sfg_no_click_probability.
     """
-    null = _null_index(a.kind, a.symbols)
-    p_no_click = sfg_no_click_probability(cp, true_symbol, a.symbols[null], spec)
-    return a.symbols[null if rng.random() < p_no_click else 1 - null]
+    _null_index(a.kind, a.symbols)  # rejects alphabets without two symbols
+    return _decide_one(cp, a, true_symbol, spec, rng)
 
 
-def sequential_click_test(rates, modes_budget: int, rng: np.random.Generator) -> int:
+def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
     """Advance-on-click schedule over hypotheses with given per-mode-pair rates.
 
-    Tests hypotheses in the order given; the current one is discarded as soon
-    as one photon arrives (geometric waiting time over mode pairs), consuming
-    the pairs spent waiting.  Returns the index (into `rates`) of the
-    hypothesis holding when the budget runs out, or the last discarded one if
-    every hypothesis clicked.
+    Row j of `rates` (a scalar, or one rate per trial) and of the uniforms `u`
+    (one per trial) belong to the j-th hypothesis tested.  The current one is
+    discarded as soon as one photon arrives, consuming the mode pairs spent
+    waiting: floor(-ln u / r) + 1 pairs, geometric with click probability
+    1 - e^-r, and never for r = 0.  Returns per trial the index of the
+    hypothesis holding when the budget runs out, or the last one if every
+    hypothesis clicked.
     """
-    declared = len(rates) - 1
-    modes_left = modes_budget
-    for j, r in enumerate(rates):
-        if r <= 0.0:
-            return j  # no photon ever arrives; hypothesis survives the budget
-        p_click = -math.expm1(-r) if r < 30.0 else 1.0
-        pairs_to_click = int(rng.geometric(p_click))
-        if pairs_to_click > modes_left:
-            return j  # survived the remaining budget without a click
-        modes_left -= pairs_to_click
-        declared = j
-    return declared
-
-
-def _click_rates(
-    cp: ChannelParams, symbols: tuple[Symbol, ...], true_symbol: Symbol, spec: ReceiverSpec
-) -> list[float]:
-    """Per-mode-pair click rate with each hypothesis nulled (zero for the truth)."""
-    return [
-        sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, hyp), spec) / cp.M
-        for hyp in symbols
-    ]
-
-
-def _sequential_phase_test(rates: list[float], M: int, rng: np.random.Generator) -> int:
-    """Enter the cyclic hypothesis order at a uniform offset, then run
-    sequential_click_test; returns the declared index into `rates`."""
-    n = len(rates)
-    offset = int(rng.integers(n))
-    visit = [(offset + step) % n for step in range(n)]
-    return visit[sequential_click_test([rates[k] for k in visit], M, rng)]
+    rates = np.reshape(rates, (len(rates), -1))
+    with np.errstate(divide="ignore", over="ignore"):  # r = 0: infinite wait
+        spent = np.cumsum(np.floor(-np.log(u[: len(rates)]) / rates) + 1.0, axis=0)
+    survived = spent > modes_budget
+    return np.where(survived.any(axis=0), survived.argmax(axis=0), len(rates) - 1)
 
 
 def sfg_decide_qpsk(
@@ -439,49 +411,84 @@ def sfg_decide_qpsk(
     """
     if a.kind is not AlphabetKind.QPSK or len(a) != 4:
         raise UnsupportedAlphabetError("sequential phase test needs a QPSK alphabet")
-    rates = _click_rates(cp, a.symbols, true_symbol, spec)
-    return a.symbols[_sequential_phase_test(rates, cp.M, rng)]
+    return _decide_one(cp, a, true_symbol, spec, rng)
 
 
+#: uniforms per trial that a point rule may read: the QPSK test's entry offset
+#: and one wait per hypothesis (Box-Muller and the zero-photon test use the first)
+DRAWS = 5
+
+
+def uniforms(words) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from uint64 words: the top 52 bits,
+    centred in their cell, so logs stay finite and floor(n u) < n."""
+    return ((np.asarray(words, dtype=np.uint64) >> 12).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def _complex_normal(u) -> np.ndarray:
+    """Box-Muller from u[0], u[1]: complex normal with unit variance per quadrature."""
+    return np.sqrt(-2.0 * np.log(u[0])) * np.exp(2j * math.pi * u[1])
+
+
+def _decide_one(
+    cp: ChannelParams, a: Alphabet, true_symbol: Symbol, spec: ReceiverSpec, rng: np.random.Generator
+) -> Symbol:
+    """The point rule on one trial, with DRAWS uniforms from `rng`."""
+    decide = point_decider(cp, a.kind, a.symbols, spec)
+    u = uniforms(rng.bit_generator.random_raw((DRAWS, 1)))
+    return a.symbols[decide(np.array([a.symbols.index(true_symbol)]), u)[0]]
+
+
+@functools.lru_cache(maxsize=256)
 def point_decider(
     cp: ChannelParams, kind: AlphabetKind, symbols: tuple[Symbol, ...], spec: ReceiverSpec
-) -> Callable[[int, np.random.Generator], int]:
-    """The receiver's rule at one operating point: decide(true_index, rng) -> index.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The receiver's rule at one operating point: decide(true_index[n], u[DRAWS, n]) -> index[n].
 
-    Everything that depends only on the point is computed here once; each call
-    then draws the decision statistic for the true symbol from its exact law
-    and applies the rule the scalar decider applies.  The heterodyne envelope
-    is the M-sample average, complex Gaussian with per-quadrature variance
-    ((1 - eta) N_Z + 1) / (2 M N_S); the PA statistic is Normal(mean, N_Z / M).
+    Everything that depends only on the point is computed here once (and
+    cached, for the scalar deciders); each call then draws every trial's
+    decision statistic for its true symbol from the exact law, using that
+    trial's column of uniforms, and applies the rule.  The heterodyne
+    envelope is the M-sample average, complex Gaussian with per-quadrature
+    variance ((1 - eta) N_Z + 1) / (2 M N_S); the PA statistic is
+    Normal(mean, N_Z / M).  The QPSK test enters the cyclic hypothesis
+    order at offset floor(4 u[0]) and waits on u[1:].
     """
     spec = spec.resolved(cp)
     if spec.kind is ReceiverKind.HETERODYNE:
-        points = [s.complex_point() for s in symbols]
+        points = np.array([s.complex_point() for s in symbols])
         sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
 
-        def decide(i: int, rng: np.random.Generator) -> int:
-            noise = rng.standard_normal(2)
-            return _nearest_index(points[i] + sd * complex(noise[0], noise[1]), points)
+        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _nearest_index(points[i] + sd * _complex_normal(u), points)
 
     elif spec.kind is ReceiverKind.PA:
         _require_pa_alphabet(kind, len(symbols))
-        grid = [_pa_mean(s, cp) for s in symbols]
+        grid = np.array([_pa_mean(s, cp) for s in symbols])
         sd = math.sqrt(cp.N_Z / cp.M)
 
-        def decide(i: int, rng: np.random.Generator) -> int:
-            return _nearest_index(grid[i] + sd * rng.standard_normal(), grid)
+        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return _nearest_index(grid[i] + sd * _complex_normal(u).real, grid)
 
     elif kind is AlphabetKind.QPSK:
-        rows = [_click_rates(cp, symbols, s, spec) for s in symbols]
+        n = len(symbols)
+        # rows[t, h]: click rate per mode pair for true symbol t with h nulled
+        rows = np.array([
+            [sfg_count_rate(cp, _pairwise_distance_sq(t, h), spec) / cp.M for h in symbols]
+            for t in symbols
+        ])
+        steps = np.arange(n)[:, None]
 
-        def decide(i: int, rng: np.random.Generator) -> int:
-            return _sequential_phase_test(rows[i], cp.M, rng)
+        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+            visit = (np.floor(n * u[0]).astype(np.intp) + steps) % n
+            declared = sequential_click_test(rows[i, visit], cp.M, u[1:])
+            return np.take_along_axis(visit, declared[None], axis=0)[0]
 
     else:
         null = _null_index(kind, symbols)
-        p_no_click = [sfg_no_click_probability(cp, s, symbols[null], spec) for s in symbols]
+        p_no_click = np.array([sfg_no_click_probability(cp, s, symbols[null], spec) for s in symbols])
 
-        def decide(i: int, rng: np.random.Generator) -> int:
-            return null if rng.random() < p_no_click[i] else 1 - null
+        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+            return np.where(u[0] < p_no_click[i], null, 1 - null)
 
     return decide

@@ -91,6 +91,15 @@ LINK_BUDGET_CONFIG = GOOD_CONFIG + (
 )
 LINK_BUDGET_LINE = LINK_BUDGET_CONFIG.splitlines().index("[link_budget]") + 1
 
+#: line of the name key in GOOD_CONFIG
+NAME_LINE = GOOD_CONFIG.splitlines().index("name = sfg-bpsk") + 1
+
+#: GOOD_CONFIG with a second [experiment] block under the same name
+DUPLICATE_NAME_CONFIG = GOOD_CONFIG + GOOD_CONFIG[
+    GOOD_CONFIG.index("[experiment]"):GOOD_CONFIG.index("[output]")
+]
+DUPLICATE_NAME_LINE = DUPLICATE_NAME_CONFIG.splitlines().index("[experiment]", EXPERIMENT_LINE) + 1
+
 
 def test_load_config_rejects_link_budget_section(tmp_path):
     cfgpath = _write_config(tmp_path, text=LINK_BUDGET_CONFIG)
@@ -215,13 +224,36 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
     [
         (GOOD_CONFIG.replace("sweep = 0.25:0.75:3", "sweep = nan:1:3"), EXPERIMENT_LINE),
         (LINK_BUDGET_CONFIG, LINK_BUDGET_LINE),
+        (GOOD_CONFIG.replace("N_S = 0.01", "N_S = 0"), EXPERIMENT_LINE),
+        (GOOD_CONFIG.replace("M = 1000000", "M = 0"), EXPERIMENT_LINE),
+        (GOOD_CONFIG.replace("N_Z = 100", "N_Z = 0"), EXPERIMENT_LINE),
+        (GOOD_CONFIG.replace("N_S = 0.01", "N_S = nan"), EXPERIMENT_LINE),
     ],
-    ids=["nan-sweep", "link-budget-section"],
+    ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "zero-N_Z", "nan-N_S"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)
     assert main(["simulate", str(cfgpath)]) == 2
     assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (GOOD_CONFIG.replace("name = sfg-bpsk", "name = ../escaped"), NAME_LINE),
+        (GOOD_CONFIG.replace("name = sfg-bpsk", "name = summary"), NAME_LINE),
+        (DUPLICATE_NAME_CONFIG, DUPLICATE_NAME_LINE),
+    ],
+    ids=["parent-dir", "summary", "duplicate"],
+)
+def test_simulate_rejects_unsafe_or_duplicate_name(tmp_path, capsys, text, line):
+    """An experiment name is an output file stem: one that leaves --out, hits
+    summary.json or repeats another experiment's is a config error, and the
+    run writes nothing."""
+    cfgpath = _write_config(tmp_path, text=text)
+    assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "out" / "sub")]) == 2
+    assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_simulate_missing_config_io_error(tmp_path):

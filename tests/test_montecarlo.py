@@ -6,12 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbcsim.link import AlphabetKind, ChannelParams, Symbol, apply_channel_classical
+from qbcsim.link import (
+    AlphabetKind,
+    ChannelParams,
+    Symbol,
+    apply_channel_classical,
+    make_alphabet_bpsk,
+)
 from qbcsim.gaussian import heterodyne_samples
 from qbcsim.montecarlo import (
+    _BLOCK,
     BerCurve,
     BerCurvePoint,
     ExperimentConfig,
+    _count_point_errors,
+    _counter_hash,
     derive_trial_seed,
     fit_error_exponent,
     run_experiment,
@@ -24,6 +33,7 @@ from qbcsim.receivers import (
     _residual_context,
     heterodyne_decide,
     heterodyne_envelope,
+    pa_decision_grid,
     sfg_count_rate,
 )
 
@@ -49,6 +59,15 @@ def test_seed_derivation_no_collisions_at_scale():
 def test_seed_derivation_rejects_negative():
     with pytest.raises(ValueError):
         derive_trial_seed(1, -1, 0)
+
+
+def test_counter_hash_array_matches_int_path():
+    """The engine hashes uint64 blocks of trial indices; each element must
+    equal the Python-int hash of that trial."""
+    trials = np.arange(5000, dtype=np.uint64)
+    for seed in (7, 20260810, 2**62 + 5):
+        block = _counter_hash(seed, 3, trials)
+        assert [int(h) for h in block] == [_counter_hash(seed, 3, t) for t in range(5000)]
 
 
 def _curve_from_values(ss, bers):
@@ -171,12 +190,67 @@ def test_run_experiment_deterministic():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
-def test_run_experiment_parallel_invariance(monkeypatch):
-    cfg = _config(trials_per_point=3000)
-    serial = run_experiment(cfg)
-    monkeypatch.setenv("QBC_THREADS", "3")
-    parallel = run_experiment(cfg)
-    assert serial == parallel
+def test_run_experiment_parallel_invariance():
+    """Each trial is a pure function of (master_seed, point, trial): counts
+    over [0, n) equal the sum over an uneven split whose pieces cross block
+    boundaries at other offsets, for every receiver rule."""
+    n = _BLOCK + 4321
+    cuts = [0, 1234, _BLOCK + 1, n - 7, n]
+    for receiver, alphabet in (
+        (ReceiverKind.HETERODYNE, AlphabetKind.BPSK),
+        (ReceiverKind.PA, AlphabetKind.BPSK),
+        (ReceiverKind.SFG, AlphabetKind.BPSK),
+        (ReceiverKind.SFG, AlphabetKind.QPSK),
+    ):
+        cfg = _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet, N_S=0.01,
+                      N_Z=100.0, M=1_000_000, sweep=(0.25, 1.0), trials_per_point=n)
+        for p, pt in enumerate(run_experiment(cfg).points):
+            assert pt.errors == _count_point_errors(cfg, p, 0, n)
+            parts = [_count_point_errors(cfg, p, a, b - a) for a, b in zip(cuts, cuts[1:])]
+            assert sum(parts) == pt.errors, (receiver, alphabet, p)
+
+
+def _q(x):
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _exact_ber(cfg, eta):
+    """Exact symbol-error probability of a sweep point's decision statistic."""
+    cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
+    noise = (1.0 - eta) * cfg.N_Z + 1.0
+    kind, alphabet = cfg.receiver.kind, cfg.alphabet_kind
+    if kind is ReceiverKind.HETERODYNE and alphabet is AlphabetKind.BPSK:
+        return 0.5 * math.erfc(math.sqrt(eta * cfg.M * cfg.N_S / noise))
+    if kind is ReceiverKind.HETERODYNE and alphabet is AlphabetKind.QPSK:
+        sd = math.sqrt(noise / (2.0 * cfg.M * cfg.N_S))
+        return 1.0 - (1.0 - _q(math.sqrt(eta / 2.0) / sd)) ** 2
+    if kind is ReceiverKind.PA:
+        grid = pa_decision_grid(make_alphabet_bpsk(eta), cp)
+        return _q(abs(grid[0] - grid[1]) / (2.0 * math.sqrt(cfg.N_Z / cfg.M)))
+    d2 = {AlphabetKind.BPSK: 4.0 * eta, AlphabetKind.PAM: eta}[alphabet]
+    return 0.5 * math.exp(-sfg_count_rate(cp, d2, cfg.receiver))
+
+
+@pytest.mark.parametrize(
+    "receiver,alphabet,M,sweep",
+    [
+        (ReceiverKind.HETERODYNE, AlphabetKind.BPSK, 1_000_000, (0.5, 1.0, 2.0, 4.0)),
+        (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, 1_000_000, (0.5, 1.0, 2.0, 4.0)),
+        (ReceiverKind.PA, AlphabetKind.BPSK, 10_000_000, (0.5, 1.0, 2.0, 3.0)),
+        (ReceiverKind.SFG, AlphabetKind.BPSK, 10_000_000, (0.25, 0.5, 1.0, 1.5)),
+        (ReceiverKind.SFG, AlphabetKind.PAM, 10_000_000, (1.0, 2.0, 4.0, 6.0)),
+    ],
+    ids=["het-bpsk", "het-qpsk", "pa-bpsk", "sfg-bpsk", "sfg-pam"],
+)
+def test_run_experiment_matches_exact_ber(receiver, alphabet, M, sweep):
+    """Monte Carlo counts fall inside the z = 4 Wilson interval of the exact
+    error probability of each receiver's decision statistic."""
+    cfg = _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet,
+                  N_S=0.01, N_Z=100.0, M=M, sweep=sweep, trials_per_point=200_000)
+    for pt in run_experiment(cfg).points:
+        exact = _exact_ber(cfg, cfg.eta_for(pt.s))
+        lo, hi = wilson_interval(pt.errors, pt.trials, z=4.0)
+        assert lo <= exact <= hi, (pt.s, pt.empirical_ber, exact)
 
 
 def test_run_experiment_monotone_up_to_ci():

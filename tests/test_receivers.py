@@ -16,7 +16,9 @@ from qbcsim.link import (
     make_alphabet_qpsk,
 )
 from qbcsim.gaussian import apply_two_mode_squeeze, heterodyne_samples
+from qbcsim.montecarlo import wilson_interval
 from qbcsim.receivers import (
+    DRAWS,
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
@@ -26,6 +28,7 @@ from qbcsim.receivers import (
     pa_sample,
     pa_statistic_moments,
     point_decider,
+    sequential_click_test,
     sfg_bookkeeping,
     sfg_count_rate,
     sfg_cycle_count,
@@ -34,6 +37,7 @@ from qbcsim.receivers import (
     sfg_infinite_total,
     sfg_null_symbol,
     sfg_nulling_params,
+    uniforms,
 )
 
 
@@ -487,8 +491,9 @@ def test_decides_are_deterministic_given_seed():
 @pytest.mark.parametrize("residual", [False, True])
 @pytest.mark.parametrize("alphabet", ["pam", "bpsk", "qpsk"])
 def test_scalar_and_point_deciders_agree(alphabet, residual):
-    """The scalar SFG deciders and the Monte Carlo's per-point rule declare
-    the same symbol from identically seeded generators."""
+    """The scalar SFG deciders, one trial per call, and the Monte Carlo's
+    per-point rule on a block of trials declare the same symbols from the same
+    uniforms."""
     cp = _cp(eta=0.02, M=100_000)  # s = 0.2: both outcomes are common
     a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
          "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
@@ -500,9 +505,22 @@ def test_scalar_and_point_deciders_agree(alphabet, residual):
         r1 = np.random.default_rng([i, 17])
         r2 = np.random.default_rng([i, 17])
         got = [scalar(cp, a, true, spec, r1) for _ in range(300)]
-        assert got == [a.symbols[decide(i, r2)] for _ in range(300)]
+        u = uniforms(r2.bit_generator.random_raw((300, DRAWS)).T)
+        assert got == [a.symbols[k] for k in decide(np.full(300, i), u)]
         errors += sum(g != true for g in got)
     assert errors > 0
+
+
+def test_sequential_click_test_survival_law():
+    """With rates [r, 0] and budget M, the first hypothesis survives (index 0)
+    exactly when its geometric wait exceeds M: probability e^{-rM}."""
+    r, M, n = 2.5e-6, 400_000, 200_000
+    rng = np.random.default_rng(8)
+    declared = sequential_click_test([r, 0.0], M, uniforms(rng.bit_generator.random_raw((2, n))))
+    assert set(np.unique(declared)) <= {0, 1}
+    kept = int(np.count_nonzero(declared == 0))
+    lo, hi = wilson_interval(kept, n, z=4.0)
+    assert lo <= math.exp(-r * M) <= hi, (kept / n, math.exp(-r * M))
 
 
 # ---------------------------------------------------------------------------
