@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +85,15 @@ def bound_table_row(s: float) -> dict[str, float]:
     return row
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | Path | None, text: str) -> None:
+    """Write text to stdout (out None or "-") or over the bytes of file `out`:
+    O_TRUNC would free its blocks, and ext4 then flushes them on close."""
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.truncate()
 
 
 def cmd_bounds(args) -> int:
@@ -180,8 +186,6 @@ def cmd_simulate(args) -> int:
     summary = []
     for name, exp in cfg.experiments:
         if args.seed is not None:
-            from dataclasses import replace
-
             exp = replace(exp, master_seed=args.seed)
         try:
             curve = run_experiment(exp)
@@ -210,10 +214,7 @@ def cmd_simulate(args) -> int:
         fmt = cfg.output_format if args.format is None else args.format
         path = out_dir / f"{name}.{fmt}"
         try:
-            if fmt == "json":
-                path.write_text(json.dumps(entry, indent=2) + "\n")
-            else:
-                path.write_text(_curve_csv(curve))
+            _write_text(path, json.dumps(entry, indent=2) + "\n" if fmt == "json" else _curve_csv(curve))
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -227,7 +228,7 @@ def cmd_simulate(args) -> int:
 
     summary_path = out_dir / "summary.json"
     try:
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+        _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
     except OSError as exc:
         print(f"cannot write {summary_path}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -156,6 +156,26 @@ def test_bounds_csv_is_lossless(tmp_path):
             assert row[key] == val  # exact round-trip through 17 digits
 
 
+def test_bounds_rewrite_leaves_no_stale_bytes(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--sweep", "0.1:20:25", "--out", str(out)]) == 0
+    assert main(["bounds", "--sweep", "0.5:1.5:3", "--columns", "sfg_bpsk", "--out", str(out)]) == 0
+    assert main(["bounds", "--sweep", "0.5:1.5:3", "--columns", "sfg_bpsk"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_simulate_rewrite_leaves_no_stale_bytes(tmp_path):
+    cfgpath = _write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sfg-bpsk.csv").write_text("x" * 100_000)
+    (out / "summary.json").write_text("y" * 100_000)
+    assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "fresh")]) == 0
+    assert main(["simulate", str(cfgpath), "--out", str(out)]) == 0
+    for name in ("sfg-bpsk.csv", "summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_bounds_pa_qpsk_refused(capsys):
     code = main(["bounds", "--columns", "pa_qpsk"])
     assert code == 4
