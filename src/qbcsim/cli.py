@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,7 @@ from .link import (
     rtt_from_link_budget,
     thermal_occupancy,
 )
-from .montecarlo import BerCurve, derive_trial_seed, fit_error_exponent, run_experiment
-from .receivers import UnsupportedAlphabetError
+from .montecarlo import BerCurve, BerCurvePoint, derive_trial_seed, fit_error_exponent, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,39 +130,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+#: BerCurvePoint's fields: the csv columns and the json keys, in order
+_POINT_FIELDS = tuple(f.name for f in fields(BerCurvePoint))
+
+
 def _curve_csv(curve: BerCurve) -> str:
-    header = "s,empirical_ber,wilson_ci_low,wilson_ci_high,analytic_bound,trials,errors"
-    lines = [header]
+    lines = [",".join(_POINT_FIELDS)]
     for pt in curve.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.s),
-                    _fmt(pt.empirical_ber),
-                    _fmt(pt.wilson_ci_low),
-                    _fmt(pt.wilson_ci_high),
-                    _fmt(pt.analytic_bound),
-                    str(pt.trials),
-                    str(pt.errors),
-                ]
-            )
-        )
+        values = (getattr(pt, name) for name in _POINT_FIELDS)
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
-
-
-def _curve_json(curve: BerCurve) -> list[dict]:
-    return [
-        {
-            "s": pt.s,
-            "empirical_ber": pt.empirical_ber,
-            "wilson_ci_low": pt.wilson_ci_low,
-            "wilson_ci_high": pt.wilson_ci_high,
-            "analytic_bound": pt.analytic_bound,
-            "trials": pt.trials,
-            "errors": pt.errors,
-        }
-        for pt in curve.points
-    ]
 
 
 def cmd_simulate(args) -> int:
@@ -187,17 +163,13 @@ def cmd_simulate(args) -> int:
     for name, exp in cfg.experiments:
         if args.seed is not None:
             exp = replace(exp, master_seed=args.seed)
-        try:
-            curve = run_experiment(exp)
-        except UnsupportedAlphabetError as exc:
-            print(f"experiment {name!r}: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+        curve = run_experiment(exp)
         entry = {
             "experiment": name,
             "receiver": exp.receiver.kind.value,
             "alphabet": exp.alphabet_kind.value,
             "seed": exp.master_seed,
-            "points": _curve_json(curve),
+            "points": [{f: getattr(pt, f) for f in _POINT_FIELDS} for pt in curve.points],
         }
         nonzero = [pt for pt in curve.points if pt.empirical_ber > 0]
         if len(nonzero) >= 3:

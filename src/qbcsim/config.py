@@ -4,7 +4,9 @@ The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
 experiment block, and at least one is required; [output] is optional.  Unknown
 sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
-N_Z finite and > 0; M >= 1), unsupported receiver/alphabet pairs (PA with
+N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1
+and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
+include_thermal_residual), unsupported receiver/alphabet pairs (PA with
 QPSK), and experiment names that are not safe file stems or repeat an earlier
 name are rejected with file:line diagnostics.
 
@@ -88,7 +90,6 @@ _EXPERIMENT_KEYS = {
     "sweep",
     "trials",
     "seed",
-    "pa_epsilon_sq",
     "sfg_tau",
     "sfg_capture_eps",
     "include_thermal_residual",
@@ -131,14 +132,13 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
         raise ConfigError(
             path, raw["_lines"]["alphabet"], f"unknown alphabet {raw['alphabet']!r}"
         ) from None
-    spec = ReceiverSpec(
-        kind=receiver_kind,
-        pa_epsilon_sq=float(raw["pa_epsilon_sq"]) if "pa_epsilon_sq" in raw else None,
-        sfg_tau=float(raw["sfg_tau"]) if "sfg_tau" in raw else None,
-        sfg_capture_eps=float(raw.get("sfg_capture_eps", 1e-3)),
-        include_thermal_residual=_parse_bool(raw.get("include_thermal_residual", "false")),
-    )
     try:
+        spec = ReceiverSpec(
+            kind=receiver_kind,
+            sfg_tau=float(raw["sfg_tau"]) if "sfg_tau" in raw else None,
+            sfg_capture_eps=float(raw.get("sfg_capture_eps", 1e-3)),
+            include_thermal_residual=_parse_bool(raw.get("include_thermal_residual", "false")),
+        )
         cfg = ExperimentConfig(
             alphabet_kind=alphabet,
             receiver=spec,

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise UnsupportedAlphabetError("PA receiver does not support QPSK")
         if self.alphabet_kind is AlphabetKind.CUSTOM:
             raise UnsupportedAlphabetError("experiments need a PAM, BPSK, or QPSK alphabet")
+        if self.receiver.kind is ReceiverKind.SFG:
+            self.receiver.sfg_cycles(self.N_Z)  # rejects a tap outside its window
         eta_max = self.eta_for(max(self.sweep))
         if eta_max > 1.0 + 1e-12:
             raise ValueError(

@@ -25,7 +25,7 @@ import functools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,41 +48,38 @@ class ReceiverKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """Receiver selection plus tunables.
+    """Receiver selection plus the SFG tunables, checked when built.
 
-    Unset tunables are filled from the channel parameters by `resolved`:
-    pa_epsilon_sq defaults to sqrt(N_S)/N_Z (the geometric mean of its validity
-    window N_S/N_Z << eps^2 << 1/N_Z) and sfg_tau defaults to 0.01/N_Z.
+    sfg_tau must be None (use the default tap 0.01/N_Z) or finite and > 0, and
+    sfg_capture_eps must lie in (0, 1).  The checks that need the background
+    N_Z are made by `sfg_cycles`: tau N_Z <= 0.1, tau (1 + N_Z) < 1, and a
+    cycle count K that is a finite number.
     """
 
     kind: ReceiverKind
-    pa_epsilon_sq: float | None = None
     sfg_tau: float | None = None
     sfg_capture_eps: float = 1e-3
     include_thermal_residual: bool = False
 
-    def resolved(self, cp: ChannelParams) -> "ReceiverSpec":
-        """Fill defaults from the channel and validate the tunable windows."""
-        spec = self
-        if spec.kind is ReceiverKind.PA and spec.pa_epsilon_sq is None:
-            spec = replace(spec, pa_epsilon_sq=math.sqrt(cp.N_S) / cp.N_Z if cp.N_S > 0 else 0.5 / cp.N_Z)
-        if spec.kind is ReceiverKind.SFG and spec.sfg_tau is None:
-            spec = replace(spec, sfg_tau=0.01 / cp.N_Z)
-        if spec.kind is ReceiverKind.PA:
-            eps2 = spec.pa_epsilon_sq
-            if not (cp.N_S / cp.N_Z < eps2 < 1.0 / cp.N_Z):
-                raise ValueError(
-                    f"pa_epsilon_sq = {eps2:g} outside validity window "
-                    f"({cp.N_S / cp.N_Z:g}, {1.0 / cp.N_Z:g})"
-                )
-        if spec.kind is ReceiverKind.SFG:
-            if spec.sfg_tau * cp.N_Z > 0.1:
-                raise ValueError(
-                    f"sfg_tau * N_Z = {spec.sfg_tau * cp.N_Z:g} exceeds 0.1"
-                )
-            if not 0.0 < spec.sfg_capture_eps < 1.0:
-                raise ValueError("sfg_capture_eps must lie in (0, 1)")
-        return spec
+    def __post_init__(self):
+        if self.sfg_tau is not None and not (math.isfinite(self.sfg_tau) and self.sfg_tau > 0):
+            raise ValueError(f"sfg_tau must be finite and > 0, got {self.sfg_tau!r}")
+        if not 0.0 < self.sfg_capture_eps < 1.0:
+            raise ValueError(f"sfg_capture_eps must lie in (0, 1), got {self.sfg_capture_eps!r}")
+
+    def sfg_cycles(self, N_Z: float) -> tuple[float, float, int]:
+        """The SFG loop at background N_Z: the tap tau, ln x of the per-cycle
+        amplitude ratio x = 1 - tau (1 + N_Z), and the least cycle count K
+        capturing a 1 - eps fraction of the infinite series (x^2K <= eps)."""
+        tau = 0.01 / N_Z if self.sfg_tau is None else self.sfg_tau
+        if not (tau * N_Z <= 0.1 and tau * (1.0 + N_Z) < 1.0):
+            raise ValueError(f"sfg_tau = {tau:g} at N_Z = {N_Z:g} breaks "
+                             "tau N_Z <= 0.1 or tau (1 + N_Z) < 1")
+        log_x = math.log1p(-tau * (1.0 + N_Z))
+        K = math.log(self.sfg_capture_eps) / (2.0 * log_x)
+        if not math.isfinite(K):
+            raise ValueError(f"sfg_tau = {tau:g} needs more than 1e308 cycles")
+        return tau, log_x, max(1, math.ceil(K))
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +204,26 @@ class SfgBookkeeping:
     total: float
 
 
-def _cycle_ratio(cp: ChannelParams, spec: ReceiverSpec) -> float:
-    """Per-cycle amplitude ratio x = 1 - tau (1 + N_Z) of a resolved spec."""
-    x = 1.0 - spec.sfg_tau * (1.0 + cp.N_Z)
-    if x <= 0.0:
-        raise ValueError(
-            f"tau (1 + N_Z) = {spec.sfg_tau * (1.0 + cp.N_Z):g} must be < 1"
-        )
-    return x
+def _c0_sq(cp: ChannelParams, symbol_distance_sq: float) -> float:
+    if symbol_distance_sq < 0:
+        raise ValueError("squared distance must be >= 0")
+    return symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
+
+
+def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec, infinite=False) -> float:
+    """Sum of n_b + n_E over the K cycles (over all of them if `infinite`),
+    2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).  With 1 - x^2K = -expm1(2K ln x)
+    and 1 - x^2 = tau (1 + N_Z) (1 + x), whose tau cancels, it costs the same
+    and stays accurate for any tau and K."""
+    _, log_x, K = spec.sfg_cycles(cp.N_Z)
+    x = math.exp(log_x)
+    captured = 1.0 if infinite else -math.expm1(2.0 * K * log_x)
+    return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
 
 
 def sfg_cycle_count(cp: ChannelParams, spec: ReceiverSpec) -> int:
     """Minimal K capturing a 1 - eps fraction of the infinite cycle series."""
-    spec = spec.resolved(cp)
-    x = _cycle_ratio(cp, spec)
-    return max(1, math.ceil(math.log(spec.sfg_capture_eps) / (2.0 * math.log(x))))
+    return spec.sfg_cycles(cp.N_Z)[2]
 
 
 def sfg_bookkeeping(
@@ -234,42 +236,20 @@ def sfg_bookkeeping(
     n_b = n_E = tau M C0_sq [1 - tau (1 + N_Z)]^{2k}.  The physical photon
     count rate of the nulled-hypothesis test is four times `total`, because
     nulling one hypothesis doubles the surviving coherent amplitude (see
-    sfg_count_rate).
+    sfg_count_rate).  Only this listing walks the K cycles; the rate does not.
     """
-    if symbol_distance_sq < 0:
-        raise ValueError("squared distance must be >= 0")
-    spec = spec.resolved(cp)
-    x = _cycle_ratio(cp, spec)
-    C0_sq = symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
-    K = sfg_cycle_count(cp, spec)
-    base = spec.sfg_tau * cp.M * C0_sq
-    cycles = []
-    total = 0.0
-    for k in range(1, K + 1):
-        n_b = base * x ** (2 * k)
-        cycles.append((n_b, n_b))
-        total += 2.0 * n_b
-    return SfgBookkeeping(C0_sq=C0_sq, cycles=tuple(cycles), K=K, total=total)
+    C0_sq = _c0_sq(cp, symbol_distance_sq)
+    tau, log_x, K = spec.sfg_cycles(cp.N_Z)
+    n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
+    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
 
 
-def sfg_infinite_total(
-    cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec
-) -> float:
+def sfg_infinite_total(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
     """Closed form of the infinite cycle series, 2 tau M C0_sq x^2 / (1 - x^2)."""
-    spec = spec.resolved(cp)
-    x = _cycle_ratio(cp, spec)
-    C0_sq = symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
-    return 2.0 * spec.sfg_tau * cp.M * C0_sq * x * x / (1.0 - x * x)
+    return _cycle_sum(cp, symbol_distance_sq, spec, infinite=True)
 
 
-@functools.lru_cache(maxsize=4096)
-def _count_rate_cached(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
-    return 4.0 * sfg_bookkeeping(cp, symbol_distance_sq, spec).total
-
-
-def sfg_count_rate(
-    cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec
-) -> float:
+def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
     """Poisson rate of the photon counter when the true and nulled hypotheses
     sit at squared constellation distance d^2.
 
@@ -277,7 +257,7 @@ def sfg_count_rate(
     zero, so the surviving amplitude is the full pairwise difference: its
     squared magnitude is 4 C0_sq, i.e. four times the per-hypothesis total.
     """
-    return _count_rate_cached(cp, symbol_distance_sq, spec.resolved(cp))
+    return 4.0 * _cycle_sum(cp, symbol_distance_sq, spec)
 
 
 def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]:
@@ -314,14 +294,12 @@ def _pairwise_distance_sq(a: Symbol, b: Symbol) -> float:
     return abs(a.complex_point() - b.complex_point()) ** 2
 
 
-@functools.lru_cache(maxsize=1024)
 def _residual_context(
     cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec
 ) -> tuple[float, int]:
     state = apply_channel(cp, true_symbol)
-    n_r = mean_photon_number(state, 0)
-    n_i = mean_photon_number(state, 1)
-    return n_i * spec.sfg_tau * n_r, sfg_cycle_count(cp, spec)
+    tau, _, K = spec.sfg_cycles(cp.N_Z)
+    return mean_photon_number(state, 1) * tau * mean_photon_number(state, 0), K  # n_I tau n_R
 
 
 def sfg_no_click_probability(
@@ -334,11 +312,10 @@ def sfg_no_click_probability(
     Bose-Einstein floor under each cycle's converted mode (dropped by default:
     it is bounded by tau N_S N_Z << 1 per cycle).
     """
-    spec = spec.resolved(cp)
     p = math.exp(-sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, null_symbol), spec))
     if spec.include_thermal_residual:
         nbar, K = _residual_context(cp, true_symbol, spec)
-        p *= (1.0 + nbar) ** -K
+        p *= math.exp(-K * math.log1p(nbar))
     return p
 
 
@@ -454,7 +431,6 @@ def point_decider(
     Normal(mean, N_Z / M).  The QPSK test enters the cyclic hypothesis
     order at offset floor(4 u[0]) and waits on u[1:].
     """
-    spec = spec.resolved(cp)
     if spec.kind is ReceiverKind.HETERODYNE:
         points = np.array([s.complex_point() for s in symbols])
         sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))

@@ -1,7 +1,9 @@
 """Config parsing and CLI subcommands, including exit-code taxonomy."""
 
+import collections
 import json
 import math
+import random
 
 import pytest
 
@@ -99,6 +101,15 @@ DUPLICATE_NAME_CONFIG = GOOD_CONFIG + GOOD_CONFIG[
     GOOD_CONFIG.index("[experiment]"):GOOD_CONFIG.index("[output]")
 ]
 DUPLICATE_NAME_LINE = DUPLICATE_NAME_CONFIG.splitlines().index("[experiment]", EXPERIMENT_LINE) + 1
+
+
+def _plus(line: str) -> str:
+    """GOOD_CONFIG with one more [experiment] line, right after the seed."""
+    return GOOD_CONFIG.replace("seed = 7\n", f"seed = 7\n{line}\n")
+
+
+#: line of a key that _plus adds
+PLUS_LINE = GOOD_CONFIG.splitlines().index("seed = 7") + 2
 
 
 def test_load_config_rejects_link_budget_section(tmp_path):
@@ -248,8 +259,19 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (GOOD_CONFIG.replace("M = 1000000", "M = 0"), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("N_Z = 100", "N_Z = 0"), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("N_S = 0.01", "N_S = nan"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = abc"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = 0"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = nan"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = -0.001"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = 0.01"), EXPERIMENT_LINE),
+        (_plus("sfg_tau = 1e-320"), EXPERIMENT_LINE),
+        (_plus("sfg_capture_eps = 2"), EXPERIMENT_LINE),
+        (_plus("include_thermal_residual = maybe"), EXPERIMENT_LINE),
+        (_plus("pa_epsilon_sq = 0.005"), PLUS_LINE),
     ],
-    ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "zero-N_Z", "nan-N_S"],
+    ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "zero-N_Z", "nan-N_S",
+         "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
+         "capture-eps-2", "text-bool", "pa-epsilon-key"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)
@@ -274,6 +296,48 @@ def test_simulate_rejects_unsafe_or_duplicate_name(tmp_path, capsys, text, line)
     assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "out" / "sub")]) == 2
     assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("tau", ["1e-11", "1e-300"])
+def test_simulate_tiny_sfg_tau_runs(tmp_path, tau):
+    """A tap this small asks for 3.4e9 or 3.4e298 cycles; the count rate is a
+    closed form, so the run is as quick as at the default tap."""
+    assert main(["simulate", str(_write_config(tmp_path, text=_plus(f"sfg_tau = {tau}")))]) == 0
+
+
+#: GOOD_CONFIG with the SFG tunables written out at their defaults
+FUZZ_BASE = _plus("sfg_tau = 0.0001\nsfg_capture_eps = 0.001\ninclude_thermal_residual = false")
+#: values the fuzz test writes: numbers at and past each edge, words and
+#: sweeps; the integers stay small so that no case runs long
+FUZZ_TOKENS = (
+    "1e-11", "1e-300", "1e-320", "-0.001", "0", "1", "3", "-1", "0.01", "0.5", "100", "1000",
+    "2000", "1e308", "nan", "inf", "-inf", "abc", "", "true", "maybe", "sfg", "pa", "heterodyne",
+    "pam", "bpsk", "qpsk", "json", "summary", "../x", "0:1:3", "0.25:0.75:3", "0:0:1", "1:0:3",
+    "0.5:0.5:1", "0:2:4", "0:1e-300:2", "nan:1:3", "1:2",
+)
+
+
+def test_simulate_fuzzed_config_exits_cleanly(tmp_path):
+    """300 configs with 1-3 values of FUZZ_BASE replaced from FUZZ_TOKENS:
+    simulate returns an exit code every time and raises nothing."""
+    rng = random.Random(1)
+    lines = FUZZ_BASE.format(outdir=tmp_path / "unused").splitlines()
+    slots = [k for k, line in enumerate(lines) if " = " in line and not line.startswith("directory")]
+    cfgpath = tmp_path / "run.cfg"
+    codes = collections.Counter()
+    for case in range(300):
+        mutated = list(lines)
+        for k in rng.sample(slots, rng.randint(1, 3)):
+            mutated[k] = f"{mutated[k].split(' = ')[0]} = {rng.choice(FUZZ_TOKENS)}"
+        text = "\n".join(mutated) + "\n"
+        cfgpath.write_text(text)
+        try:
+            code = main(["simulate", str(cfgpath), "--out", str(tmp_path / "out")])
+        except Exception as exc:
+            pytest.fail(f"case {case} raised {exc!r} on\n{text}")
+        assert code in (0, 2, 3, 4), (case, code, text)
+        codes[code] += 1
+    assert codes[0] > 0 and codes[2] > 0, codes
 
 
 def test_simulate_missing_config_io_error(tmp_path):

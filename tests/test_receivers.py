@@ -1,6 +1,7 @@
 """Receiver decision procedures: heterodyne, PA, and SFG."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qbcsim.receivers import (
     sfg_decide_qpsk,
     sfg_decide_zero_photon,
     sfg_infinite_total,
+    sfg_no_click_probability,
     sfg_null_symbol,
     sfg_nulling_params,
     uniforms,
@@ -406,7 +408,7 @@ def test_zero_photon_thermal_residual_option():
     assert errors > 0
     from qbcsim.receivers import _residual_context
 
-    nbar, K = _residual_context(cp, null, spec.resolved(cp))
+    nbar, K = _residual_context(cp, null, spec)
     p_expect = 1.0 - (1.0 / (1.0 + nbar)) ** K
     assert errors / n == pytest.approx(p_expect, rel=0.2)
 
@@ -528,19 +530,40 @@ def test_sequential_click_test_survival_law():
 # ---------------------------------------------------------------------------
 
 
-def test_pa_epsilon_window_enforced():
+def test_receiver_spec_checks_tunables_when_built():
+    for tau in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ReceiverSpec(kind=ReceiverKind.SFG, sfg_tau=tau)
+    for eps in (0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            ReceiverSpec(kind=ReceiverKind.SFG, sfg_capture_eps=eps)
+
+
+def test_count_rate_at_tiny_tau_is_closed_form():
+    """tau = 1e-11 asks for K ~ 3.4e9 cycles and tau = 1e-300 for 3.4e298: the
+    rate returns at once and holds all but eps of the infinite series.  The
+    thermal floor (1 + nbar)^-K, whose K nbar does not depend on a small tau,
+    is the same at both."""
     cp = _cp()
-    with pytest.raises(ValueError):
-        ReceiverSpec(kind=ReceiverKind.PA, pa_epsilon_sq=1.0).resolved(cp)
-    with pytest.raises(ValueError):
-        ReceiverSpec(kind=ReceiverKind.PA, pa_epsilon_sq=1e-9).resolved(cp)
-    spec = ReceiverSpec(kind=ReceiverKind.PA).resolved(cp)
-    assert cp.N_S / cp.N_Z < spec.pa_epsilon_sq < 1.0 / cp.N_Z
+    d2 = 4 * cp.eta
+    null = sfg_null_symbol(make_alphabet_bpsk(cp.eta))
+    floors = []
+    for tau in (1e-11, 1e-300):
+        spec = _sfg_spec(sfg_tau=tau, include_thermal_residual=True)
+        start = time.perf_counter()
+        rate = sfg_count_rate(cp, d2, spec)
+        assert time.perf_counter() - start < 1.0
+        assert sfg_cycle_count(cp, spec) > 3e9
+        infinite = 4.0 * sfg_infinite_total(cp, d2, spec)
+        assert (1.0 - spec.sfg_capture_eps) * infinite <= rate <= infinite
+        floors.append(sfg_no_click_probability(cp, null, null, spec))
+    assert floors[0] < 0.99
+    assert floors[1] == pytest.approx(floors[0], rel=1e-6)
 
 
 def test_sfg_tau_window_enforced():
     cp = _cp()
     with pytest.raises(ValueError):
-        ReceiverSpec(kind=ReceiverKind.SFG, sfg_tau=0.2 / cp.N_Z * 10).resolved(cp)
-    spec = ReceiverSpec(kind=ReceiverKind.SFG).resolved(cp)
-    assert spec.sfg_tau == pytest.approx(0.01 / cp.N_Z)
+        ReceiverSpec(kind=ReceiverKind.SFG, sfg_tau=0.2 / cp.N_Z * 10).sfg_cycles(cp.N_Z)
+    tau, _, _ = ReceiverSpec(kind=ReceiverKind.SFG).sfg_cycles(cp.N_Z)
+    assert tau == pytest.approx(0.01 / cp.N_Z)
