@@ -4,11 +4,11 @@ The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
 experiment block, and at least one is required; [output] is optional.  Unknown
 sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
-N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1
-and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
-include_thermal_residual), unsupported receiver/alphabet pairs (PA with
-QPSK), and experiment names that are not safe file stems or repeat an earlier
-name are rejected with file:line diagnostics.
+N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and
+sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
+include_thermal_residual), SFG tunables outside an SFG experiment, unsupported
+receiver/alphabet pairs (PA with QPSK), and experiment names that are not safe
+file stems or repeat an earlier name are rejected with file:line diagnostics.
 
 Example::
 
@@ -80,6 +80,8 @@ class RunConfig:
     output_format: str = "csv"
 
 
+#: receiver tunables that only the sfg receiver reads
+_SFG_KEYS = ("sfg_tau", "sfg_capture_eps", "include_thermal_residual")
 _EXPERIMENT_KEYS = {
     "name",
     "receiver",
@@ -90,9 +92,7 @@ _EXPERIMENT_KEYS = {
     "sweep",
     "trials",
     "seed",
-    "sfg_tau",
-    "sfg_capture_eps",
-    "include_thermal_residual",
+    *_SFG_KEYS,
 }
 _OUTPUT_KEYS = {"directory", "format"}
 #: experiment names become output file stems; summary.json is the run summary
@@ -132,6 +132,9 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
         raise ConfigError(
             path, raw["_lines"]["alphabet"], f"unknown alphabet {raw['alphabet']!r}"
         ) from None
+    for key in sorted(set(_SFG_KEYS) & raw.keys(), key=raw["_lines"].get):
+        if receiver_kind is not ReceiverKind.SFG:
+            raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to the sfg receiver")
     try:
         spec = ReceiverSpec(
             kind=receiver_kind,

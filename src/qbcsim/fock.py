@@ -6,6 +6,12 @@ one-shot Helstrom error probability and the Chernoff exponent are evaluated by
 direct eigendecomposition.  It is intentionally limited to at most two modes
 and modest cutoffs; the asymptotic claims of the analytic bounds are checked
 elsewhere.
+
+A two-mode state accepted here has phase-insensitive marginals and one
+cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
+cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
+fixed n0 - n1, and is built sector by sector.  The oracles solve each connected
+component of a pair's joint nonzero pattern alone; the spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -47,11 +53,27 @@ class FockOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def _require_density(rho: FockOperator) -> np.ndarray:
-    ev = np.linalg.eigvalsh(rho.matrix)
+def _require_psd(ev: np.ndarray) -> np.ndarray:
     if np.min(ev) < EIGENVALUE_FLOOR:
         raise ValueError(f"operator is not positive semidefinite: min eig {np.min(ev)}")
-    return rho.matrix
+    return ev
+
+
+def _blocks(rho0: FockOperator, rho1: FockOperator):
+    """Yields (indices, rho0 block, rho1 block) for each connected component
+    of the joint nonzero pattern; both operators vanish between components."""
+    m0, m1 = rho0.matrix, rho1.matrix
+    if m0.shape != m1.shape:
+        raise ValueError("operators must share a truncation dimension")
+    linked = (m0 != 0) | (m1 != 0)
+    linked |= linked.T
+    label, new = None, np.arange(len(linked))
+    while not np.array_equal(new, label):  # each index takes the least label linked to it
+        label = new[new]
+        new = np.minimum(label, np.where(linked, label, len(label)).min(axis=1))
+    order = np.argsort(label, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        yield idx, m0[np.ix_(idx, idx)], m1[np.ix_(idx, idx)]
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -123,7 +145,7 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
             "pipeline class)"
         )
     cmag = abs(c)
-    gamma = cmath.phase(c) if cmag > 0 else 0.0
+    gamma = cmath.phase(c) if cmag > 0 and abs(cmath.phase(c)) > 1e-14 else 0.0
 
     # decompose as local phase x two-mode squeeze acting on a thermal product
     sigma = math.sqrt(max((a_val + b_val) ** 2 - 4.0 * cmag * cmag, 1e-30))
@@ -133,20 +155,20 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
 
     d1 = _thermal_diag(max(nu1 - 0.5, 0.0), dim)
     d2 = _thermal_diag(max(nu2 - 0.5, 0.0), dim)
-    rho = np.diag(np.kron(d1, d2)).astype(complex)
-    if r > 1e-14:
-        a = _ladder(dim)
-        eye = np.eye(dim, dtype=complex)
-        a0 = np.kron(a, eye)
-        a1 = np.kron(eye, a)
-        K = r * (a0.conj().T @ a1.conj().T - a0 @ a1)
-        U = _unitary_from_antihermitian(K)
-        rho = U @ rho @ U.conj().T
-    if cmag > 0 and abs(gamma) > 1e-14:
+    n0, n1 = np.divmod(np.arange(dim * dim), dim)
+    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for k in range(1 - dim, dim):
+        # sector n0 - n1 = k by ascending n1; a0^dag a1^dag steps it up by one
+        idx = np.flatnonzero(n0 - n1 == k)
+        thermal = d1[n0[idx]] * d2[n1[idx]]
+        block = np.diag(thermal)
+        if r > 1e-14:
+            up = r * np.sqrt((n0[idx[:-1]] + 1.0) * (n1[idx[:-1]] + 1.0))
+            U = _unitary_from_antihermitian(np.diag(up, -1) - np.diag(up, 1))
+            block = (U * thermal) @ U.conj().T
         # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
-        n0 = np.kron(np.arange(dim), np.ones(dim))
-        phases = np.exp(1j * gamma * n0)
-        rho = (phases[:, None] * rho) * np.conj(phases)[None, :]
+        phases = np.exp(1j * gamma * n0[idx])
+        rho[np.ix_(idx, idx)] = (phases[:, None] * block) * np.conj(phases)
     return rho
 
 
@@ -179,28 +201,26 @@ def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     P = (1 - D)/2 where D is the trace distance, half the sum of the absolute
     eigenvalues of the difference.
     """
-    m0 = _require_density(rho0)
-    m1 = _require_density(rho1)
-    if m0.shape != m1.shape:
-        raise ValueError("operators must share a truncation dimension")
-    ev = np.linalg.eigvalsh(m0 - m1)
-    distance = 0.5 * float(np.sum(np.abs(ev)))
+    distance = 0.0
+    for _, b0, b1 in _blocks(rho0, rho1):
+        _require_psd(np.linalg.eigvalsh(b0))
+        _require_psd(np.linalg.eigvalsh(b1))
+        distance += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
     return max(0.0, 0.5 * (1.0 - distance))
 
 
 def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     """Returns f(s) = Tr(rho0^s rho1^{1-s}) as a cheap callable."""
-    m0 = _require_density(rho0)
-    m1 = _require_density(rho1)
-    if m0.shape != m1.shape:
-        raise ValueError("operators must share a truncation dimension")
-    lam0, v0 = np.linalg.eigh(m0)
-    lam1, v1 = np.linalg.eigh(m1)
+    n = len(rho0.matrix)
+    lam0, lam1, w = np.zeros(n), np.zeros(n), np.zeros((n, n))
+    for idx, b0, b1 in _blocks(rho0, rho1):
+        (l0, v0), (l1, v1) = np.linalg.eigh(b0), np.linalg.eigh(b1)
+        lam0[idx], lam1[idx] = _require_psd(l0), _require_psd(l1)
+        w[np.ix_(idx, idx)] = np.abs(v0.conj().T @ v1) ** 2
     floor0 = 1e-14 * max(np.max(lam0), 1e-300)
     floor1 = 1e-14 * max(np.max(lam1), 1e-300)
     lam0 = np.where(lam0 > floor0, lam0, 0.0)
     lam1 = np.where(lam1 > floor1, lam1, 0.0)
-    w = np.abs(v0.conj().T @ v1) ** 2
 
     def powers(lam: np.ndarray, s: float) -> np.ndarray:
         out = np.zeros_like(lam)

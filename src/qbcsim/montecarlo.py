@@ -106,7 +106,7 @@ class ExperimentConfig:
         if self.receiver.kind is ReceiverKind.SFG:
             self.receiver.sfg_cycles(self.N_Z)  # rejects a tap outside its window
         eta_max = self.eta_for(max(self.sweep))
-        if eta_max > 1.0 + 1e-12:
+        if eta_max > 1.0:
             raise ValueError(
                 f"sweep point s = {max(self.sweep):g} back-solves to eta = {eta_max:g} > 1"
             )

@@ -108,8 +108,20 @@ def _plus(line: str) -> str:
     return GOOD_CONFIG.replace("seed = 7\n", f"seed = 7\n{line}\n")
 
 
+def _rx(receiver: str, lines: str) -> str:
+    """_plus(lines) with another receiver in place of sfg."""
+    return _plus(lines).replace("receiver = sfg", f"receiver = {receiver}")
+
+
 #: line of a key that _plus adds
 PLUS_LINE = GOOD_CONFIG.splitlines().index("seed = 7") + 2
+
+#: heterodyne BPSK whose one sweep point back-solves to eta = 1 + 1e-13
+ETA_ABOVE_ONE_CONFIG = (
+    GOOD_CONFIG.replace("receiver = sfg", "receiver = heterodyne")
+    .replace("M = 1000000", "M = 10000")
+    .replace("sweep = 0.25:0.75:3", "sweep = 1.0000000000001:1.0000000000001:1")
+)
 
 
 def test_load_config_rejects_link_budget_section(tmp_path):
@@ -268,10 +280,15 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_plus("sfg_capture_eps = 2"), EXPERIMENT_LINE),
         (_plus("include_thermal_residual = maybe"), EXPERIMENT_LINE),
         (_plus("pa_epsilon_sq = 0.005"), PLUS_LINE),
+        (ETA_ABOVE_ONE_CONFIG, EXPERIMENT_LINE),
+        (_rx("pa", "sfg_tau = 0.0005\ninclude_thermal_residual = true"), PLUS_LINE),
+        (_rx("heterodyne", "sfg_capture_eps = 0.5"), PLUS_LINE),
+        (_rx("pa", "include_thermal_residual = true"), PLUS_LINE),
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
-         "capture-eps-2", "text-bool", "pa-epsilon-key"],
+         "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-sfg-tau",
+         "heterodyne-capture-eps", "pa-thermal-residual"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)

@@ -1,5 +1,6 @@
 """Number-basis bridge and discrimination oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qbcsim.fock import (
     FockOperator,
     _ladder,
+    _unitary_from_antihermitian,
     chernoff_exponent_oracle,
     gaussian_to_fock,
     helstrom_oracle,
@@ -199,3 +201,101 @@ def test_non_psd_input_rejected():
         helstrom_oracle(bad, good)
     with pytest.raises(ValueError):
         chernoff_exponent_oracle(bad, good)
+
+
+def _random_pipeline_state(rng):
+    """A channel output, half the time followed by a receiver's two-mode squeeze."""
+    cp = ChannelParams(
+        eta=float(rng.uniform(0.01, 0.3)),
+        phi=float(rng.uniform(0, 2 * math.pi)),
+        N_Z=float(rng.uniform(0.1, 1.0)),
+        M=100,
+        N_S=float(rng.uniform(0.05, 0.3)),
+    )
+    st = apply_channel(cp, Symbol(math.sqrt(cp.eta), float(rng.uniform(0, 2 * math.pi))))
+    if rng.uniform() < 0.5:
+        st = apply_two_mode_squeeze(
+            st, 0, 1, 1.0 + float(rng.uniform(0, 0.3)), float(rng.uniform(0, 2 * math.pi))
+        )
+    return st
+
+
+def _kron_reference(state, dim):
+    """Dense conversion: a thermal product, the full two-mode squeeze generator
+    r (a0^dag a1^dag - a0 a1) on the kron basis, then the mode-0 phase of <a0 a1>."""
+    a_val = mean_photon_number(state, 0) + 0.5
+    b_val = mean_photon_number(state, 1) + 0.5
+    c = phase_sensitive_correlation(state, 0, 1)
+    sigma = math.sqrt((a_val + b_val) ** 2 - 4.0 * abs(c) ** 2)
+    r = 0.5 * math.atanh(2.0 * abs(c) / (a_val + b_val))
+    n = np.arange(dim)
+    nbars = (max(0.5 * (sigma + a_val - b_val) - 0.5, 0.0), max(0.5 * (sigma - a_val + b_val) - 0.5, 0.0))
+    d0, d1 = (nbar**n / (nbar + 1.0) ** (n + 1) for nbar in nbars)
+    a, eye = _ladder(dim), np.eye(dim)
+    a0, a1 = np.kron(a, eye), np.kron(eye, a)
+    U = _unitary_from_antihermitian(r * (a0.conj().T @ a1.conj().T - a0 @ a1))
+    rho = U @ np.diag(np.kron(d0, d1)) @ U.conj().T
+    phases = np.exp(1j * cmath.phase(c) * np.kron(n, np.ones(dim)))
+    return (phases[:, None] * rho) * phases.conj()
+
+
+def test_sector_conversion_matches_dense_generator():
+    """Built sector by sector, the matrix equals the dense-generator one and is
+    exactly zero between sectors of different n0 - n1."""
+    rng = np.random.default_rng(1717)
+    for n_max in (6, 9, 12, 12, 12):
+        st = _random_pipeline_state(rng)
+        dim = n_max + 1
+        m = gaussian_to_fock(st, n_max).matrix
+        assert np.max(np.abs(m - _kron_reference(st, dim))) <= 1e-12
+        n0, n1 = np.divmod(np.arange(dim * dim), dim)
+        assert np.all(m[(n0 - n1)[:, None] != (n0 - n1)[None, :]] == 0.0)
+
+
+def _dense_oracles(m0, m1):
+    """Helstrom error and Chernoff exponent from eigensolves of the full
+    matrices, with the oracles' support floor.  f(s) = Tr(rho0^s rho1^(1-s))
+    is convex in s, so a golden-section search on [0, 1] finds its minimum."""
+    helstrom = 0.5 * (1.0 - 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(m0 - m1)))))
+    (lam0, v0), (lam1, v1) = np.linalg.eigh(m0), np.linalg.eigh(m1)
+    lam0, lam1 = (np.where(lam > 1e-14 * lam.max(), lam, 0.0) for lam in (lam0, lam1))
+    w = np.abs(v0.conj().T @ v1) ** 2
+
+    def f(s):
+        return float(lam0**s @ w @ lam1 ** (1.0 - s))
+
+    lo, hi, g = 0.0, 1.0, (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-12:
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        if f(x1) <= f(x2):
+            hi = x2
+        else:
+            lo = x1
+    return helstrom, -math.log(f(0.5 * (lo + hi)))
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(3141)
+    n_max = 11
+    pairs = [
+        (gaussian_to_fock(_random_pipeline_state(rng), n_max),
+         gaussian_to_fock(_random_pipeline_state(rng), n_max))
+        for _ in range(4)
+    ]
+    # a diagonal operator (every basis state its own block) against a sector-block one
+    cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
+    thermal_pair = gaussian_to_fock(apply_channel(cp, Symbol(0.0, 0.0)), n_max)
+    pairs.append((thermal_pair, gaussian_to_fock(apply_channel(cp, Symbol(0.3, 1.0)), n_max)))
+    # a dense operator that links every sector of the other one
+    coh = gaussian_to_fock(coherent(0.4 - 0.3j), n_max).matrix
+    pairs.append((FockOperator(2, n_max + 1, np.kron(coh, coh), 0.0), pairs[0][1]))
+    # the same on one mode: dense coherent against diagonal thermal
+    pairs.append((gaussian_to_fock(thermal(0.5), 20), gaussian_to_fock(coherent(0.7), 20)))
+    return pairs + [(r1, r0) for r0, r1 in pairs]
+
+
+def test_oracles_equal_dense_spectra():
+    for r0, r1 in _oracle_pairs():
+        helstrom, xi = _dense_oracles(r0.matrix, r1.matrix)
+        assert helstrom_oracle(r0, r1) == pytest.approx(helstrom, abs=1e-10)
+        assert chernoff_exponent_oracle(r0, r1) == pytest.approx(xi, abs=1e-10)
