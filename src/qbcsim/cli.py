@@ -9,6 +9,7 @@ command line (``bounds --columns pa_qpsk``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -269,7 +270,10 @@ def cmd_security(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qbcsim argument parser, built once per process: parse_args reads
+    it and leaves it unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="qbcsim",
         description=(

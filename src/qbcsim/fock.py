@@ -48,7 +48,11 @@ class FockOperator:
         d = self.dimension**self.n_modes
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+        # m^H - m in place: a second dense temporary per state makes the heap
+        # trim and re-fault its pages on every conversion
+        asym = m.conj().T
+        asym -= m
+        if np.max(np.abs(asym)) > HERMITICITY_ATOL:
             raise ValueError("density matrix must be Hermitian")
         object.__setattr__(self, "matrix", m)
 
@@ -120,7 +124,7 @@ def _single_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
         K = alpha * a.conj().T - np.conj(alpha) * a
         D = _unitary_from_antihermitian(K)
         rho = D @ rho @ D.conj().T
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
@@ -168,7 +172,9 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
             block = (U * thermal) @ U.conj().T
         # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
         phases = np.exp(1j * gamma * n0[idx])
-        rho[np.ix_(idx, idx)] = (phases[:, None] * block) * np.conj(phases)
+        block = (phases[:, None] * block) * np.conj(phases)
+        # symmetrized per sector: the entries between sectors are exact zeros
+        rho[np.ix_(idx, idx)] = 0.5 * (block + block.conj().T)
     return rho
 
 
@@ -177,18 +183,16 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
 
     Supports single-mode states (with displacement and squeezing) and the
     zero-mean two-mode family produced by the channel and receiver pipeline.
-    The reported trace deficit is the probability weight beyond the cutoff.
+    Both conversions return the matrix Hermitian-symmetrized, the two-mode
+    one sector by sector.  The reported trace deficit is the probability weight
+    beyond the cutoff.
     """
     if state.n_modes > 2:
         raise ValueError("conversion supports at most two modes")
     if n_max < 1 or n_max > MAX_CUTOFF:
         raise ValueError(f"n_max must lie in [1, {MAX_CUTOFF}], got {n_max}")
     dim = n_max + 1
-    if state.n_modes == 1:
-        rho = _single_mode_fock(state, dim)
-    else:
-        rho = _two_mode_fock(state, dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = (_single_mode_fock if state.n_modes == 1 else _two_mode_fock)(state, dim)
     deficit = float(1.0 - np.trace(rho).real)
     return FockOperator(
         n_modes=state.n_modes, dimension=dim, matrix=rho, trace_deficit=deficit

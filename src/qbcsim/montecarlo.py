@@ -6,7 +6,10 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
 of (master_seed, point_index, trial_index) gives each trial's true symbol and
 uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine knows no receiver: per sweep point
-it applies the array-form rule from `receivers.point_decider` to numpy blocks.
+it applies the array-form rule from `receivers.point_decider` to numpy blocks,
+hashing each block in place and computing only the uniform rows the rule
+reads; draw k depends only on the trial's hash and k, so the values are those
+of the full DRAWS rows.
 """
 
 from __future__ import annotations
@@ -39,21 +42,44 @@ WILSON_Z = 1.959963984540054
 
 
 def _mix64(z):
-    """SplitMix64 finalizer on a Python int or, wrapping, on a uint64 array."""
+    """SplitMix64 finalizer on a Python int."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array, in place; uint64 wraps, so no masking."""
+    tmp = np.empty_like(z)
+    for shift, mul in ((30, _M1), (27, _M2)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mul
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
 def _counter_hash(master_seed: int, point_index: int, trial_index):
     """64-bit hash of the (master, point, trial) counter triple; trial_index
-    may be a uint64 array, giving one hash per trial."""
+    may be a uint64 array, giving one hash per trial.  The array path hashes
+    the (master, point) prefix once on Python ints and the trial word in
+    place on a copy."""
     h = 0x243F6A8885A308D3
-    for w in (master_seed, point_index, trial_index):
+    array = isinstance(trial_index, np.ndarray)
+    for w in (master_seed, point_index) if array else (master_seed, point_index, trial_index):
         h = _mix64(h ^ _mix64((w + _GAMMA) & _MASK64))
         h = (h * 0xD1342543DE82EF95 + 1) & _MASK64
-    return _mix64(h)
+    if not array:
+        return _mix64(h)
+    z = _mix64_inplace(trial_index + np.uint64(_GAMMA))
+    z ^= np.uint64(h)
+    _mix64_inplace(z)
+    z *= np.uint64(0xD1342543DE82EF95)
+    z += np.uint64(1)
+    return _mix64_inplace(z)
 
 
 def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -178,9 +204,10 @@ def analytic_bound_value(
     return sfg_ep_upper_bound(a, N_S, M, N_Z).value
 
 
-_SYMBOL_SALT = 0xD1342543DE82EF95
-#: trials per block: amortizes numpy's per-call cost; DRAWS x block uniforms take 2.6 MB
-_BLOCK = 1 << 16
+_SYMBOL_SALT = np.uint64(0xD1342543DE82EF95)
+#: trials per block: amortizes numpy's per-call cost, while the DRAWS + 1 word
+#: rows and their scratch (1.5 MB) stay in a core's L2 cache
+_BLOCK = 1 << 14
 #: a trial's uniforms are the SplitMix64 sequence started at its hash h:
 #: draw k is _mix64(h + (k + 1) * _GAMMA)
 _DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], dtype=np.uint64)
@@ -192,23 +219,31 @@ def _count_point_errors(
     """Symbol errors over trials [start, start+count) of one sweep point.
 
     Trial t's counter hash h gives its true symbol, _mix64(h ^ _SYMBOL_SALT)
-    masked to the alphabet, and its DRAWS uniforms, so any partition of the
-    trial range reproduces the same counts.  The decision is the receiver's
-    per-point rule from `receivers.point_decider`, applied to blocks of
-    _BLOCK trials.
+    masked to the alphabet, and its uniforms, draw k being
+    _mix64(h + (k + 1) _GAMMA), so any partition of the trial range
+    reproduces the same counts.  The decision is the receiver's per-point
+    rule from `receivers.point_decider`, applied to blocks of _BLOCK trials.
+    The rule reads only its first `decide.draws` rows of uniforms, so only
+    those are computed; draw k depends on h and k alone, so the values it
+    reads are those of the full DRAWS rows.
     """
     eta = cfg.eta_for(cfg.sweep[point_index])
     symbols = _nominal_symbols(cfg.alphabet_kind, eta)
     cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
     decide = point_decider(cp, cfg.alphabet_kind, symbols, cfg.receiver)
-    mask = len(symbols) - 1  # 2 or 4 symbols
+    steps = _DRAW_STEPS[: decide.draws]
+    mask = np.uint64(len(symbols) - 1)  # 2 or 4 symbols
     stop = start + count
     errors = 0
     for lo in range(start, stop, _BLOCK):
         trials = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint64)
         h = _counter_hash(cfg.master_seed, point_index, trials)
-        i = (_mix64(h ^ _SYMBOL_SALT) & mask).astype(np.intp)
-        errors += int(np.count_nonzero(decide(i, uniforms(_mix64(h + _DRAW_STEPS))) != i))
+        words = np.empty((len(steps) + 1, len(h)), dtype=np.uint64)
+        np.bitwise_xor(h, _SYMBOL_SALT, out=words[0])
+        np.add(h, steps, out=words[1:])
+        _mix64_inplace(words)
+        i = (words[0] & mask).astype(np.intp)
+        errors += int(np.count_nonzero(decide(i, uniforms(words[1:])) != i))
     return errors
 
 

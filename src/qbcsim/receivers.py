@@ -10,8 +10,10 @@ squeeze nulls one hypothesis.
 
 Each decision rule exists once, in `point_decider`: the array-form rule
 decide(true_index[n], u[DRAWS, n]) -> index[n] that the Monte Carlo harness
-runs on blocks of trials and the scalar SFG deciders on one trial.  Nearest
-point (ties to the lowest index) is shared with `heterodyne_decide` and
+runs on blocks of trials and the scalar SFG deciders on one trial.  A rule
+reads only its first `decide.draws` rows of u, so the harness computes only
+those; the rows it reads hold the same values either way.  Nearest point
+(ties to the lowest index) is shared with `heterodyne_decide` and
 `pa_decide`.  `point_decider` takes a bare symbol tuple, so the all-zero
 constellation of eta = 0 needs no special case: every distance ties and no
 photon ever arrives.
@@ -103,13 +105,22 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
 
 def _nearest_index(x, points):
     """Index of the point nearest to x (real or complex, scalar or array of
-    trials); ties go to the lowest index."""
-    return np.argmin(np.abs(np.asarray(x)[..., None] - np.asarray(points)), axis=-1)
+    trials): a running first minimum with a strict <, so ties go to the
+    lowest index.  The index moves by arithmetic, not by masked writes."""
+    x = np.asarray(x)
+    best = np.abs(x - points[0])
+    index = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, len(points)):
+        d = np.abs(x - points[k])
+        closer = d < best
+        index += closer * (k - index)
+        best = np.minimum(best, d)
+    return index
 
 
 def heterodyne_decide(envelope: complex, a: Alphabet) -> Symbol:
     """Nearest constellation point; ties resolve to the lowest symbol index."""
-    return a.symbols[_nearest_index(envelope, [s.complex_point() for s in a.symbols])]
+    return a.symbols[int(_nearest_index(envelope, [s.complex_point() for s in a.symbols]))]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,7 @@ def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
     symbols are indistinguishable and the receiver offers no gain there.
     """
     _require_pa_alphabet(a.kind, len(a))
-    return a.symbols[_nearest_index(statistic, pa_decision_grid(a, cp))]
+    return a.symbols[int(_nearest_index(statistic, pa_decision_grid(a, cp)))]
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +403,24 @@ def sfg_decide_qpsk(
 
 
 #: uniforms per trial that a point rule may read: the QPSK test's entry offset
-#: and one wait per hypothesis (Box-Muller and the zero-photon test use the first)
+#: and one wait per hypothesis.  Each rule declares as `decide.draws` how many
+#: of these rows it reads (Box-Muller 2, the zero-photon test 1); the rows it
+#: reads hold the same values whether or not the later ones exist.
 DRAWS = 5
 
 
 def uniforms(words) -> np.ndarray:
     """Uniforms strictly inside (0, 1) from uint64 words: the top 52 bits,
-    centred in their cell, so logs stay finite and floor(n u) < n."""
-    return ((np.asarray(words, dtype=np.uint64) >> 12).astype(np.float64) + 0.5) * 2.0**-52
+    centred in their cell, so logs stay finite and floor(n u) < n.  The
+    52-bit words convert exactly, and faster, as int64."""
+    top = (np.asarray(words, dtype=np.uint64) >> 12).view(np.int64)
+    return (top.astype(np.float64) + 0.5) * 2.0**-52
 
 
-def _complex_normal(u) -> np.ndarray:
-    """Box-Muller from u[0], u[1]: complex normal with unit variance per quadrature."""
-    return np.sqrt(-2.0 * np.log(u[0])) * np.exp(2j * math.pi * u[1])
+def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
+    """Radius sqrt(-2 ln u[0]) and angle 2 pi u[1] of a complex normal with
+    unit variance per quadrature, as in r e^{i theta}."""
+    return np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
 
 
 def _decide_one(
@@ -428,15 +444,26 @@ def point_decider(
     trial's column of uniforms, and applies the rule.  The heterodyne
     envelope is the M-sample average, complex Gaussian with per-quadrature
     variance ((1 - eta) N_Z + 1) / (2 M N_S); the PA statistic is
-    Normal(mean, N_Z / M).  The QPSK test enters the cyclic hypothesis
-    order at offset floor(4 u[0]) and waits on u[1:].
+    Normal(mean, N_Z / M), the real part of the same Box-Muller draw.  The
+    QPSK test enters the cyclic hypothesis order at offset floor(4 u[0]) and
+    waits on u[1:].
+
+    The rule carries `decide.draws`, the number of leading rows of u it
+    reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).
+    u may have just those rows; the result is the same as with all DRAWS.
     """
     if spec.kind is ReceiverKind.HETERODYNE:
         points = np.array([s.complex_point() for s in symbols])
         sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _nearest_index(points[i] + sd * _complex_normal(u), points)
+            r, theta = _box_muller(u)
+            x = points[i]
+            x.real += sd * (r * np.cos(theta))
+            x.imag += sd * (r * np.sin(theta))
+            return _nearest_index(x, points)
+
+        decide.draws = 2
 
     elif spec.kind is ReceiverKind.PA:
         _require_pa_alphabet(kind, len(symbols))
@@ -444,7 +471,10 @@ def point_decider(
         sd = math.sqrt(cp.N_Z / cp.M)
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-            return _nearest_index(grid[i] + sd * _complex_normal(u).real, grid)
+            r, theta = _box_muller(u)
+            return _nearest_index(grid[i] + sd * (r * np.cos(theta)), grid)
+
+        decide.draws = 2
 
     elif kind is AlphabetKind.QPSK:
         n = len(symbols)
@@ -460,11 +490,15 @@ def point_decider(
             declared = sequential_click_test(rows[i, visit], cp.M, u[1:])
             return np.take_along_axis(visit, declared[None], axis=0)[0]
 
+        decide.draws = DRAWS
+
     else:
         null = _null_index(kind, symbols)
         p_no_click = np.array([sfg_no_click_probability(cp, s, symbols[null], spec) for s in symbols])
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)
+
+        decide.draws = 1
 
     return decide

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from qbcsim.cli import main
+from qbcsim.cli import build_parser, main
 from qbcsim.config import ConfigError, load_config, parse_sweep
 
 
@@ -423,3 +423,31 @@ def test_security_simulation(capsys):
 
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == 2
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    """main builds its parser once per process; no call's arguments, defaults
+    or errors may reach the next call."""
+    assert build_parser() is build_parser()
+    cfgpath = _write_config(tmp_path)  # seed = 7, format = csv
+
+    def run(out, *extra):
+        assert main(["simulate", str(cfgpath), "--out", str(tmp_path / out), *extra]) == 0
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        return [entry["seed"] for entry in summary]
+
+    assert run("a", "--seed", "5", "--format", "json") == [5]
+    assert run("b") == [7]  # the config's seed, and its csv format
+    assert (tmp_path / "b" / "sfg-bpsk.csv").is_file()
+    assert not (tmp_path / "b" / "sfg-bpsk.json").exists()
+
+    table = tmp_path / "table.json"
+    assert main(["bounds", "--sweep", "1:2:2", "--format", "json", "--seed", "9",
+                 "--out", str(table)]) == 0
+    assert [row["s"] for row in json.loads(table.read_text())] == [1.0, 2.0]
+    assert run("c") == [7]
+
+    assert main(["simulate", str(cfgpath), "--seed", "not-a-number"]) == 2
+    assert main(["simulate"]) == 2
+    assert run("d") == [7]
+    assert (tmp_path / "d" / "sfg-bpsk.csv").read_bytes() == (tmp_path / "b" / "sfg-bpsk.csv").read_bytes()

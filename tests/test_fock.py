@@ -190,6 +190,22 @@ def test_random_pipeline_pairs_helstrom_chernoff_consistency():
         assert ph <= 0.5 * math.exp(-xi) + 1e-9
 
 
+def test_non_hermitian_input_rejected():
+    """The Hermiticity check compares each entry with the conjugate of its
+    transpose, whichever triangle holds the defect."""
+    dim = 6
+    m = np.diag(np.full(dim, 1.0 / dim)).astype(complex)
+    FockOperator(1, dim, m, 0.0)
+    for i, j, v in ((0, 3, 1e-3), (4, 1, 1e-3j), (2, 2, 1e-3j)):
+        bad = m.copy()
+        bad[i, j] += v
+        with pytest.raises(ValueError, match="Hermitian"):
+            FockOperator(1, dim, bad, 0.0)
+    ok = m.copy()
+    ok[0, 3], ok[3, 0] = 1e-3 + 2e-3j, 1e-3 - 2e-3j
+    FockOperator(1, dim, ok, 0.0)
+
+
 def test_non_psd_input_rejected():
     dim = 6
     m = np.zeros((dim, dim), dtype=complex)

@@ -209,6 +209,38 @@ def test_run_experiment_parallel_invariance():
             assert sum(parts) == pt.errors, (receiver, alphabet, p)
 
 
+#: per-point error counts at master seed 20261018 over 2^16 + 4321 trials per
+#: point (N_S = 0.01, N_Z = 100, M = 1e6, s = 0.5, 1, 2).  They pin the trial
+#: stream: any change to the hash, the draws or a rule that moves a count
+#: must edit this table and say why.
+_GOLDEN_COUNTS = {
+    (ReceiverKind.HETERODYNE, AlphabetKind.PAM, False): (21638, 16841, 10817),
+    (ReceiverKind.HETERODYNE, AlphabetKind.BPSK, False): (11120, 5414, 1623),
+    (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, False): (29578, 20459, 10321),
+    (ReceiverKind.PA, AlphabetKind.PAM, False): (16774, 11182, 5245),
+    (ReceiverKind.PA, AlphabetKind.BPSK, False): (5461, 1546, 164),
+    (ReceiverKind.SFG, AlphabetKind.PAM, False): (21372, 12979, 4771),
+    (ReceiverKind.SFG, AlphabetKind.PAM, True): (21826, 13612, 5761),
+    (ReceiverKind.SFG, AlphabetKind.BPSK, False): (4926, 667, 11),
+    (ReceiverKind.SFG, AlphabetKind.BPSK, True): (5945, 1769, 1260),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, False): (32480, 16992, 3743),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, True): (32480, 16992, 3743),
+}
+
+
+@pytest.mark.parametrize("receiver,alphabet,residual", list(_GOLDEN_COUNTS))
+def test_error_counts_are_pinned(receiver, alphabet, residual):
+    """Every supported receiver/alphabet pair reproduces its recorded counts
+    over a trial range that crosses block boundaries."""
+    n = (1 << 16) + 4321
+    assert n > _BLOCK
+    spec = ReceiverSpec(kind=receiver, include_thermal_residual=residual)
+    cfg = _config(receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0, M=1_000_000,
+                  sweep=(0.5, 1.0, 2.0), trials_per_point=n, master_seed=20261018)
+    got = tuple(pt.errors for pt in run_experiment(cfg).points)
+    assert got == _GOLDEN_COUNTS[receiver, alphabet, residual]
+
+
 def _q(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 

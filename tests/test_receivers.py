@@ -23,6 +23,7 @@ from qbcsim.receivers import (
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
+    _nearest_index,
     heterodyne_decide,
     heterodyne_envelope,
     pa_decide,
@@ -93,6 +94,20 @@ def test_decide_exact_point():
 def test_decide_tie_breaks_to_lowest_index():
     a = make_alphabet_bpsk(0.16)
     assert heterodyne_decide(0.0, a) == a.symbols[0]
+
+
+def test_nearest_index_matches_argmin_reference():
+    """The running minimum picks what argmin over all distances picks, the
+    first minimum on ties, for complex and real statistics."""
+    rng = np.random.default_rng(21)
+    qpsk = np.array([s.complex_point() for s in make_alphabet_qpsk(0.2).symbols])
+    x = 0.5 * (rng.normal(size=3000) + 1j * rng.normal(size=3000))
+    x[:8] = [0.0, *qpsk[:3], 0.5 * (qpsk[0] + qpsk[1]), 0.5 * (qpsk[1] + qpsk[2]), 1.0, -1.0j]
+    cases = [(x, qpsk), (x, np.zeros(4, dtype=complex)), (x.real, np.array([-0.3, 0.3])),
+             (np.array([0.0, 0.3, -0.3, 1e-300]), np.array([-0.3, 0.3]))]
+    for stat, points in cases:
+        reference = np.argmin(np.abs(stat[:, None] - points), axis=1)
+        assert np.array_equal(_nearest_index(stat, points), reference)
 
 
 def test_decide_qpsk_nearest_neighbor():
@@ -511,6 +526,39 @@ def test_scalar_and_point_deciders_agree(alphabet, residual):
         assert got == [a.symbols[k] for k in decide(np.full(300, i), u)]
         errors += sum(g != true for g in got)
     assert errors > 0
+
+
+_DECLARED_DRAWS = [
+    (ReceiverKind.HETERODYNE, "bpsk", False, 2),
+    (ReceiverKind.HETERODYNE, "qpsk", False, 2),
+    (ReceiverKind.PA, "bpsk", False, 2),
+    (ReceiverKind.PA, "pam", False, 2),
+    *[(ReceiverKind.SFG, alphabet, residual, DRAWS if alphabet == "qpsk" else 1)
+      for alphabet in ("pam", "bpsk", "qpsk") for residual in (False, True)],
+]
+
+
+@pytest.mark.parametrize("kind,alphabet,residual,draws", _DECLARED_DRAWS)
+def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
+    """A rule declares how many leading rows of uniforms it reads; the Monte
+    Carlo engine computes only those.  Overwriting the later rows with NaN,
+    or leaving them out, must not change a single decision."""
+    cp = _cp(eta=0.02, M=100_000)
+    a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
+         "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
+    spec = ReceiverSpec(kind=kind, include_thermal_residual=residual)
+    decide = point_decider(cp, a.kind, a.symbols, spec)
+    assert decide.draws == draws
+    rng = np.random.default_rng([draws, len(a), residual])
+    n = 4000
+    i = rng.integers(len(a), size=n)
+    u = uniforms(rng.bit_generator.random_raw((DRAWS, n)))
+    full = decide(i, u.copy())
+    assert 0 < np.count_nonzero(full != i) < n  # both outcomes are common
+    poisoned = u.copy()
+    poisoned[draws:] = np.nan
+    assert np.array_equal(decide(i, poisoned), full)
+    assert np.array_equal(decide(i, u[:draws].copy()), full)
 
 
 def test_sequential_click_test_survival_law():
