@@ -140,6 +140,14 @@ def eve_random_phase_ber(
         raise ValueError(f"need at least 1e4 trials, got {trials}")
     if phase_dist not in ("uniform", "binary", "none"):
         raise ValueError(f"unknown phase_dist {phase_dist!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if not (math.isfinite(N_S) and N_S > 0):
+        raise ValueError(f"N_S must be finite and > 0, got {N_S}")
+    if not (math.isfinite(N_Z) and N_Z >= 0):
+        raise ValueError(f"N_Z must be finite and >= 0, got {N_Z}")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     bits = rng.integers(2, size=trials)
     if phase_dist == "uniform":
         theta = rng.uniform(0.0, 2.0 * math.pi, size=trials)

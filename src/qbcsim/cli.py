@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import textwrap
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def _curve_csv(curve: BerCurve) -> str:
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConfigError as exc:
@@ -160,7 +161,7 @@ def cmd_simulate(args) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    summary = []
+    texts = []
     for name, exp in cfg.experiments:
         if args.seed is not None:
             exp = replace(exp, master_seed=args.seed)
@@ -182,12 +183,12 @@ def cmd_simulate(args) -> int:
             entry["fitted_exponent"] = slope
             entry["exponent_ratio_vs_classical"] = slope / classical_slope
             entry["gain_db_vs_classical"] = 10.0 * math.log10(max(slope, 1e-300) / classical_slope)
-        summary.append(entry)
+        texts.append(json.dumps(entry, indent=2))
 
         fmt = cfg.output_format if args.format is None else args.format
         path = out_dir / f"{name}.{fmt}"
         try:
-            _write_text(path, json.dumps(entry, indent=2) + "\n" if fmt == "json" else _curve_csv(curve))
+            _write_text(path, texts[-1] + "\n" if fmt == "json" else _curve_csv(curve))
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -200,8 +201,10 @@ def cmd_simulate(args) -> int:
             )
 
     summary_path = out_dir / "summary.json"
+    # json.dumps(entries, indent=2), built from the entries' own dumps
+    summary = "[\n" + ",\n".join(textwrap.indent(t, "  ") for t in texts) + "\n]\n"
     try:
-        _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
+        _write_text(summary_path, summary)
     except OSError as exc:
         print(f"cannot write {summary_path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -231,7 +234,7 @@ def cmd_link_budget(args) -> int:
         r_total = lb.R_t + lb.R_r
         phase_default = channel_phase(r_total, lb.varphi_tag, lb.omega)
         phase_strict = channel_phase(r_total, lb.varphi_tag, lb.omega, strict=True)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # finite inputs can still overflow
         print(f"invalid link budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"eta = {_fmt(eta)}" + ("  (warning: exceeds 1, not physical)" if eta > 1 else ""))

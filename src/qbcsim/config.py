@@ -7,8 +7,9 @@ sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
 N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and
 sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
 include_thermal_residual), SFG tunables outside an SFG experiment, unsupported
-receiver/alphabet pairs (PA with QPSK), and experiment names that are not safe
-file stems or repeat an earlier name are rejected with file:line diagnostics.
+receiver/alphabet pairs (PA with QPSK), experiment names that are not safe
+file stems or repeat an earlier name, and bytes that are not UTF-8 are rejected
+with file:line diagnostics.
 
 Example::
 
@@ -164,7 +165,13 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
-    text = path.read_text()
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as splitlines counts them below
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(str(path), line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     cfg = RunConfig()
     section = None
     section_line = 0

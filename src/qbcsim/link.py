@@ -174,8 +174,11 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("G_t", "G_r", "omega", "R_t", "R_r", "sigma_Q", "T", "W", "T_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.varphi_tag):
+            raise ValueError(f"varphi_tag must be finite, got {self.varphi_tag}")
 
 
 def rtt_from_link_budget(lb: LinkBudget) -> float:

@@ -357,8 +357,19 @@ def test_simulate_fuzzed_config_exits_cleanly(tmp_path):
     assert codes[0] > 0 and codes[2] > 0, codes
 
 
-def test_simulate_missing_config_io_error(tmp_path):
-    assert main(["simulate", str(tmp_path / "absent.cfg")]) == 3
+def test_simulate_missing_config_io_error(tmp_path, capsys):
+    for config in (tmp_path / "absent.cfg", tmp_path):  # missing, then a directory
+        assert main(["simulate", str(config)]) == 3
+        assert "cannot read config" in capsys.readouterr().err
+
+
+def test_simulate_non_utf8_config_names_its_line(tmp_path, capsys):
+    cfgpath = tmp_path / "run.cfg"
+    body = GOOD_CONFIG.format(outdir=tmp_path / "out").encode()
+    # a Latin-1 e-acute before an ASCII letter is not UTF-8
+    cfgpath.write_bytes(body.replace(b"name = sfg-bpsk", b"name = sfg-\xe9bpsk"))
+    assert main(["simulate", str(cfgpath)]) == 2
+    assert f"config error: {cfgpath}:{NAME_LINE}:" in capsys.readouterr().err
 
 
 def test_link_budget_output(capsys):
@@ -395,14 +406,25 @@ def test_link_budget_quarter_on_doubled_distance(capsys):
     assert eta_for("20") == pytest.approx(eta_for("10") / 4.0, rel=1e-12)
 
 
-def test_link_budget_rejects_nonpositive():
-    code = main([
-        "link-budget",
-        "--gt", "100", "--gr", "100", "--f-hz", "1e9",
-        "--rt", "-10", "--rr", "10", "--sigma-q", "0.01",
-        "--t", "290", "--w", "1e6", "--ts", "1e-3",
-    ])
-    assert code == 2
+def test_link_budget_rejects_nonpositive(capsys):
+    good = {
+        "--gt": "100", "--gr": "100", "--f-hz": "1e9",
+        "--rt": "10", "--rr": "10", "--sigma-q": "0.01",
+        "--t": "290", "--w": "1e6", "--ts": "1e-3",
+    }
+    for bad in (
+        {"--rt": "-10"},
+        {"--gt": "nan"},
+        {"--ts": "inf"},
+        {"--t": "inf"},
+        {"--tag-phase": "nan"},
+        # finite, but W T_s and R_t^2 R_r^2 leave the double range
+        {"--w": "1e300", "--ts": "1e300"},
+        {"--rt": "1e-200"},
+    ):
+        argv = [word for item in {**good, **bad}.items() for word in item]
+        assert main(["link-budget", *argv]) == 2, bad
+        assert "invalid link budget" in capsys.readouterr().err
 
 
 def test_security_report(capsys):
@@ -419,6 +441,24 @@ def test_security_simulation(capsys):
     line = next(l for l in out.splitlines() if "eavesdropper BER" in l)
     ber = float(line.split("=")[1].split()[0])
     assert abs(ber - 0.5) < 3 * math.sqrt(0.25 / 20000)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--m", "0"],
+        ["--ns", "0"],
+        ["--ns", "inf"],
+        ["--eta", "nan"],
+        ["--eta", "1.5"],
+        ["--nz=-1"],
+        ["--nz", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_security_simulation_rejects_bad_numbers(bad, capsys):
+    assert main(["security", "--simulate", "--trials", "10000", *bad]) == 2
+    assert "invalid security arguments" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

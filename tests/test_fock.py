@@ -151,6 +151,57 @@ def test_chernoff_coherent_pair():
     assert chernoff_exponent_oracle(r0, r1) == pytest.approx(0.25, abs=1e-6)
 
 
+def test_chernoff_minimum_at_an_end():
+    """Coherent |alpha> against thermal n: Tr(rho_c^s rho_th^(1-s)) is
+    <alpha|rho_th^(1-s)|alpha>, least at s = 0, where it is the Q function
+    exp(-|alpha|^2 / (1 + n)) / (1 + n); in the other order, least at s = 1."""
+    alpha, n = 0.5, 0.3
+    c, t = gaussian_to_fock(coherent(alpha), 24), gaussian_to_fock(thermal(n), 24)
+    expect = math.log(1.0 + n) + alpha**2 / (1.0 + n)
+    assert chernoff_exponent_oracle(c, t) == pytest.approx(expect, abs=1e-12)
+    assert chernoff_exponent_oracle(t, c) == pytest.approx(expect, abs=1e-12)
+
+
+def _dense_overlap(m0, m1):
+    """s -> Tr(rho0^s rho1^(1-s)) on an array of s, from eigensolves of the full
+    matrices with the oracles' support floor (0^s = 0, s = 0 included)."""
+    (lam0, v0), (lam1, v1) = np.linalg.eigh(m0), np.linalg.eigh(m1)
+    w = np.abs(v0.conj().T @ v1) ** 2
+
+    def powers(lam, t):
+        keep = lam > 1e-14 * lam.max()
+        return np.where(keep[:, None], np.where(keep, lam, 1.0)[:, None] ** t, 0.0)
+
+    return lambda s: np.sum(powers(lam0, s) * (w @ powers(lam1, 1.0 - s)), axis=0)
+
+
+def test_chernoff_search_against_dense_grid():
+    """On pipeline pairs the exponent is at least that of the best of 401
+    evenly spaced s.  The overlap is convex, so its minimum lies between that
+    point's neighbours; a second 401-point grid there pins it to 1e-8."""
+    rng = np.random.default_rng(401)
+    grid = np.linspace(0.0, 1.0, 401)
+    for _ in range(10):
+        cp = ChannelParams(
+            eta=float(rng.uniform(0.0, 0.3)),
+            phi=float(rng.uniform(0, 2 * math.pi)),
+            N_Z=float(rng.uniform(0.05, 1.0)),
+            M=100,
+            N_S=float(rng.uniform(0.01, 0.3)),
+        )
+        s0 = Symbol(math.sqrt(cp.eta), float(rng.uniform(0, 2 * math.pi)))
+        s1 = Symbol(math.sqrt(float(rng.uniform(0.0, 0.3))), float(rng.uniform(0, 2 * math.pi)))
+        r0 = gaussian_to_fock(apply_channel(cp, s0), 14)
+        r1 = gaussian_to_fock(apply_channel(cp, s1), 14)
+        f = _dense_overlap(r0.matrix, r1.matrix)
+        coarse = f(grid)
+        i = int(np.argmin(coarse))
+        fine = f(np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, 400)], 401))
+        xi = chernoff_exponent_oracle(r0, r1)
+        assert xi >= -math.log(coarse.min()) - 1e-12
+        assert xi == pytest.approx(-math.log(min(coarse.min(), fine.min())), abs=1e-8)
+
+
 def test_chernoff_symmetry():
     cp = ChannelParams(eta=0.05, phi=0.0, N_Z=1.0, M=100, N_S=0.01)
     r0 = gaussian_to_fock(apply_channel(cp, Symbol(0.0, 0.0)), 16)
