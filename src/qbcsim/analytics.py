@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .link import Alphabet, AlphabetKind, min_squared_distance
-from .receivers import UnsupportedAlphabetError
+from .receivers import UnsupportedAlphabetError, _box_muller
 
 
 class BoundKind(enum.Enum):
@@ -134,8 +134,14 @@ def eve_random_phase_ber(
 
     Each codeword carries a phase offset theta unknown to the eavesdropper:
     "uniform" draws theta from [0, 2pi), "binary" from {0, pi}, and "none"
-    fixes theta = 0 as the no-defense control.
+    fixes theta = 0 as the no-defense control.  Trials run on the counter-hash
+    engine `montecarlo.count_errors` at point 0, seeded by one raw word of
+    `rng`: the bit comes from the hash, the M-fold averaged envelope noise
+    (per-quadrature variance ((1 - eta) N_Z + 1) / (2 M N_S)) by Box-Muller
+    from u[0], u[1], the hop from u[2]; the decision is the real part's sign.
     """
+    from .montecarlo import count_errors  # montecarlo imports this module
+
     if trials < 10_000:
         raise ValueError(f"need at least 1e4 trials, got {trials}")
     if phase_dist not in ("uniform", "binary", "none"):
@@ -148,19 +154,18 @@ def eve_random_phase_ber(
         raise ValueError(f"N_Z must be finite and >= 0, got {N_Z}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    bits = rng.integers(2, size=trials)
-    if phase_dist == "uniform":
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=trials)
-    elif phase_dist == "binary":
-        theta = math.pi * rng.integers(2, size=trials)
-    else:
-        theta = np.zeros(trials)
-    amp = math.sqrt(eta)
-    total_phase = bits * math.pi + theta
-    mean = amp * np.exp(-1j * total_phase)
-    # exact envelope statistics of the M-fold averaged heterodyne record
     quad_var = ((1.0 - eta) * N_Z + 1.0) / (2.0 * M * N_S)
-    noise = rng.normal(0.0, math.sqrt(quad_var), size=(trials, 2))
-    envelope = mean + noise[:, 0] + 1j * noise[:, 1]
-    decided = (envelope.real < 0.0).astype(int)  # nearest of +-sqrt(eta)
-    return float(np.mean(decided != bits))
+    if not math.isfinite(quad_var):
+        raise ValueError(f"envelope variance overflows: N_S M = {N_S * M:g} is too small")
+    amp, sd = math.sqrt(eta), math.sqrt(quad_var)
+    hop = {"uniform": 2.0 * math.pi, "binary": math.pi, "none": 0.0}[phase_dist]
+
+    def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        r, theta = _box_muller(u)
+        w = np.floor(2.0 * u[2]) if phase_dist == "binary" else u[2]
+        x = amp * np.cos(math.pi * i + hop * w) + sd * (r * np.cos(theta))
+        return (x < 0.0).astype(np.intp)  # nearest of +-sqrt(eta)
+
+    decide.draws = 3
+    master = int(rng.bit_generator.random_raw())
+    return count_errors(decide, 2, master, 0, 0, trials) / trials

@@ -20,16 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    classical_ep_lower_bound,
-    eve_exponent_ratio,
-    eve_random_phase_ber,
-    pa_ep_upper_bound,
-    power_divider_penalty,
-    sfg_ep_upper_bound,
-)
+from .analytics import eve_exponent_ratio, eve_random_phase_ber, power_divider_penalty
 from .config import DEFAULT_SEED, ConfigError, load_config, parse_sweep
 from .link import (
+    AlphabetKind,
     channel_phase,
     make_alphabet_bpsk,
     make_alphabet_pam,
@@ -39,7 +33,8 @@ from .link import (
     rtt_from_link_budget,
     thermal_occupancy,
 )
-from .montecarlo import BerCurve, BerCurvePoint, derive_trial_seed, fit_error_exponent, run_experiment
+from .montecarlo import BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, run_experiment
+from .receivers import ReceiverKind
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,19 +65,20 @@ _UNIT_ALPHABETS = {
     "bpsk": make_alphabet_bpsk(1.0),
     "qpsk": make_alphabet_qpsk(1.0),
 }
-_BOUNDS = {"het": classical_ep_lower_bound, "pa": pa_ep_upper_bound, "sfg": sfg_ep_upper_bound}
 
 
 def bound_table_row(s: float) -> dict[str, float]:
     """Analytic bound values at one sweep point of s = eta N_S M / N_Z.
 
-    Each column is the `analytics` bound on the unit-eta alphabet with
-    (N_S, M, N_Z) = (s, 1, 1), so that d^2 N_S M / N_Z = d^2(eta = 1) s.
+    Each column is `montecarlo.analytic_bound_value` for its receiver and
+    alphabet at eta = 1 and (N_S, M, N_Z) = (s, 1, 1), so that
+    d^2 N_S M / N_Z = d^2(eta = 1) s.
     """
     row = {}
     for col in BOUND_COLUMNS:
         receiver, alphabet = col.split("_")
-        row[col] = _BOUNDS[receiver](_UNIT_ALPHABETS[alphabet], s, 1, 1.0).value
+        kind = ReceiverKind.HETERODYNE if receiver == "het" else ReceiverKind(receiver)
+        row[col] = analytic_bound_value(kind, AlphabetKind(alphabet), 1.0, s, 1, 1.0)
     return row
 
 
@@ -256,12 +252,8 @@ def cmd_security(args) -> int:
             note = "  <- negates the PA-receiver gain" if fraction == 0.5 else ""
             print(f"  fraction kept {fraction:4.2f}: penalty {_fmt(penalty)}{note}")
         if args.simulate:
-            rng = np.random.Generator(
-                np.random.PCG64(derive_trial_seed(args.seed, 0, 0))
-            )
-            ber = eve_random_phase_ber(
-                args.eta, args.ns, args.m, args.nz, args.trials, rng
-            )
+            rng = np.random.default_rng(args.seed)
+            ber = eve_random_phase_ber(args.eta, args.ns, args.m, args.nz, args.trials, rng)
             se = math.sqrt(max(ber * (1 - ber), 1e-12) / args.trials)
             print(
                 f"random-phase defense: eavesdropper BER = {ber:.5f} "

@@ -5,11 +5,12 @@ back-solved at fixed N_S, N_Z, M.  The trial engine is counter-based, after
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
 of (master_seed, point_index, trial_index) gives each trial's true symbol and
 uniforms, so counts do not depend on how trials are split into blocks;
-aggregation is by error counts.  The engine knows no receiver: per sweep point
-it applies the array-form rule from `receivers.point_decider` to numpy blocks,
-hashing each block in place and computing only the uniform rows the rule
-reads; draw k depends only on the trial's hash and k, so the values are those
-of the full DRAWS rows.
+aggregation is by error counts.  The engine, `count_errors`, knows no
+receiver: it applies an array-form rule decide(i, u) to numpy blocks, hashing
+each block in place and computing only the uniform rows the rule reads.  Its
+rules are the per-point receiver rules of `receivers.point_decider` and the
+phase-hopped eavesdropper of `analytics.eve_random_phase_ber` (bit from the
+hash, Box-Muller noise from u[0] and u[1], hop from u[2]).
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> i
     Counter-mode mixing: the three inputs are hashed to a 64-bit counter state
     which is expanded through the finalizer with distinct salts into the two
     words of the seed.  Identical inputs give identical seeds; distinct pairs
-    give distinct streams.  It seeds the numpy generator of `security
-    --simulate`; the Monte Carlo engine draws from the counter hash itself.
+    give distinct streams.  Nothing in the package calls it: every trial draws
+    from the counter hash itself.  It stays for the bench's seed-hashing metric.
     """
     if point_index < 0 or trial_index < 0:
         raise ValueError("indices must be >= 0")
@@ -213,31 +214,33 @@ _BLOCK = 1 << 14
 _DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], dtype=np.uint64)
 
 
-def _count_point_errors(
-    cfg: ExperimentConfig, point_index: int, start: int, count: int
-) -> int:
-    """Symbol errors over trials [start, start+count) of one sweep point.
-
-    Trial t's counter hash h gives its true symbol, _mix64(h ^ _SYMBOL_SALT)
-    masked to the alphabet, and its uniforms, draw k being
-    _mix64(h + (k + 1) _GAMMA), so any partition of the trial range
-    reproduces the same counts.  The decision is the receiver's per-point
-    rule from `receivers.point_decider`, applied to blocks of _BLOCK trials.
-    The rule reads only its first `decide.draws` rows of uniforms, so only
-    those are computed; draw k depends on h and k alone, so the values it
-    reads are those of the full DRAWS rows.
-    """
+def _count_point_errors(cfg: ExperimentConfig, point_index: int, start: int, count: int) -> int:
+    """Symbol errors of one sweep point's receiver rule over trials [start, start+count)."""
     eta = cfg.eta_for(cfg.sweep[point_index])
     symbols = _nominal_symbols(cfg.alphabet_kind, eta)
     cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
     decide = point_decider(cp, cfg.alphabet_kind, symbols, cfg.receiver)
+    return count_errors(decide, len(symbols), cfg.master_seed, point_index, start, count)
+
+
+def count_errors(decide, n_symbols: int, master_seed: int, point_index: int, start: int, count: int) -> int:
+    """Errors of the array-form rule `decide(i, u)` over trials [start, start+count).
+
+    Trial t's counter hash h gives its true symbol, _mix64(h ^ _SYMBOL_SALT)
+    masked to the n_symbols (2 or 4) indices, and its uniforms, draw k being
+    _mix64(h + (k + 1) _GAMMA), so any partition of the trial range
+    reproduces the same counts.  The rule is applied to blocks of _BLOCK
+    trials and reads only its first `decide.draws` rows of uniforms, so only
+    those are computed; draw k depends on h and k alone, so the values it
+    reads are those of the full DRAWS rows.
+    """
     steps = _DRAW_STEPS[: decide.draws]
-    mask = np.uint64(len(symbols) - 1)  # 2 or 4 symbols
+    mask = np.uint64(n_symbols - 1)
     stop = start + count
     errors = 0
     for lo in range(start, stop, _BLOCK):
         trials = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint64)
-        h = _counter_hash(cfg.master_seed, point_index, trials)
+        h = _counter_hash(master_seed, point_index, trials)
         words = np.empty((len(steps) + 1, len(h)), dtype=np.uint64)
         np.bitwise_xor(h, _SYMBOL_SALT, out=words[0])
         np.add(h, steps, out=words[1:])

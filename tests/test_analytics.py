@@ -16,8 +16,9 @@ from qbcsim.analytics import (
     power_divider_penalty,
     sfg_ep_upper_bound,
 )
-from qbcsim.link import make_alphabet_bpsk, make_alphabet_pam, make_alphabet_qpsk
-from qbcsim.receivers import UnsupportedAlphabetError
+from qbcsim.link import AlphabetKind, make_alphabet_bpsk, make_alphabet_pam, make_alphabet_qpsk
+from qbcsim.montecarlo import ExperimentConfig, _count_point_errors, wilson_interval
+from qbcsim.receivers import ReceiverKind, ReceiverSpec, UnsupportedAlphabetError
 
 
 def _at_s(alphabet_ctor, s, N_S=0.01, N_Z=100.0, M=1_000_000):
@@ -190,6 +191,36 @@ def test_random_phase_control_matches_plain_heterodyne():
     sigma = math.sqrt(((1 - eta) * N_Z + 1.0) / (2 * M * N_S))
     expect = 0.5 * math.erfc(math.sqrt(eta) / sigma / math.sqrt(2.0))
     assert abs(ber - expect) < 4 * math.sqrt(expect * (1 - expect) / trials)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_phase_control_is_the_heterodyne_engine(seed):
+    # the no-defense control runs the heterodyne-BPSK rule on the same counter
+    # hash, its master seed being the generator's first raw word; the trial
+    # count crosses a block boundary
+    N_S, N_Z, M = 0.01, 100.0, 100_000
+    trials = 2**16 + 4321
+    master = int(np.random.default_rng(seed).bit_generator.random_raw())
+    for s in (0.25, 1.0, 2.0):
+        cfg = ExperimentConfig(
+            alphabet_kind=AlphabetKind.BPSK,
+            receiver=ReceiverSpec(kind=ReceiverKind.HETERODYNE),
+            N_S=N_S,
+            N_Z=N_Z,
+            M=M,
+            sweep=(s,),
+            trials_per_point=trials,
+            master_seed=master,
+        )
+        eta = cfg.eta_for(s)
+        errors = _count_point_errors(cfg, 0, 0, trials)
+        ber = eve_random_phase_ber(
+            eta, N_S, M, N_Z, trials, np.random.default_rng(seed), phase_dist="none"
+        )
+        assert round(ber * trials) == errors, s
+        exact = 0.5 * math.erfc(math.sqrt(eta * M * N_S / ((1 - eta) * N_Z + 1.0)))
+        lo, hi = wilson_interval(errors, trials, z=4.0)
+        assert lo <= exact <= hi, s
 
 
 def test_random_phase_rejects_few_trials():

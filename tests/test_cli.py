@@ -453,6 +453,7 @@ def test_security_simulation(capsys):
         ["--eta", "1.5"],
         ["--nz=-1"],
         ["--nz", "nan"],
+        ["--ns", "1e-320"],
     ],
     ids=" ".join,
 )

@@ -16,9 +16,11 @@ from qbcsim.fock import (
 )
 from qbcsim.gaussian import (
     GaussianState,
+    apply_beam_splitter,
     apply_two_mode_squeeze,
     coherent,
     mean_photon_number,
+    partial_trace,
     phase_sensitive_correlation,
     thermal,
     tmss,
@@ -107,6 +109,23 @@ def test_pipeline_state_moments_match_engine():
         c_fock = complex(np.trace(a0 @ a1 @ m))
         c_eng = phase_sensitive_correlation(st, 0, 1)
         assert abs(c_fock - c_eng) < 2e-4
+
+
+@pytest.mark.parametrize("mean", [(0.0, 0.0), (0.2, -0.1)])
+def test_squeezed_single_mode_moments_match_engine(mean):
+    # one output of a beam splitter fed by both arms of a TMSS is a squeezed
+    # thermal state, so the conversion takes its squeezing branch
+    st = partial_trace(apply_beam_splitter(tmss(0.3), 0, 1, 0.5, 0.7), [0])
+    st = GaussianState(1, np.array(mean), st.cov)
+    m = gaussian_to_fock(st, 30).matrix
+    a = _ladder(31)
+    (mx, mp), V = st.mean, st.cov
+    a_eng = complex(mx, mp) / math.sqrt(2.0)
+    a2_eng = 0.5 * (V[0, 0] + mx * mx - V[1, 1] - mp * mp) + 1j * (V[0, 1] + mx * mp)
+    assert abs(V[0, 0] - V[1, 1]) + abs(V[0, 1]) > 0.05  # squeezed
+    assert abs(np.trace(a.conj().T @ a @ m) - mean_photon_number(st, 0)) < 1e-8
+    assert abs(np.trace(a @ m) - a_eng) < 1e-8
+    assert abs(np.trace(a @ a @ m) - a2_eng) < 1e-8
 
 
 def test_rejects_three_modes_and_big_cutoff():

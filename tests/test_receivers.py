@@ -177,7 +177,8 @@ def test_pa_exact_variance_close_to_approximation():
 def test_pa_exact_variance_wick_value():
     cp = _cp(eta=0.3, N_Z=5.0, N_S=0.4)
     sym = Symbol(math.sqrt(0.3), 0.9)
-    _, var = pa_statistic_moments(cp, sym, exact_variance=True)
+    with pytest.warns(UserWarning, match="low-reflectivity"):
+        _, var = pa_statistic_moments(cp, sym, exact_variance=True)
     state = apply_channel(cp, sym)
     c = phase_sensitive_correlation(state, 0, 1)
     from qbcsim.gaussian import mean_photon_number
