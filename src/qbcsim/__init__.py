@@ -5,7 +5,6 @@ from .gaussian import (
     apply_beam_splitter,
     apply_two_mode_squeeze,
     coherent,
-    heterodyne_sample,
     heterodyne_samples,
     mean_photon_number,
     partial_trace,
@@ -41,12 +40,9 @@ from .receivers import (
     heterodyne_decide,
     heterodyne_envelope,
     pa_decide,
-    pa_sample,
     pa_statistic_moments,
     sfg_bookkeeping,
     sfg_count_rate,
-    sfg_decide_qpsk,
-    sfg_decide_zero_photon,
     sfg_nulling_params,
 )
 from .analytics import (

@@ -259,7 +259,7 @@ def cmd_security(args) -> int:
                 f"random-phase defense: eavesdropper BER = {ber:.5f} "
                 f"(+/- {se:.5f} SE over {args.trials} trials; 0.5 is chance)"
             )
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a huge integer M overflows a float
         print(f"invalid security arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

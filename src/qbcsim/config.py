@@ -153,7 +153,7 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
             trials_per_point=int(raw["trials"]),
             master_seed=int(raw.get("seed", DEFAULT_SEED)),
         )
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # a huge integer M overflows a float
         raise ConfigError(path, line, str(exc)) from None
     name = raw.get("name", f"experiment{line}")
     if not _SAFE_NAME.fullmatch(name):

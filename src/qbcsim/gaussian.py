@@ -282,8 +282,3 @@ def heterodyne_samples(
     chol = np.linalg.cholesky(cov)
     z = rng.standard_normal((n, 2)) @ chol.T + mean
     return z[:, 0] + 1j * z[:, 1]
-
-
-def heterodyne_sample(state: GaussianState, mode: int, rng: np.random.Generator) -> complex:
-    """Draw a single heterodyne outcome from one mode."""
-    return complex(heterodyne_samples(state, mode, 1, rng)[0])

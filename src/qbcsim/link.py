@@ -152,10 +152,6 @@ class ChannelParams:
             flags.append(f"N_Z = {self.N_Z:g} below 10 (bright-background assumption)")
         return flags
 
-    @property
-    def in_asymptotic_regime(self) -> bool:
-        return not self.validity_warnings()
-
 
 @dataclass(frozen=True)
 class LinkBudget:

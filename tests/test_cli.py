@@ -269,6 +269,7 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (LINK_BUDGET_CONFIG, LINK_BUDGET_LINE),
         (GOOD_CONFIG.replace("N_S = 0.01", "N_S = 0"), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("M = 1000000", "M = 0"), EXPERIMENT_LINE),
+        (GOOD_CONFIG.replace("M = 1000000", "M = 1" + "0" * 400), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("N_Z = 100", "N_Z = 0"), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("N_S = 0.01", "N_S = nan"), EXPERIMENT_LINE),
         (_plus("sfg_tau = abc"), EXPERIMENT_LINE),
@@ -285,7 +286,7 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_rx("heterodyne", "sfg_capture_eps = 0.5"), PLUS_LINE),
         (_rx("pa", "include_thermal_residual = true"), PLUS_LINE),
     ],
-    ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "zero-N_Z", "nan-N_S",
+    ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
          "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-sfg-tau",
          "heterodyne-capture-eps", "pa-thermal-residual"],
@@ -454,8 +455,9 @@ def test_security_simulation(capsys):
         ["--nz=-1"],
         ["--nz", "nan"],
         ["--ns", "1e-320"],
+        ["--m", str(10**400)],
     ],
-    ids=" ".join,
+    ids=lambda bad: " ".join(bad)[:24],
 )
 def test_security_simulation_rejects_bad_numbers(bad, capsys):
     assert main(["security", "--simulate", "--trials", "10000", *bad]) == 2

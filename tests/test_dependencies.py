@@ -1,10 +1,13 @@
-"""The package needs only numpy and the standard library at run time."""
+"""The package needs only numpy and the standard library at run time, and
+keeps every function the benchmark's tracer binds by name."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "qbcsim").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "qbcsim").glob("*.py"))
 
 
 def _third_party_imports(tree: ast.Module) -> list[str]:
@@ -30,3 +33,18 @@ def test_src_imports_only_numpy_and_stdlib():
 def test_guard_catches_a_third_party_import():
     tree = ast.parse("import scipy.linalg\nfrom mpmath import mp\nfrom . import fock\nimport json")
     assert _third_party_imports(tree) == ["scipy.linalg", "mpmath"]
+
+
+def test_bench_traced_functions_exist():
+    """qbcbench/tracer.py wraps each (module, function) in TRACED by name, some
+    of which no qbcsim code calls; the traced bench run breaks if one goes."""
+    spec = importlib.util.spec_from_file_location("qbcbench_tracer", ROOT / "qbcbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    missing = [
+        f"qbcsim.{module}.{name}"
+        for module, name in tracer.TRACED
+        if not callable(getattr(importlib.import_module(f"qbcsim.{module}"), name, None))
+    ]
+    assert not missing, f"functions the bench tracer binds are gone: {missing}"

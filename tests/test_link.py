@@ -265,7 +265,7 @@ def test_apply_channel_classical_moments():
 
 def test_validity_flags():
     ok = ChannelParams(eta=0.01, phi=0.0, N_Z=100.0, M=10, N_S=0.01)
-    assert ok.in_asymptotic_regime
+    assert not ok.validity_warnings()
     flagged = ChannelParams(eta=0.5, phi=0.0, N_Z=2.0, M=10, N_S=0.5)
     flags = flagged.validity_warnings()
     assert len(flags) == 3

@@ -27,15 +27,11 @@ from qbcsim.receivers import (
     heterodyne_decide,
     heterodyne_envelope,
     pa_decide,
-    pa_sample,
     pa_statistic_moments,
     point_decider,
     sequential_click_test,
     sfg_bookkeeping,
     sfg_count_rate,
-    sfg_cycle_count,
-    sfg_decide_qpsk,
-    sfg_decide_zero_photon,
     sfg_infinite_total,
     sfg_no_click_probability,
     sfg_null_symbol,
@@ -189,37 +185,6 @@ def test_pa_exact_variance_wick_value():
     assert var == pytest.approx(expect, rel=1e-12)
 
 
-def test_pa_sample_concentrates_at_large_m():
-    cp = _cp()
-    rng = np.random.default_rng(0)
-    mean, _ = pa_statistic_moments(cp, Symbol(0.1, 0.0))
-    draws = [pa_sample(cp, Symbol(0.1, 0.0), 10**9, rng) for _ in range(50)]
-    assert np.mean(draws) == pytest.approx(mean, abs=1e-4)
-
-
-def test_pa_sample_variance_scaling():
-    cp = _cp()
-    rng = np.random.default_rng(123)
-    M = 1000
-    draws = np.array([pa_sample(cp, Symbol(0.1, 0.0), M, rng) for _ in range(10**5)])
-    assert np.var(draws) == pytest.approx(cp.N_Z / M, rel=0.05)
-
-
-def test_pa_sample_off_symbol_zero_mean():
-    cp = _cp()
-    rng = np.random.default_rng(55)
-    M = 1000
-    n = 20_000
-    draws = np.array([pa_sample(cp, Symbol(0.0, 0.0), M, rng) for _ in range(n)])
-    se = math.sqrt(cp.N_Z / M / n)
-    assert abs(np.mean(draws)) < 4 * se
-
-
-def test_pa_sample_rejects_small_m():
-    with pytest.raises(ValueError):
-        pa_sample(_cp(), Symbol(0.1, 0.0), 50, np.random.default_rng(0))
-
-
 def test_pa_decide_bpsk_threshold():
     cp = _cp()
     a = make_alphabet_bpsk(0.01)
@@ -310,14 +275,11 @@ def test_bookkeeping_cycles_strictly_decreasing():
 def test_cycle_count_monotonicity():
     cp = _cp()
     # nonincreasing in the capture tolerance
-    k_loose = sfg_cycle_count(cp, _sfg_spec(sfg_capture_eps=1e-2))
-    k_tight = sfg_cycle_count(cp, _sfg_spec(sfg_capture_eps=1e-4))
+    k_loose = _sfg_spec(sfg_capture_eps=1e-2).sfg_cycles(cp.N_Z)[2]
+    k_tight = _sfg_spec(sfg_capture_eps=1e-4).sfg_cycles(cp.N_Z)[2]
     assert k_loose <= k_tight
     # nondecreasing in N_Z under the default tau = 0.01 / N_Z rule
-    ks = [
-        sfg_cycle_count(_cp(N_Z=nz), _sfg_spec())
-        for nz in (30.0, 100.0, 300.0, 1000.0)
-    ]
+    ks = [_sfg_spec().sfg_cycles(nz)[2] for nz in (30.0, 100.0, 300.0, 1000.0)]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
 
 
@@ -378,14 +340,20 @@ def test_nulling_of_bare_source():
 # ---------------------------------------------------------------------------
 
 
+def _decisions(cp, a, spec, true_index, rng):
+    """The point rule's declared indices for trials with the given true
+    indices, trial t reading the t-th run of DRAWS raw words from `rng`."""
+    i = np.asarray(true_index)
+    u = uniforms(rng.bit_generator.random_raw((len(i), DRAWS)).T)
+    return point_decider(cp, a.kind, a.symbols, spec)(i, u)
+
+
 def test_zero_photon_null_hypothesis_always_correct():
     cp = _cp()
     a = make_alphabet_bpsk(cp.eta)
-    spec = _sfg_spec()
-    null = sfg_null_symbol(a)
+    null = a.symbols.index(sfg_null_symbol(a))
     rng = np.random.default_rng(77)
-    for _ in range(2000):
-        assert sfg_decide_zero_photon(cp, a, null, spec, rng) == null
+    assert np.all(_decisions(cp, a, _sfg_spec(), np.full(2000, null), rng) == null)
 
 
 def test_zero_photon_null_symbol_choice():
@@ -394,18 +362,14 @@ def test_zero_photon_null_symbol_choice():
 
 
 def test_zero_photon_error_rate_matches_poisson():
-    cp = _cp(M=10_000)  # s = eta N_S M / N_Z = 0.01 * 0.01 * 1e4 / 100 = 0.01... scale up
-    cp = _cp(M=1_000_000)  # s = 1
+    cp = _cp(M=1_000_000)  # s = eta N_S M / N_Z = 1
     a = make_alphabet_bpsk(cp.eta)
     spec = _sfg_spec()
-    null = sfg_null_symbol(a)
-    other = a.symbols[0]
     lam = sfg_count_rate(cp, 4 * cp.eta, spec)
     rng = np.random.default_rng(2025)
     n = 200_000
-    errors = sum(
-        sfg_decide_zero_photon(cp, a, other, spec, rng) != other for _ in range(n)
-    )
+    other = 0  # the symbol that is not nulled
+    errors = np.count_nonzero(_decisions(cp, a, spec, np.full(n, other), rng) != other)
     p = math.exp(-lam)
     assert abs(errors / n - p) < 3 * math.sqrt(p * (1 - p) / n)
     # lam evaluates near 4 s at s = 1 (the factor-4-enhanced exponent)
@@ -417,9 +381,10 @@ def test_zero_photon_thermal_residual_option():
     a = make_alphabet_bpsk(cp.eta)
     spec = _sfg_spec(include_thermal_residual=True)
     null = sfg_null_symbol(a)
+    k = a.symbols.index(null)
     rng = np.random.default_rng(11)
     n = 20_000
-    errors = sum(sfg_decide_zero_photon(cp, a, null, spec, rng) != null for _ in range(n))
+    errors = np.count_nonzero(_decisions(cp, a, spec, np.full(n, k), rng) != k)
     # background clicks now cause false rejections of the nulled hypothesis
     assert errors > 0
     from qbcsim.receivers import _residual_context
@@ -431,21 +396,14 @@ def test_zero_photon_thermal_residual_option():
 
 def test_zero_photon_rejects_qpsk():
     with pytest.raises(UnsupportedAlphabetError):
-        sfg_decide_zero_photon(
-            _cp(), make_alphabet_qpsk(0.01), Symbol(0.1, 0.0), _sfg_spec(),
-            np.random.default_rng(0),
-        )
+        sfg_null_symbol(make_alphabet_qpsk(0.01))
 
 
 def test_qpsk_decide_correct_at_high_snr():
     cp = _cp(eta=0.08, M=1_000_000)  # s = 8: adjacent rates ~ 16
     a = make_alphabet_qpsk(cp.eta)
-    spec = _sfg_spec()
-    rng = np.random.default_rng(4)
-    errors = 0
-    for k in range(2000):
-        true = a.symbols[k % 4]
-        errors += sfg_decide_qpsk(cp, a, true, spec, rng) != true
+    true = np.arange(2000) % 4
+    errors = np.count_nonzero(_decisions(cp, a, _sfg_spec(), true, np.random.default_rng(4)) != true)
     assert errors == 0
 
 
@@ -456,8 +414,8 @@ def test_qpsk_decide_symmetric_across_symbols():
     rng = np.random.default_rng(31)
     n_each = 25_000
     rates = []
-    for sym in a.symbols:
-        errs = sum(sfg_decide_qpsk(cp, a, sym, spec, rng) != sym for _ in range(n_each))
+    for k in range(len(a)):
+        errs = np.count_nonzero(_decisions(cp, a, spec, np.full(n_each, k), rng) != k)
         rates.append(errs / n_each)
     pooled = float(np.mean(rates))
     se = math.sqrt(pooled * (1 - pooled) / n_each)
@@ -468,65 +426,12 @@ def test_qpsk_decide_symmetric_across_symbols():
 def test_qpsk_decide_respects_analytic_envelope():
     cp = _cp(eta=0.04, M=1_000_000)  # s = 4
     a = make_alphabet_qpsk(cp.eta)
-    spec = _sfg_spec()
-    rng = np.random.default_rng(9)
     n = 10_000
-    errors = 0
-    for k in range(n):
-        true = a.symbols[k % 4]
-        errors += sfg_decide_qpsk(cp, a, true, spec, rng) != true
+    true = np.arange(n) % 4
+    errors = np.count_nonzero(_decisions(cp, a, _sfg_spec(), true, np.random.default_rng(9)) != true)
     s = cp.eta * cp.N_S * cp.M / cp.N_Z
     bound = 4.0 * math.exp(-s)
     assert errors / n <= bound * 1.1
-
-
-def test_qpsk_decide_rejects_binary():
-    with pytest.raises(UnsupportedAlphabetError):
-        sfg_decide_qpsk(
-            _cp(), make_alphabet_bpsk(0.01), Symbol(0.1, 0.0), _sfg_spec(),
-            np.random.default_rng(0),
-        )
-
-
-def test_decides_are_deterministic_given_seed():
-    cp = _cp(eta=0.02, M=100_000)
-    a = make_alphabet_qpsk(cp.eta)
-    b = make_alphabet_bpsk(cp.eta)
-    spec = _sfg_spec()
-    for seed in (0, 1, 2):
-        r1 = np.random.default_rng(seed)
-        r2 = np.random.default_rng(seed)
-        d1 = [sfg_decide_qpsk(cp, a, a.symbols[1], spec, r1) for _ in range(50)]
-        d2 = [sfg_decide_qpsk(cp, a, a.symbols[1], spec, r2) for _ in range(50)]
-        assert d1 == d2
-        r1 = np.random.default_rng(seed)
-        r2 = np.random.default_rng(seed)
-        z1 = [sfg_decide_zero_photon(cp, b, b.symbols[0], spec, r1) for _ in range(50)]
-        z2 = [sfg_decide_zero_photon(cp, b, b.symbols[0], spec, r2) for _ in range(50)]
-        assert z1 == z2
-
-
-@pytest.mark.parametrize("residual", [False, True])
-@pytest.mark.parametrize("alphabet", ["pam", "bpsk", "qpsk"])
-def test_scalar_and_point_deciders_agree(alphabet, residual):
-    """The scalar SFG deciders, one trial per call, and the Monte Carlo's
-    per-point rule on a block of trials declare the same symbols from the same
-    uniforms."""
-    cp = _cp(eta=0.02, M=100_000)  # s = 0.2: both outcomes are common
-    a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
-         "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
-    spec = _sfg_spec(include_thermal_residual=residual)
-    scalar = sfg_decide_qpsk if alphabet == "qpsk" else sfg_decide_zero_photon
-    decide = point_decider(cp, a.kind, a.symbols, spec)
-    errors = 0
-    for i, true in enumerate(a.symbols):
-        r1 = np.random.default_rng([i, 17])
-        r2 = np.random.default_rng([i, 17])
-        got = [scalar(cp, a, true, spec, r1) for _ in range(300)]
-        u = uniforms(r2.bit_generator.random_raw((300, DRAWS)).T)
-        assert got == [a.symbols[k] for k in decide(np.full(300, i), u)]
-        errors += sum(g != true for g in got)
-    assert errors > 0
 
 
 _DECLARED_DRAWS = [
@@ -602,7 +507,7 @@ def test_count_rate_at_tiny_tau_is_closed_form():
         start = time.perf_counter()
         rate = sfg_count_rate(cp, d2, spec)
         assert time.perf_counter() - start < 1.0
-        assert sfg_cycle_count(cp, spec) > 3e9
+        assert spec.sfg_cycles(cp.N_Z)[2] > 3e9
         infinite = 4.0 * sfg_infinite_total(cp, d2, spec)
         assert (1.0 - spec.sfg_capture_eps) * infinite <= rate <= infinite
         floors.append(sfg_no_click_probability(cp, null, null, spec))
