@@ -20,20 +20,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import eve_exponent_ratio, eve_random_phase_ber, power_divider_penalty
+from .analytics import (
+    classical_ep_lower_bound, eve_exponent_ratio, eve_random_phase_ber, power_divider_penalty,
+)
 from .config import DEFAULT_SEED, ConfigError, load_config, parse_sweep
 from .link import (
     AlphabetKind,
     channel_phase,
-    make_alphabet_bpsk,
-    make_alphabet_pam,
-    make_alphabet_qpsk,
     min_squared_distance,
     mode_pairs,
     rtt_from_link_budget,
     thermal_occupancy,
 )
-from .montecarlo import BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, run_experiment
+from .montecarlo import (
+    BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, nominal_alphabet, run_experiment,
+)
 from .receivers import ReceiverKind
 
 EXIT_OK = 0
@@ -57,14 +58,6 @@ BOUND_COLUMNS = (
 def _fmt(x: float) -> str:
     """Lossless double formatting: 17 significant digits."""
     return f"{x:.17g}"
-
-
-#: unit-eta alphabets by name: OOK d^2 = 1, BPSK d^2 = 4, QPSK d^2 = 2
-_UNIT_ALPHABETS = {
-    "pam": make_alphabet_pam(0.0, 1.0),
-    "bpsk": make_alphabet_bpsk(1.0),
-    "qpsk": make_alphabet_qpsk(1.0),
-}
 
 
 def bound_table_row(s: float) -> dict[str, float]:
@@ -173,9 +166,10 @@ def cmd_simulate(args) -> int:
         if len(nonzero) >= 3:
             slope = fit_error_exponent(curve, s_min=curve.points[0].s)
             # exponent in units of s, compared against the classical coefficient
-            # scaled by this scheme's d^2/eta ratio
-            d2_per_eta = min_squared_distance(_UNIT_ALPHABETS[exp.alphabet_kind.value])
-            classical_slope = 0.25 * d2_per_eta
+            # scaled by this scheme's d^2/eta ratio (OOK 1, BPSK 4, QPSK 2)
+            unit = nominal_alphabet(exp.alphabet_kind, 1.0)
+            classical = classical_ep_lower_bound(unit, exp.N_S, exp.M, exp.N_Z)
+            classical_slope = classical.exponent * min_squared_distance(unit)
             entry["fitted_exponent"] = slope
             entry["exponent_ratio_vs_classical"] = slope / classical_slope
             entry["gain_db_vs_classical"] = 10.0 * math.log10(max(slope, 1e-300) / classical_slope)

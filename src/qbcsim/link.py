@@ -59,7 +59,7 @@ class Symbol:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered symbol set with uniform priors."""
+    """Ordered symbol set with uniform priors; symbols may coincide, as at eta = 0."""
 
     symbols: tuple[Symbol, ...]
     kind: AlphabetKind = AlphabetKind.CUSTOM
@@ -67,11 +67,6 @@ class Alphabet:
     def __post_init__(self):
         if len(self.symbols) == 0:
             raise ValueError("alphabet must contain at least one symbol")
-        points = [s.complex_point() for s in self.symbols]
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if abs(points[i] - points[j]) == 0.0:
-                    raise ValueError("alphabet symbols must be pairwise distinct")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -110,7 +105,7 @@ def make_alphabet_qpsk(eta: float) -> Alphabet:
 
 
 def min_squared_distance(a: Alphabet) -> float:
-    """Minimum squared constellation distance over distinct symbol pairs."""
+    """Minimum squared constellation distance over symbol pairs; 0 when two coincide."""
     if len(a) < 2:
         raise ValueError("need at least two symbols")
     points = [s.complex_point() for s in a.symbols]

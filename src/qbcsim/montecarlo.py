@@ -173,15 +173,15 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[floa
     return lo, hi
 
 
-def _nominal_symbols(kind: AlphabetKind, eta: float) -> tuple[Symbol, ...]:
-    """Constellation for a sweep point; degenerate (all-zero) when eta == 0."""
+def nominal_alphabet(kind: AlphabetKind, eta: float) -> Alphabet:
+    """Constellation for a sweep point; every symbol sits at 0 when eta == 0."""
     amp = math.sqrt(eta)
     if kind is AlphabetKind.PAM:
-        return (Symbol(0.0, 0.0), Symbol(amp, 0.0))
+        return Alphabet((Symbol(0.0, 0.0), Symbol(amp, 0.0)), kind)
     if kind is AlphabetKind.BPSK:
-        return (Symbol(amp, 0.0), Symbol(amp, math.pi))
+        return Alphabet((Symbol(amp, 0.0), Symbol(amp, math.pi)), kind)
     if kind is AlphabetKind.QPSK:
-        return tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4))
+        return Alphabet(tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4)), kind)
     raise UnsupportedAlphabetError(f"unsupported alphabet kind {kind}")
 
 
@@ -193,11 +193,8 @@ def analytic_bound_value(
     M: int,
     N_Z: float,
 ) -> float:
-    """Matching bound for a sweep point; closed degenerate values at eta == 0."""
-    nsym = 4 if alphabet_kind is AlphabetKind.QPSK else 2
-    if eta <= 0.0:
-        return 1.0 / (2.0 * nsym) if receiver_kind is ReceiverKind.HETERODYNE else 1.0
-    a = Alphabet(_nominal_symbols(alphabet_kind, eta), alphabet_kind)
+    """Matching bound for a sweep point; at eta == 0 it is the bound at d^2 = 0."""
+    a = nominal_alphabet(alphabet_kind, eta)
     if receiver_kind is ReceiverKind.HETERODYNE:
         return classical_ep_lower_bound(a, N_S, M, N_Z).value
     if receiver_kind is ReceiverKind.PA:
@@ -217,10 +214,10 @@ _DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], 
 def _count_point_errors(cfg: ExperimentConfig, point_index: int, start: int, count: int) -> int:
     """Symbol errors of one sweep point's receiver rule over trials [start, start+count)."""
     eta = cfg.eta_for(cfg.sweep[point_index])
-    symbols = _nominal_symbols(cfg.alphabet_kind, eta)
+    a = nominal_alphabet(cfg.alphabet_kind, eta)
     cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
-    decide = point_decider(cp, cfg.alphabet_kind, symbols, cfg.receiver)
-    return count_errors(decide, len(symbols), cfg.master_seed, point_index, start, count)
+    decide = point_decider(cp, a, cfg.receiver)
+    return count_errors(decide, len(a), cfg.master_seed, point_index, start, count)
 
 
 def count_errors(decide, n_symbols: int, master_seed: int, point_index: int, start: int, count: int) -> int:

@@ -13,9 +13,8 @@ decide(true_index[n], u[DRAWS, n]) -> index[n] that the Monte Carlo harness
 runs on blocks of trials.  A rule reads only its first `decide.draws` rows
 of u, so the harness computes only those; the rows it reads hold the same
 values either way.  Nearest point (ties to the lowest index) is shared with
-`heterodyne_decide` and `pa_decide`.  `point_decider` takes a bare symbol
-tuple, so the all-zero constellation of eta = 0 needs no special case:
-every distance ties and no photon ever arrives.
+`heterodyne_decide` and `pa_decide`.  The all-zero constellation of
+eta = 0 needs no special case: every distance ties and no photon ever arrives.
 """
 
 from __future__ import annotations
@@ -163,15 +162,12 @@ def _pa_mean(symbol: Symbol, cp: ChannelParams) -> float:
 
 
 def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
-    """Expected statistic value for each symbol of an aligned alphabet."""
-    return [_pa_mean(s, cp) for s in a.symbols]
-
-
-def _require_pa_alphabet(kind: AlphabetKind, n_symbols: int) -> None:
-    if kind is AlphabetKind.QPSK or n_symbols != 2:
+    """Expected statistic value for each symbol of an aligned two-symbol alphabet."""
+    if a.kind is AlphabetKind.QPSK or len(a) != 2:
         raise UnsupportedAlphabetError(
             "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
         )
+    return [_pa_mean(s, cp) for s in a.symbols]
 
 
 def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
@@ -180,7 +176,6 @@ def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
     QPSK is rejected: the statistic projects onto one axis, so orthogonal-phase
     symbols are indistinguishable and the receiver offers no gain there.
     """
-    _require_pa_alphabet(a.kind, len(a))
     return a.symbols[int(_nearest_index(statistic, pa_decision_grid(a, cp)))]
 
 
@@ -314,20 +309,17 @@ def sfg_no_click_probability(
     return p
 
 
-def _null_index(kind: AlphabetKind, symbols: tuple[Symbol, ...]) -> int:
-    if len(symbols) != 2:
-        raise UnsupportedAlphabetError("zero-photon test needs a two-symbol alphabet")
-    if kind is AlphabetKind.BPSK:
-        return max(range(2), key=lambda k: symbols[k].phase)
-    return min(range(2), key=lambda k: symbols[k].amplitude)
-
-
 def sfg_null_symbol(a: Alphabet) -> Symbol:
     """Hypothesis whose correlation the squeeze nulls before counting.
 
     For PAM the lower-amplitude symbol is nulled; for BPSK the phase-pi symbol.
+    Ties go to the first symbol.
     """
-    return a.symbols[_null_index(a.kind, a.symbols)]
+    if len(a) != 2:
+        raise UnsupportedAlphabetError("zero-photon test needs a two-symbol alphabet")
+    if a.kind is AlphabetKind.BPSK:
+        return max(a.symbols, key=lambda s: s.phase)
+    return min(a.symbols, key=lambda s: s.amplitude)
 
 
 def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
@@ -371,7 +363,7 @@ def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def point_decider(
-    cp: ChannelParams, kind: AlphabetKind, symbols: tuple[Symbol, ...], spec: ReceiverSpec
+    cp: ChannelParams, a: Alphabet, spec: ReceiverSpec
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The receiver's rule at one operating point: decide(true_index[n], u[DRAWS, n]) -> index[n].
 
@@ -399,7 +391,7 @@ def point_decider(
     u may have just those rows; the result is the same as with all DRAWS.
     """
     if spec.kind is ReceiverKind.HETERODYNE:
-        points = np.array([s.complex_point() for s in symbols])
+        points = np.array([s.complex_point() for s in a.symbols])
         sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -412,8 +404,7 @@ def point_decider(
         decide.draws = 2
 
     elif spec.kind is ReceiverKind.PA:
-        _require_pa_alphabet(kind, len(symbols))
-        grid = np.array([_pa_mean(s, cp) for s in symbols])
+        grid = np.array(pa_decision_grid(a, cp))
         sd = math.sqrt(cp.N_Z / cp.M)
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -422,12 +413,12 @@ def point_decider(
 
         decide.draws = 2
 
-    elif kind is AlphabetKind.QPSK:
-        n = len(symbols)
+    elif a.kind is AlphabetKind.QPSK:
+        n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
         rows = np.array([
-            [sfg_count_rate(cp, _pairwise_distance_sq(t, h), spec) / cp.M for h in symbols]
-            for t in symbols
+            [sfg_count_rate(cp, _pairwise_distance_sq(t, h), spec) / cp.M for h in a.symbols]
+            for t in a.symbols
         ])
         steps = np.arange(n)[:, None]
 
@@ -439,8 +430,9 @@ def point_decider(
         decide.draws = DRAWS
 
     else:
-        null = _null_index(kind, symbols)
-        p_no_click = np.array([sfg_no_click_probability(cp, s, symbols[null], spec) for s in symbols])
+        null_symbol = sfg_null_symbol(a)
+        null = a.symbols.index(null_symbol)
+        p_no_click = np.array([sfg_no_click_probability(cp, s, null_symbol, spec) for s in a.symbols])
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)

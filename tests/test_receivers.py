@@ -345,7 +345,7 @@ def _decisions(cp, a, spec, true_index, rng):
     indices, trial t reading the t-th run of DRAWS raw words from `rng`."""
     i = np.asarray(true_index)
     u = uniforms(rng.bit_generator.random_raw((len(i), DRAWS)).T)
-    return point_decider(cp, a.kind, a.symbols, spec)(i, u)
+    return point_decider(cp, a, spec)(i, u)
 
 
 def test_zero_photon_null_hypothesis_always_correct():
@@ -453,7 +453,7 @@ def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
     a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
          "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
     spec = ReceiverSpec(kind=kind, include_thermal_residual=residual)
-    decide = point_decider(cp, a.kind, a.symbols, spec)
+    decide = point_decider(cp, a, spec)
     assert decide.draws == draws
     rng = np.random.default_rng([draws, len(a), residual])
     n = 4000
