@@ -16,6 +16,7 @@ hash, Box-Muller noise from u[0] and u[1], hop from u[2]).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,7 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> BerCurve:
 
 
 def fit_error_exponent(curve: BerCurve, s_min: float) -> float:
-    """Least-squares slope of -ln(BER) against s over points with s >= s_min.
+    """Least-squares slope of -ln(BER) against s over points with s >= s_min,
+    in closed form: sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
 
     Zero-error points are skipped; at least three usable points are required.
     """
@@ -285,5 +287,4 @@ def fit_error_exponent(curve: BerCurve, s_min: float) -> float:
         raise ValueError(
             f"need at least 3 nonzero points with s >= {s_min:g}, have {len(xs)}"
         )
-    slope = np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0]
-    return float(slope)
+    return statistics.linear_regression(xs, ys).slope

@@ -36,8 +36,10 @@ def test_guard_catches_a_third_party_import():
 
 
 def test_bench_traced_functions_exist():
-    """qbcbench/tracer.py wraps each (module, function) in TRACED by name, some
-    of which no qbcsim code calls; the traced bench run breaks if one goes."""
+    """qbcbench/tracer.py wraps each (module, function) in TRACED by name; the
+    traced bench run breaks if one goes.  No qbcsim code calls the public
+    entry points sfg_nulling_params and the three fock functions, and only
+    the bench uses montecarlo.derive_trial_seed."""
     spec = importlib.util.spec_from_file_location("qbcbench_tracer", ROOT / "qbcbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)

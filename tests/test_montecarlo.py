@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from qbcsim.link import (
+    Alphabet,
     AlphabetKind,
     ChannelParams,
     Symbol,
     apply_channel_classical,
     make_alphabet_bpsk,
+    make_alphabet_qpsk,
+    min_squared_distance,
 )
 from qbcsim.gaussian import heterodyne_samples
 from qbcsim.montecarlo import (
@@ -21,8 +24,10 @@ from qbcsim.montecarlo import (
     ExperimentConfig,
     _count_point_errors,
     _counter_hash,
+    analytic_bound_value,
     derive_trial_seed,
     fit_error_exponent,
+    nominal_alphabet,
     run_experiment,
     wilson_interval,
 )
@@ -35,6 +40,7 @@ from qbcsim.receivers import (
     heterodyne_envelope,
     pa_decision_grid,
     sfg_count_rate,
+    sfg_null_symbol,
 )
 
 
@@ -289,6 +295,36 @@ def test_run_experiment_monotone_up_to_ci():
     curve = run_experiment(cfg)
     for a, b in zip(curve.points, curve.points[1:]):
         assert b.empirical_ber <= a.wilson_ci_high
+
+
+@pytest.mark.parametrize("receiver,alphabet,value", [
+    (ReceiverKind.HETERODYNE, AlphabetKind.PAM, 0.25),
+    (ReceiverKind.HETERODYNE, AlphabetKind.BPSK, 0.25),
+    (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, 0.125),
+    (ReceiverKind.PA, AlphabetKind.PAM, 1.0),
+    (ReceiverKind.PA, AlphabetKind.BPSK, 1.0),
+    (ReceiverKind.SFG, AlphabetKind.PAM, 1.0),
+    (ReceiverKind.SFG, AlphabetKind.BPSK, 1.0),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, 1.0),
+])
+def test_bound_at_zero_eta(receiver, alphabet, value):
+    """At eta = 0 every symbol sits at 0 and each bound formula is read at
+    d^2 = 0: erfc(0) / 2|A| for heterodyne, exp(0) = min(1, 4) = 1 otherwise."""
+    assert analytic_bound_value(receiver, alphabet, 0.0, 0.01, 10_000, 100.0) == value
+
+
+def test_degenerate_alphabets():
+    """Coincident symbols, as at eta = 0: distance 0, ties to the first
+    symbol, and the zero-photon test nulls PAM's first symbol and BPSK's
+    phase-pi one.  The PA grid still rejects QPSK."""
+    a = Alphabet((Symbol(0.0, 0.0), Symbol(0.0, 0.0)), AlphabetKind.PAM)
+    assert min_squared_distance(a) == 0.0
+    assert heterodyne_decide(0.3, a) is a.symbols[0]
+    for kind, index in ((AlphabetKind.PAM, 0), (AlphabetKind.BPSK, 1)):
+        a0 = nominal_alphabet(kind, 0.0)
+        assert sfg_null_symbol(a0) is a0.symbols[index]
+    with pytest.raises(UnsupportedAlphabetError):
+        pa_decision_grid(make_alphabet_qpsk(0.01), ChannelParams(0.01, 0.0, 100.0, 10_000, 0.01))
 
 
 def test_pa_qpsk_rejected():

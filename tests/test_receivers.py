@@ -297,6 +297,16 @@ def test_count_rate_is_four_times_total():
     )
 
 
+@pytest.mark.parametrize("N_S,coefficient", [(0.1, 1.0716), (0.01, 0.9839), (0.001, 0.9751)])
+def test_count_rate_is_leading_order_in_signal_brightness(N_S, coefficient):
+    """The rate in units of d^2 N_S M / N_Z at N_Z = 100: C0_sq = d^2 N_S (N_S + 1) / 4
+    keeps only the leading order in N_S, so the coefficient grows with N_S."""
+    cp = _cp(eta=1e-3, M=1_000_000, N_S=N_S)
+    d2 = 4 * cp.eta
+    rate = sfg_count_rate(cp, d2, _sfg_spec())
+    assert rate / (d2 * N_S * cp.M / cp.N_Z) == pytest.approx(coefficient, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # SFG nulling
 # ---------------------------------------------------------------------------
