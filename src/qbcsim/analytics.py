@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import Alphabet, AlphabetKind, min_squared_distance
-from .receivers import UnsupportedAlphabetError, _box_muller
+from .link import Alphabet, AlphabetKind, ChannelParams, UnsupportedAlphabetError, min_squared_distance
+from .receivers import _box_muller, envelope_sd
 
 
 class BoundKind(enum.Enum):
@@ -48,26 +48,27 @@ def erfc_eval(x: float) -> float:
     return math.erfc(x)
 
 
-def classical_ep_lower_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
-    """Heterodyne-receiver lower bound (1 / 2|A|) erfc(sqrt(d^2 N_S M / 4 N_Z))."""
+def _snr(a: Alphabet, N_S: float, M: int, N_Z: float) -> float:
+    """The bounds' argument d^2 N_S M / N_Z; scaling it by 1/4 or 1/2 is exact."""
     if N_Z <= 0 or M < 1:
         raise ValueError("need N_Z > 0 and M >= 1")
-    d2 = min_squared_distance(a)
-    arg = d2 * N_S * M / (4.0 * N_Z)
-    value = erfc_eval(math.sqrt(arg)) / (2.0 * len(a))
+    return min_squared_distance(a) * N_S * M / N_Z
+
+
+def classical_ep_lower_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
+    """Heterodyne-receiver lower bound (1 / 2|A|) erfc(sqrt(d^2 N_S M / 4 N_Z))."""
+    value = erfc_eval(math.sqrt(_snr(a, N_S, M, N_Z) / 4.0)) / (2.0 * len(a))
     return EpBound(value=value, exponent=0.25, prefactor=1.0 / (2.0 * len(a)), kind=BoundKind.LOWER)
 
 
 def pa_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
     """PA-receiver upper bound exp(-d^2 N_S M / 2 N_Z) for aligned binary alphabets."""
-    if N_Z <= 0 or M < 1:
-        raise ValueError("need N_Z > 0 and M >= 1")
+    snr = _snr(a, N_S, M, N_Z)
     if a.kind is AlphabetKind.QPSK or len(a) != 2:
         raise UnsupportedAlphabetError(
             "PA bound applies only to two-symbol aligned alphabets (PAM, BPSK)"
         )
-    d2 = min_squared_distance(a)
-    value = math.exp(-d2 * N_S * M / (2.0 * N_Z))
+    value = math.exp(-snr / 2.0)
     return EpBound(value=value, exponent=0.5, prefactor=1.0, kind=BoundKind.UPPER)
 
 
@@ -77,14 +78,12 @@ def sfg_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
     PAM/BPSK: exp(-d^2 N_S M / N_Z); QPSK: 4 exp(-d^2 N_S M / 2 N_Z), value
     clamped to 1 while the exponent field is left unclamped.
     """
-    if N_Z <= 0 or M < 1:
-        raise ValueError("need N_Z > 0 and M >= 1")
-    d2 = min_squared_distance(a)
+    snr = _snr(a, N_S, M, N_Z)
     if a.kind in (AlphabetKind.PAM, AlphabetKind.BPSK):
-        value = math.exp(-d2 * N_S * M / N_Z)
+        value = math.exp(-snr)
         return EpBound(value=value, exponent=1.0, prefactor=1.0, kind=BoundKind.UPPER)
     if a.kind is AlphabetKind.QPSK:
-        value = min(1.0, 4.0 * math.exp(-d2 * N_S * M / (2.0 * N_Z)))
+        value = min(1.0, 4.0 * math.exp(-snr / 2.0))
         return EpBound(value=value, exponent=0.5, prefactor=4.0, kind=BoundKind.UPPER)
     raise UnsupportedAlphabetError("SFG bound is defined for PAM, BPSK, and QPSK only")
 
@@ -137,8 +136,8 @@ def eve_random_phase_ber(
     fixes theta = 0 as the no-defense control.  Trials run on the counter-hash
     engine `montecarlo.count_errors` at point 0, seeded by one raw word of
     `rng`: the bit comes from the hash, the M-fold averaged envelope noise
-    (per-quadrature variance ((1 - eta) N_Z + 1) / (2 M N_S)) by Box-Muller
-    from u[0], u[1], the hop from u[2]; the decision is the real part's sign.
+    (per-quadrature deviation `receivers.envelope_sd`) by Box-Muller from
+    u[0], u[1], the hop from u[2]; the decision is the real part's sign.
     """
     from .montecarlo import count_errors  # montecarlo imports this module
 
@@ -146,18 +145,12 @@ def eve_random_phase_ber(
         raise ValueError(f"need at least 1e4 trials, got {trials}")
     if phase_dist not in ("uniform", "binary", "none"):
         raise ValueError(f"unknown phase_dist {phase_dist!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not (math.isfinite(N_S) and N_S > 0):
-        raise ValueError(f"N_S must be finite and > 0, got {N_S}")
-    if not (math.isfinite(N_Z) and N_Z >= 0):
-        raise ValueError(f"N_Z must be finite and >= 0, got {N_Z}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    quad_var = ((1.0 - eta) * N_Z + 1.0) / (2.0 * M * N_S)
-    if not math.isfinite(quad_var):
+    cp = ChannelParams(eta, 0.0, N_Z, M, N_S)
+    if not N_S > 0:
+        raise ValueError(f"N_S must be > 0, got {N_S}")
+    amp, sd = math.sqrt(eta), envelope_sd(cp)
+    if not math.isfinite(sd):
         raise ValueError(f"envelope variance overflows: N_S M = {N_S * M:g} is too small")
-    amp, sd = math.sqrt(eta), math.sqrt(quad_var)
     hop = {"uniform": 2.0 * math.pi, "binary": math.pi, "none": 0.0}[phase_dist]
 
     def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -29,11 +29,12 @@ from .link import (
     channel_phase,
     min_squared_distance,
     mode_pairs,
+    nominal_alphabet,
     rtt_from_link_budget,
     thermal_occupancy,
 )
 from .montecarlo import (
-    BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, nominal_alphabet, run_experiment,
+    BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, run_experiment,
 )
 from .receivers import ReceiverKind
 

@@ -81,8 +81,17 @@ class RunConfig:
     output_format: str = "csv"
 
 
-#: receiver tunables that only the sfg receiver reads
-_SFG_KEYS = ("sfg_tau", "sfg_capture_eps", "include_thermal_residual")
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("true", "yes", "1", "on"):
+        return True
+    if t in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+#: sfg-only receiver tunables and their parsers; an absent key keeps its ReceiverSpec default
+_SFG_KEYS = {"sfg_tau": float, "sfg_capture_eps": float, "include_thermal_residual": _parse_bool}
 _EXPERIMENT_KEYS = {
     "name",
     "receiver",
@@ -108,15 +117,6 @@ _ALPHABETS = {
 }
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentConfig]:
     for key in ("receiver", "alphabet", "N_S", "N_Z", "M", "sweep", "trials"):
         if key not in raw:
@@ -137,12 +137,8 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
         if receiver_kind is not ReceiverKind.SFG:
             raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to the sfg receiver")
     try:
-        spec = ReceiverSpec(
-            kind=receiver_kind,
-            sfg_tau=float(raw["sfg_tau"]) if "sfg_tau" in raw else None,
-            sfg_capture_eps=float(raw.get("sfg_capture_eps", 1e-3)),
-            include_thermal_residual=_parse_bool(raw.get("include_thermal_residual", "false")),
-        )
+        tunables = {key: parse(raw[key]) for key, parse in _SFG_KEYS.items() if key in raw}
+        spec = ReceiverSpec(receiver_kind, **tunables)
         cfg = ExperimentConfig(
             alphabet_kind=alphabet,
             receiver=spec,

@@ -29,6 +29,10 @@ K_BOLTZMANN = 1.380_649e-23  # J/K
 TWO_PI = 2.0 * math.pi
 
 
+class UnsupportedAlphabetError(ValueError):
+    """Raised when a receiver, bound or sweep cannot use the requested alphabet."""
+
+
 class AlphabetKind(enum.Enum):
     PAM = "pam"
     BPSK = "bpsk"
@@ -46,6 +50,8 @@ class Symbol:
     def __post_init__(self):
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError(f"symbol amplitude must lie in [0, 1], got {self.amplitude}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"symbol phase must be finite, got {self.phase}")
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
 
     @property
@@ -72,6 +78,18 @@ class Alphabet:
         return len(self.symbols)
 
 
+def nominal_alphabet(kind: AlphabetKind, eta: float) -> Alphabet:
+    """Constellation of a kind at transmissivity eta; every symbol sits at 0 when eta == 0."""
+    amp = math.sqrt(eta)
+    if kind is AlphabetKind.PAM:
+        return Alphabet((Symbol(0.0, 0.0), Symbol(amp, 0.0)), kind)
+    if kind is AlphabetKind.BPSK:
+        return Alphabet((Symbol(amp, 0.0), Symbol(amp, math.pi)), kind)
+    if kind is AlphabetKind.QPSK:
+        return Alphabet(tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4)), kind)
+    raise UnsupportedAlphabetError(f"unsupported alphabet kind {kind}")
+
+
 def make_alphabet_pam(eta1: float, eta2: float) -> Alphabet:
     """Two-level amplitude modulation {(sqrt(eta1), 0), (sqrt(eta2), 0)}.
 
@@ -89,19 +107,14 @@ def make_alphabet_bpsk(eta: float) -> Alphabet:
     """Binary phase modulation {(sqrt(eta), 0), (sqrt(eta), pi)}."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"need 0 < eta <= 1, got {eta}")
-    a = math.sqrt(eta)
-    return Alphabet((Symbol(a, 0.0), Symbol(a, math.pi)), AlphabetKind.BPSK)
+    return nominal_alphabet(AlphabetKind.BPSK, eta)
 
 
 def make_alphabet_qpsk(eta: float) -> Alphabet:
     """Quadrature phase modulation with phases {0, pi/2, pi, 3pi/2}."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"need 0 < eta <= 1, got {eta}")
-    a = math.sqrt(eta)
-    return Alphabet(
-        tuple(Symbol(a, k * math.pi / 2.0) for k in range(4)),
-        AlphabetKind.QPSK,
-    )
+    return nominal_alphabet(AlphabetKind.QPSK, eta)
 
 
 def min_squared_distance(a: Alphabet) -> float:
@@ -129,12 +142,13 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"round-trip transmissivity must lie in [0, 1], got {self.eta}")
-        if self.N_Z < 0:
-            raise ValueError(f"thermal occupancy must be >= 0, got {self.N_Z}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"channel phase must be finite, got {self.phi}")
+        for name, value in (("thermal occupancy", self.N_Z), ("source brightness", self.N_S)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.M < 1:
             raise ValueError(f"mode-pair count must be >= 1, got {self.M}")
-        if self.N_S < 0:
-            raise ValueError(f"source brightness must be >= 0, got {self.N_S}")
 
     def validity_warnings(self) -> list[str]:
         """Flags raised outside the asymptotic regime the bounds assume."""

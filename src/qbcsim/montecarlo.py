@@ -26,15 +26,8 @@ from .analytics import (
     pa_ep_upper_bound,
     sfg_ep_upper_bound,
 )
-from .link import Alphabet, AlphabetKind, ChannelParams, Symbol
-from .receivers import (
-    DRAWS,
-    ReceiverKind,
-    ReceiverSpec,
-    UnsupportedAlphabetError,
-    point_decider,
-    uniforms,
-)
+from .link import AlphabetKind, ChannelParams, UnsupportedAlphabetError, nominal_alphabet
+from .receivers import DRAWS, ReceiverKind, ReceiverSpec, point_decider, uniforms
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -172,18 +165,6 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[floa
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)
     return lo, hi
-
-
-def nominal_alphabet(kind: AlphabetKind, eta: float) -> Alphabet:
-    """Constellation for a sweep point; every symbol sits at 0 when eta == 0."""
-    amp = math.sqrt(eta)
-    if kind is AlphabetKind.PAM:
-        return Alphabet((Symbol(0.0, 0.0), Symbol(amp, 0.0)), kind)
-    if kind is AlphabetKind.BPSK:
-        return Alphabet((Symbol(amp, 0.0), Symbol(amp, math.pi)), kind)
-    if kind is AlphabetKind.QPSK:
-        return Alphabet(tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4)), kind)
-    raise UnsupportedAlphabetError(f"unsupported alphabet kind {kind}")
 
 
 def analytic_bound_value(

@@ -33,11 +33,7 @@ from .gaussian import (
     mean_photon_number,
     phase_sensitive_correlation,
 )
-from .link import Alphabet, AlphabetKind, ChannelParams, Symbol, apply_channel
-
-
-class UnsupportedAlphabetError(ValueError):
-    """Raised when a receiver cannot operate on the requested alphabet."""
+from .link import Alphabet, AlphabetKind, ChannelParams, Symbol, UnsupportedAlphabetError, apply_channel
 
 
 class ReceiverKind(enum.Enum):
@@ -99,6 +95,12 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
     if samples.size == 0:
         raise ValueError("need at least one sample")
     return complex(np.sum(samples) / (samples.size * math.sqrt(N_S)))
+
+
+def envelope_sd(cp: ChannelParams) -> float:
+    """Per-quadrature standard deviation of the M-sample averaged envelope,
+    sqrt(((1 - eta) N_Z + 1) / (2 M N_S)); inf when the variance overflows."""
+    return math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
 
 
 def _nearest_index(x, points):
@@ -382,9 +384,9 @@ def point_decider(
     call then draws every trial's decision statistic for its true symbol
     from the exact law, using that trial's column of uniforms, and applies
     the rule.  The heterodyne envelope is the M-sample average, complex
-    Gaussian with per-quadrature variance ((1 - eta) N_Z + 1) / (2 M N_S);
-    the PA statistic is Normal(mean, N_Z / M), the real part of the same
-    Box-Muller draw.  The zero-photon test (two symbols) nulls
+    Gaussian with per-quadrature deviation `envelope_sd`; the PA statistic
+    is Normal(mean, N_Z / M), the real part of the same Box-Muller draw.
+    The zero-photon test (two symbols) nulls
     `sfg_null_symbol` and declares it iff u[0] < sfg_no_click_probability.
     The QPSK test enters the cyclic hypothesis order at offset floor(4 u[0]),
     which keeps the error rate the same for every true symbol, and waits on
@@ -403,7 +405,7 @@ def point_decider(
     """
     if spec.kind is ReceiverKind.HETERODYNE:
         points = np.array([s.complex_point() for s in a.symbols])
-        sd = math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
+        sd = envelope_sd(cp)
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             r, theta = _box_muller(u)
