@@ -101,10 +101,13 @@ def exponent_gain_db(b1: EpBound, b2: EpBound) -> float:
 
 
 def eve_exponent_ratio() -> float:
-    """Error-exponent ratio of the legitimate SFG link over a classical tap.
+    """Exponent ratio of the SFG receiver over a coherent-probe heterodyne link.
 
-    The legitimate receiver holds the idler and reaches exponent coefficient 1;
-    an eavesdropper without it is limited to the classical 1/4.
+    SFG holds the idler and reaches coefficient 1 of d^2 N_S M / N_Z; the
+    heterodyne link reaches 1/4.  The 4 does not describe a tap on the quantum
+    link: the idler is the only phase reference, so an eavesdropper who taps
+    the return sees the same thermal state for every BPSK or QPSK symbol, and
+    their exponent is 0.
     """
     return 4.0
 

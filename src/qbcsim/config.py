@@ -6,10 +6,11 @@ experiment block, and at least one is required; [output] is optional.  Unknown
 sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
 N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and
 sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
-include_thermal_residual), SFG tunables outside an SFG experiment, unsupported
-receiver/alphabet pairs (PA with QPSK), experiment names that are not safe
-file stems or repeat an earlier name, and bytes that are not UTF-8 are rejected
-with file:line diagnostics.
+include_thermal_residual), SFG tunables outside an SFG experiment,
+include_thermal_residual in an SFG-QPSK experiment (its sequential click test
+reads only sfg_count_rate), unsupported receiver/alphabet pairs (PA with QPSK),
+experiment names that are not safe file stems or repeat an earlier name, and
+bytes that are not UTF-8 are rejected with file:line diagnostics.
 
 Example::
 
@@ -136,6 +137,8 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
     for key in sorted(set(_SFG_KEYS) & raw.keys(), key=raw["_lines"].get):
         if receiver_kind is not ReceiverKind.SFG:
             raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to the sfg receiver")
+        if key == "include_thermal_residual" and alphabet is AlphabetKind.QPSK:
+            raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to sfg with pam or bpsk")
     try:
         tunables = {key: parse(raw[key]) for key, parse in _SFG_KEYS.items() if key in raw}
         spec = ReceiverSpec(receiver_kind, **tunables)

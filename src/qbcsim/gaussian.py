@@ -18,9 +18,6 @@ import numpy as np
 #: Relative tolerance for the covariance symmetry check.
 SYMMETRY_RTOL = 1e-12
 
-#: Slack below the vacuum limit allowed for symplectic eigenvalues.
-UNCERTAINTY_ATOL = 1e-9
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form Omega for n modes in (x1,p1,...) ordering."""
@@ -135,9 +132,7 @@ def _embed_two_mode(n_modes: int, mode_a: int, mode_b: int, block: np.ndarray) -
 
 def _apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     mean = s @ state.mean
-    cov = s @ state.cov @ s.T
-    # symmetrize to suppress floating-point drift
-    cov = 0.5 * (cov + cov.T)
+    cov = s @ state.cov @ s.T  # GaussianState symmetrizes the rounding drift
     return GaussianState(state.n_modes, mean, cov)
 
 
@@ -249,13 +244,6 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     nu = np.sort(np.abs(ev))
     # eigenvalues come in +-i nu pairs; keep one of each
     return nu[::2].copy()
-
-
-def assert_physical(state: GaussianState, atol: float = UNCERTAINTY_ATOL) -> None:
-    """Raise if any symplectic eigenvalue falls below the vacuum limit 1/2."""
-    nu = symplectic_eigenvalues(state)
-    if np.min(nu) < 0.5 - atol:
-        raise ValueError(f"state violates the uncertainty bound: min nu = {np.min(nu)}")
 
 
 def _heterodyne_moments(state: GaussianState, mode: int):

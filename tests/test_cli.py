@@ -285,11 +285,13 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_rx("pa", "sfg_tau = 0.0005\ninclude_thermal_residual = true"), PLUS_LINE),
         (_rx("heterodyne", "sfg_capture_eps = 0.5"), PLUS_LINE),
         (_rx("pa", "include_thermal_residual = true"), PLUS_LINE),
+        (_plus("include_thermal_residual = true").replace("alphabet = bpsk", "alphabet = qpsk"),
+         PLUS_LINE),
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
          "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-sfg-tau",
-         "heterodyne-capture-eps", "pa-thermal-residual"],
+         "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)

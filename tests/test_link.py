@@ -276,3 +276,16 @@ def test_symbol_rejects_bad_amplitude():
         Symbol(1.2, 0.0)
     with pytest.raises(ValueError):
         Symbol(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["N_Z", "N_S", "phi"])
+def test_channel_params_reject_non_finite(field, value):
+    """A non-finite channel value is refused where the point is built, and so
+    is a non-finite symbol phase, rather than reaching a receiver rule."""
+    good = dict(eta=0.01, phi=0.0, N_Z=100.0, M=10, N_S=0.01)
+    ChannelParams(**good)
+    with pytest.raises(ValueError, match="finite"):
+        ChannelParams(**{**good, field: value})
+    with pytest.raises(ValueError, match="finite"):
+        Symbol(0.1, value)
