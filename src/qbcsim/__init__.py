@@ -21,6 +21,7 @@ from .link import (
     ChannelParams,
     LinkBudget,
     Symbol,
+    UnsupportedAlphabetError,
     apply_channel,
     apply_channel_classical,
     channel_phase,
@@ -36,7 +37,6 @@ from .receivers import (
     ReceiverKind,
     ReceiverSpec,
     SfgBookkeeping,
-    UnsupportedAlphabetError,
     heterodyne_decide,
     heterodyne_envelope,
     pa_decide,
