@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 import warnings
 from collections.abc import Callable
@@ -289,10 +288,6 @@ def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]
     return G, theta
 
 
-def _pairwise_distance_sq(a: Symbol, b: Symbol) -> float:
-    return abs(a.complex_point() - b.complex_point()) ** 2
-
-
 def _residual_context(
     cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec
 ) -> tuple[float, int]:
@@ -315,7 +310,8 @@ def sfg_no_click_probability(
     rejected with probability 1 - e^(-K nbar), so SFG-BPSK has an error floor
     of 1/2 (1 - e^(-K nbar)), about 1.7 % there.
     """
-    p = math.exp(-sfg_count_rate(cp, _pairwise_distance_sq(true_symbol, null_symbol), spec))
+    d2 = abs(true_symbol.complex_point() - null_symbol.complex_point()) ** 2
+    p = math.exp(-sfg_count_rate(cp, d2, spec))
     if spec.include_thermal_residual:
         nbar, K = _residual_context(cp, true_symbol, spec)
         p *= math.exp(-K * math.log1p(nbar))
@@ -374,7 +370,6 @@ def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
 
 
-@functools.lru_cache(maxsize=256)
 def point_decider(
     cp: ChannelParams, a: Alphabet, spec: ReceiverSpec
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -392,19 +387,15 @@ def point_decider(
     which keeps the error rate the same for every true symbol, and waits on
     u[1:] (see `sequential_click_test`).
 
-    The rule is cached because building it costs more than looking it up:
-    per point at N_Z = 100, built vs looked up with equal fresh arguments,
-    SFG-QPSK 68-75 vs 5 us, SFG-BPSK 14 vs 4 us, heterodyne QPSK 6 vs 5 us,
-    PA-BPSK 5 vs 4 us (2 cores, Python 3.11.7, numpy 2.4.6).  A process that
-    runs the same sweep point again hits it, as a loop of in-process
-    `simulate` calls does.
+    Building a rule costs 3-18 us per point at N_Z = 100, the most for the
+    SFG tests (2 cores, Python 3.11.7, numpy 2.4.6), so each call builds it.
 
     The rule carries `decide.draws`, the number of leading rows of u it
     reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).
     u may have just those rows; the result is the same as with all DRAWS.
     """
+    points = np.array([s.complex_point() for s in a.symbols])
     if spec.kind is ReceiverKind.HETERODYNE:
-        points = np.array([s.complex_point() for s in a.symbols])
         sd = envelope_sd(cp)
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -429,10 +420,7 @@ def point_decider(
     elif a.kind is AlphabetKind.QPSK:
         n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
-        rows = np.array([
-            [sfg_count_rate(cp, _pairwise_distance_sq(t, h), spec) / cp.M for h in a.symbols]
-            for t in a.symbols
-        ])
+        rows = sfg_count_rate(cp, 1.0, spec) / cp.M * np.abs(points[:, None] - points) ** 2
         steps = np.arange(n)[:, None]
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
