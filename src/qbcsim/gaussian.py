@@ -52,8 +52,10 @@ class GaussianState:
             raise ValueError(f"mean must have length {d}, got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
+        peak = float(np.max(np.abs(cov)))  # NaN or inf if any entry is
+        if not (peak < np.inf and np.isfinite(mean).all()):
+            raise ValueError("mean and covariance must be finite")
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * max(1.0, peak):
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -177,8 +179,8 @@ def apply_two_mode_squeeze(
     state.check_mode(mode_b)
     if mode_a == mode_b:
         raise ValueError("two-mode squeezer needs two distinct modes")
-    if G < 1.0:
-        raise ValueError(f"gain must be >= 1, got {G}")
+    if not 1.0 <= G < np.inf:
+        raise ValueError(f"gain must be finite and >= 1, got {G}")
     g = np.sqrt(G)
     h = np.sqrt(G - 1.0)
     ct, st = np.cos(theta), np.sin(theta)

@@ -88,8 +88,8 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
     With samples drawn from the received mode, the mean of the result is
     sqrt(eta) e^{-i phi}.
     """
-    if N_S <= 0:
-        raise ValueError(f"N_S must be positive, got {N_S}")
+    if not (math.isfinite(N_S) and N_S > 0):
+        raise ValueError(f"N_S must be finite and positive, got {N_S}")
     samples = np.asarray(samples)
     if samples.size == 0:
         raise ValueError("need at least one sample")
@@ -217,6 +217,10 @@ def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec,
     return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
 
 
+#: most cycles `sfg_bookkeeping` lists (the default tap lists about 341 at N_Z = 100)
+MAX_LISTED_CYCLES = 10**5
+
+
 def sfg_bookkeeping(
     cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec
 ) -> SfgBookkeeping:
@@ -227,10 +231,12 @@ def sfg_bookkeeping(
     n_b = n_E = tau M C0_sq [1 - tau (1 + N_Z)]^{2k}.  The physical photon
     count rate of the nulled-hypothesis test is four times `total`, because
     nulling one hypothesis doubles the surviving coherent amplitude (see
-    sfg_count_rate).  Only this listing walks the K cycles; the rate does not.
+    sfg_count_rate).  Only this listing walks the K <= MAX_LISTED_CYCLES cycles.
     """
     C0_sq = _c0_sq(cp, symbol_distance_sq)
     tau, log_x, K = spec.sfg_cycles(cp.N_Z)
+    if K > MAX_LISTED_CYCLES:
+        raise ValueError(f"K = {K} cycles is too many to list; sfg_count_rate is the closed form")
     n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
     return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
 
@@ -247,6 +253,7 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
     The nulling squeeze displaces the correlation of the tested hypothesis to
     zero, so the surviving amplitude is the full pairwise difference: its
     squared magnitude is 4 C0_sq, i.e. four times the per-hypothesis total.
+    The rate is linear in d^2, which the QPSK table of `point_decider` uses.
 
     C0_sq = d^2 N_S (N_S + 1) / 4 is leading order in N_S.  In units of
     d^2 N_S M / N_Z, at N_Z = 100 and the default tap, the rate is 1.0716,

@@ -329,3 +329,18 @@ def test_heterodyne_empirical_moments_match_analytic():
 def test_state_validation_rejects_asymmetric_cov():
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(2), np.array([[0.5, 0.1], [0.3, 0.5]]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: thermal(math.nan),
+    lambda: tmss(math.inf),
+    lambda: coherent(complex(math.nan, 0.0)),
+    lambda: apply_beam_splitter(vacuum(2), 0, 1, 0.5, math.nan),
+    lambda: apply_two_mode_squeeze(vacuum(2), 0, 1, G=math.inf),
+    lambda: GaussianState(1, np.array([math.nan, 0.0]), 0.5 * np.eye(2)),
+], ids=["thermal-nan", "tmss-inf", "coherent-nan", "beam-splitter-phi-nan", "squeeze-gain-inf", "mean-nan"])
+def test_non_finite_states_are_rejected(build):
+    """A NaN or infinite input is a ValueError, before any arithmetic on it
+    can warn or return a NaN state."""
+    with pytest.raises(ValueError):
+        build()

@@ -264,8 +264,28 @@ def _exact_ber(cfg, eta):
     if kind is ReceiverKind.PA:
         grid = pa_decision_grid(make_alphabet_bpsk(eta), cp)
         return _q(abs(grid[0] - grid[1]) / (2.0 * math.sqrt(cfg.N_Z / cfg.M)))
+    if alphabet is AlphabetKind.QPSK:
+        return _sfg_qpsk_ser(cp, cfg.receiver)
     d2 = {AlphabetKind.BPSK: 4.0 * eta, AlphabetKind.PAM: eta}[alphabet]
     return 0.5 * math.exp(-sfg_count_rate(cp, d2, cfg.receiver))
+
+
+def _sfg_qpsk_ser(cp, spec):
+    """Exact SER of the sequential click test.  The entry offset puts the true
+    symbol, which never clicks, behind 0 to 3 others with equal probability:
+    none; a neighbour; the opposite and a neighbour; neighbour, opposite and
+    neighbour.  It is missed when those waits, each geometric on {1, 2, ...}
+    with P(W > w) = e^(-r w), outlast the M mode pairs."""
+    M = cp.M
+    r_n, r_o = (sfg_count_rate(cp, d2, spec) / M for d2 in (2.0 * cp.eta, 4.0 * cp.eta))
+    click = -math.expm1(-r_n)  # 1 - q, q = e^(-r_n)
+    w = np.arange(1, M + 1, dtype=float)
+    o_outlasts = np.exp(-r_o * (M - w))  # P(W_o > M - w)
+    n_pmf = click * np.exp(-r_n * (w - 1.0))  # P(W_n = w)
+    nn_pmf = (w - 1.0) * click**2 * np.exp(-r_n * (w - 2.0))  # P(W_n + W_n = w)
+    n_tail = math.exp(-r_n * M)
+    nn_tail = n_tail + M * click * math.exp(-r_n * (M - 1))
+    return 0.25 * (n_tail + (n_pmf @ o_outlasts + n_tail) + (nn_pmf @ o_outlasts + nn_tail))
 
 
 @pytest.mark.parametrize(
@@ -276,8 +296,9 @@ def _exact_ber(cfg, eta):
         (ReceiverKind.PA, AlphabetKind.BPSK, 10_000_000, (0.5, 1.0, 2.0, 3.0)),
         (ReceiverKind.SFG, AlphabetKind.BPSK, 10_000_000, (0.25, 0.5, 1.0, 1.5)),
         (ReceiverKind.SFG, AlphabetKind.PAM, 10_000_000, (1.0, 2.0, 4.0, 6.0)),
+        (ReceiverKind.SFG, AlphabetKind.QPSK, 1_000_000, (0.5, 1.0, 2.0, 3.0)),
     ],
-    ids=["het-bpsk", "het-qpsk", "pa-bpsk", "sfg-bpsk", "sfg-pam"],
+    ids=["het-bpsk", "het-qpsk", "pa-bpsk", "sfg-bpsk", "sfg-pam", "sfg-qpsk"],
 )
 def test_run_experiment_matches_exact_ber(receiver, alphabet, M, sweep):
     """Monte Carlo counts fall inside the z = 4 Wilson interval of the exact

@@ -79,6 +79,9 @@ def test_envelope_rejects_bad_inputs():
         heterodyne_envelope([], 0.1)
     with pytest.raises(ValueError):
         heterodyne_envelope([1.0], 0.0)
+    for N_S in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            heterodyne_envelope([1 + 1j], N_S)
 
 
 def test_decide_exact_point():
@@ -286,6 +289,17 @@ def test_cycle_count_monotonicity():
 def test_bookkeeping_rejects_overdamped_tap():
     with pytest.raises(ValueError):
         sfg_bookkeeping(_cp(N_Z=5.0), 0.01, _sfg_spec(sfg_tau=0.25))
+
+
+def test_bookkeeping_refuses_to_list_billions_of_cycles():
+    """tau = 1e-11 needs K ~ 3.4e9 cycles and tau = 1e-300 about 3.4e298;
+    the listing refuses at once and points to the closed-form rate."""
+    cp = _cp()
+    for tau in (1e-11, 1e-300):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="sfg_count_rate"):
+            sfg_bookkeeping(cp, 4 * cp.eta, _sfg_spec(sfg_tau=tau))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_count_rate_is_four_times_total():
