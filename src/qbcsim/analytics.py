@@ -137,8 +137,9 @@ def eve_random_phase_ber(
     Each codeword carries a phase offset theta unknown to the eavesdropper:
     "uniform" draws theta from [0, 2pi), "binary" from {0, pi}, and "none"
     fixes theta = 0 as the no-defense control.  Trials run on the counter-hash
-    engine `montecarlo.count_errors` at point 0, seeded by one raw word of
-    `rng`: the bit comes from the hash, the M-fold averaged envelope noise
+    engine, as the one rule (point 0) of a `montecarlo.count_errors` call
+    seeded by one raw word of `rng`, in blocks of 4096 trials at its 3 draws:
+    the bit comes from the hash, the M-fold averaged envelope noise
     (per-quadrature deviation `receivers.envelope_sd`) by Box-Muller from
     u[0], u[1], the hop from u[2]; the decision is the real part's sign.
     """
@@ -164,4 +165,4 @@ def eve_random_phase_ber(
 
     decide.draws = 3
     master = int(rng.bit_generator.random_raw())
-    return count_errors(decide, 2, master, 0, 0, trials) / trials
+    return count_errors([(0, decide)], 2, master, 0, trials)[0] / trials

@@ -6,11 +6,20 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
 of (master_seed, point_index, trial_index) gives each trial's true symbol and
 uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine, `count_errors`, knows no
-receiver: it applies an array-form rule decide(i, u) to numpy blocks, hashing
-each block in place and computing only the uniform rows the rule reads.  Its
-rules are the per-point receiver rules of `receivers.point_decider` and the
-phase-hopped eavesdropper of `analytics.eve_random_phase_ber` (bit from the
-hash, Box-Muller noise from u[0] and u[1], hop from u[2]).
+receiver: it applies array-form rules decide(i, u) to numpy blocks, hashing
+each block in place and computing only the uniform rows the rules read.  Its
+rules are the per-point receiver rules of `receivers.point_decider`, all of a
+sweep's points passed at once, and the phase-hopped eavesdropper of
+`analytics.eve_random_phase_ber` (bit from the hash, Box-Muller noise from
+u[0] and u[1], hop from u[2]).
+
+Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
+(128 KiB) of hash and uniform rows, so 2^14 // (draws + 1) trials.  Larger
+arrays, and the temporaries of their size, exceed glibc's mmap threshold and
+page-fault on every allocation.  Whole points share a block when they fit
+(1000-trial points go 2 to a block for the 5-draw SFG-QPSK rule, 5 for the
+2-draw ones and 8 for the zero-photon test), and the trial-only hash step is
+computed once for all of them.
 """
 
 from __future__ import annotations
@@ -57,24 +66,34 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _prefix_hash(*words: int) -> int:
+    """Counter-hash state after absorbing `words` (Python ints), before the
+    final mix: each word w gives h = _mix64(h ^ _mix64(w + _GAMMA)) C + 1."""
+    h = 0x243F6A8885A308D3
+    for w in words:
+        h = _mix64(h ^ _mix64((w + _GAMMA) & _MASK64))
+        h = (h * 0xD1342543DE82EF95 + 1) & _MASK64
+    return h
+
+
+def _finish_hash(z: np.ndarray) -> np.ndarray:
+    """The last absorb step and final mix, in place, on z = prefix ^ _mix64(trial + _GAMMA)."""
+    _mix64_inplace(z)
+    z *= np.uint64(0xD1342543DE82EF95)
+    z += np.uint64(1)
+    return _mix64_inplace(z)
+
+
 def _counter_hash(master_seed: int, point_index: int, trial_index):
     """64-bit hash of the (master, point, trial) counter triple; trial_index
     may be a uint64 array, giving one hash per trial.  The array path hashes
     the (master, point) prefix once on Python ints and the trial word in
     place on a copy."""
-    h = 0x243F6A8885A308D3
-    array = isinstance(trial_index, np.ndarray)
-    for w in (master_seed, point_index) if array else (master_seed, point_index, trial_index):
-        h = _mix64(h ^ _mix64((w + _GAMMA) & _MASK64))
-        h = (h * 0xD1342543DE82EF95 + 1) & _MASK64
-    if not array:
-        return _mix64(h)
+    if not isinstance(trial_index, np.ndarray):
+        return _mix64(_prefix_hash(master_seed, point_index, trial_index))
     z = _mix64_inplace(trial_index + np.uint64(_GAMMA))
-    z ^= np.uint64(h)
-    _mix64_inplace(z)
-    z *= np.uint64(0xD1342543DE82EF95)
-    z += np.uint64(1)
-    return _mix64_inplace(z)
+    z ^= np.uint64(_prefix_hash(master_seed, point_index))
+    return _finish_hash(z)
 
 
 def derive_trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -185,55 +204,87 @@ def analytic_bound_value(
 
 
 _SYMBOL_SALT = np.uint64(0xD1342543DE82EF95)
-#: trials per block: amortizes numpy's per-call cost, while the DRAWS + 1 word
-#: rows and their scratch (1.5 MB) stay in a core's L2 cache
+#: uint64 words per block, hash row and uniform rows together: 128 KiB,
+#: glibc's default mmap threshold (see the module docstring)
 _BLOCK = 1 << 14
 #: a trial's uniforms are the SplitMix64 sequence started at its hash h:
 #: draw k is _mix64(h + (k + 1) * _GAMMA)
 _DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], dtype=np.uint64)
 
 
+def _block_trials(draws: int) -> int:
+    """Trials per block for rules reading `draws` uniform rows: with the hash
+    row that is draws + 1 words per trial, within the _BLOCK word budget."""
+    return _BLOCK // (draws + 1)
+
+
+def _point_rules(cfg: ExperimentConfig, points) -> tuple[int, list]:
+    """The alphabet size and the (point_index, rule) pairs of the given sweep points."""
+    rules = []
+    for p in points:
+        eta = cfg.eta_for(cfg.sweep[p])
+        a = nominal_alphabet(cfg.alphabet_kind, eta)
+        cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
+        rules.append((p, point_decider(cp, a, cfg.receiver)))
+    return len(a), rules
+
+
 def _count_point_errors(cfg: ExperimentConfig, point_index: int, start: int, count: int) -> int:
     """Symbol errors of one sweep point's receiver rule over trials [start, start+count)."""
-    eta = cfg.eta_for(cfg.sweep[point_index])
-    a = nominal_alphabet(cfg.alphabet_kind, eta)
-    cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
-    decide = point_decider(cp, a, cfg.receiver)
-    return count_errors(decide, len(a), cfg.master_seed, point_index, start, count)
+    n_symbols, rules = _point_rules(cfg, [point_index])
+    return count_errors(rules, n_symbols, cfg.master_seed, start, count)[0]
 
 
-def count_errors(decide, n_symbols: int, master_seed: int, point_index: int, start: int, count: int) -> int:
-    """Errors of the array-form rule `decide(i, u)` over trials [start, start+count).
+def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int) -> list[int]:
+    """Errors of each (point_index, decide) rule over trials [start, start+count).
 
-    Trial t's counter hash h gives its true symbol, _mix64(h ^ _SYMBOL_SALT)
-    masked to the n_symbols (2 or 4) indices, and its uniforms, draw k being
-    _mix64(h + (k + 1) _GAMMA), so any partition of the trial range
-    reproduces the same counts.  The rule is applied to blocks of _BLOCK
-    trials and reads only its first `decide.draws` rows of uniforms, so only
-    those are computed; draw k depends on h and k alone, so the values it
-    reads are those of the full DRAWS rows.
+    Trial t of point p has counter hash h: its true symbol is
+    _mix64(h ^ _SYMBOL_SALT) masked to the n_symbols (2 or 4) indices, and
+    its draw k is _mix64(h + (k + 1) _GAMMA), so neither the blocks nor the
+    grouping of points moves a count.  Only the uniform rows the rules read
+    (the most `decide.draws`) are computed; draw k depends on h and k alone,
+    so they hold the values of the full DRAWS rows.  Points share blocks of
+    `_block_trials(draws)` trials as the module docstring says, each rule
+    reading its own contiguous columns.  No rule runs across points: a
+    sweep-wide rule needs 2-D fancy indexing, which costs more than the
+    per-point calls it saves.
     """
-    steps = _DRAW_STEPS[: decide.draws]
+    draws = max(decide.draws for _, decide in rules)
+    steps = _DRAW_STEPS[:draws]
     mask = np.uint64(n_symbols - 1)
+    prefixes = np.array([[_prefix_hash(master_seed, p)] for p, _ in rules], dtype=np.uint64)
+    per_block = _block_trials(draws)
     stop = start + count
-    errors = 0
-    for lo in range(start, stop, _BLOCK):
-        trials = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint64)
-        h = _counter_hash(master_seed, point_index, trials)
-        words = np.empty((len(steps) + 1, len(h)), dtype=np.uint64)
-        np.bitwise_xor(h, _SYMBOL_SALT, out=words[0])
-        np.add(h, steps, out=words[1:])
-        _mix64_inplace(words)
-        i = (words[0] & mask).astype(np.intp)
-        errors += int(np.count_nonzero(decide(i, uniforms(words[1:])) != i))
+    errors = [0] * len(rules)
+    for lo in range(start, stop, per_block):
+        trials = np.arange(lo, min(lo + per_block, stop), dtype=np.uint64)
+        trials += np.uint64(_GAMMA)
+        z = _mix64_inplace(trials)
+        n = len(z)
+        group = per_block // n
+        for g in range(0, len(rules), group):
+            members = rules[g : g + group]
+            words = np.empty((draws + 1, len(members) * n), dtype=np.uint64)
+            h = words[0]
+            np.bitwise_xor(z, prefixes[g : g + group], out=h.reshape(len(members), n))
+            _finish_hash(h)
+            np.add(h, steps, out=words[1:])
+            h ^= _SYMBOL_SALT
+            _mix64_inplace(words)
+            i = (h & mask).astype(np.intp)
+            u = uniforms(words[1:])
+            for j, (_, decide) in enumerate(members):
+                cols = slice(j * n, (j + 1) * n)
+                errors[g + j] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
     return errors
 
 
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:
     """Run all sweep points; the empirical curve with bounds attached, fixed by master_seed."""
+    n_symbols, rules = _point_rules(cfg, range(len(cfg.sweep)))
+    counts = count_errors(rules, n_symbols, cfg.master_seed, 0, cfg.trials_per_point)
     points = []
-    for p, s in enumerate(cfg.sweep):
-        errors = _count_point_errors(cfg, p, 0, cfg.trials_per_point)
+    for s, errors in zip(cfg.sweep, counts):
         trials = cfg.trials_per_point
         lo, hi = wilson_interval(errors, trials)
         bound = analytic_bound_value(

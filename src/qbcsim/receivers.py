@@ -206,12 +206,12 @@ def _c0_sq(cp: ChannelParams, symbol_distance_sq: float) -> float:
     return symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
 
 
-def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec, infinite=False) -> float:
-    """Sum of n_b + n_E over the K cycles (over all of them if `infinite`),
-    2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).  With 1 - x^2K = -expm1(2K ln x)
-    and 1 - x^2 = tau (1 + N_Z) (1 + x), whose tau cancels, it costs the same
-    and stays accurate for any tau and K."""
-    _, log_x, K = spec.sfg_cycles(cp.N_Z)
+def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, cycles, infinite=False) -> float:
+    """Sum of n_b + n_E over the K cycles of `cycles` = spec.sfg_cycles(N_Z)
+    (over all of them if `infinite`), 2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
+    With 1 - x^2K = -expm1(2K ln x) and 1 - x^2 = tau (1 + N_Z) (1 + x), whose
+    tau cancels, it costs the same and stays accurate for any tau and K."""
+    _, log_x, K = cycles
     x = math.exp(log_x)
     captured = 1.0 if infinite else -math.expm1(2.0 * K * log_x)
     return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
@@ -234,16 +234,16 @@ def sfg_bookkeeping(
     sfg_count_rate).  Only this listing walks the K <= MAX_LISTED_CYCLES cycles.
     """
     C0_sq = _c0_sq(cp, symbol_distance_sq)
-    tau, log_x, K = spec.sfg_cycles(cp.N_Z)
+    tau, log_x, K = cycles = spec.sfg_cycles(cp.N_Z)
     if K > MAX_LISTED_CYCLES:
         raise ValueError(f"K = {K} cycles is too many to list; sfg_count_rate is the closed form")
     n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
-    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
+    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, cycles))
 
 
 def sfg_infinite_total(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
     """Closed form of the infinite cycle series, 2 tau M C0_sq x^2 / (1 - x^2)."""
-    return _cycle_sum(cp, symbol_distance_sq, spec, infinite=True)
+    return _cycle_sum(cp, symbol_distance_sq, spec.sfg_cycles(cp.N_Z), infinite=True)
 
 
 def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
@@ -262,7 +262,12 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
     is 0.586, 0.821 and 0.932 in the same units (Pirandola & Lloyd's Gaussian
     formula, evaluated outside this package), so the model exceeds it.
     """
-    return 4.0 * _cycle_sum(cp, symbol_distance_sq, spec)
+    return _count_rate(cp, symbol_distance_sq, spec.sfg_cycles(cp.N_Z))
+
+
+def _count_rate(cp: ChannelParams, symbol_distance_sq: float, cycles) -> float:
+    """sfg_count_rate with the point's cycles = spec.sfg_cycles(N_Z) given."""
+    return 4.0 * _cycle_sum(cp, symbol_distance_sq, cycles)
 
 
 def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]:
@@ -295,11 +300,10 @@ def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]
     return G, theta
 
 
-def _residual_context(
-    cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec
-) -> tuple[float, int]:
+def _residual_context(cp: ChannelParams, true_symbol: Symbol, cycles) -> tuple[float, int]:
+    """(nbar, K) of the thermal floor, given cycles = spec.sfg_cycles(N_Z)."""
     state = apply_channel(cp, true_symbol)
-    tau, _, K = spec.sfg_cycles(cp.N_Z)
+    tau, _, K = cycles
     return mean_photon_number(state, 1) * tau * mean_photon_number(state, 0), K  # n_I tau n_R
 
 
@@ -317,10 +321,15 @@ def sfg_no_click_probability(
     rejected with probability 1 - e^(-K nbar), so SFG-BPSK has an error floor
     of 1/2 (1 - e^(-K nbar)), about 1.7 % there.
     """
+    return _no_click_probability(cp, true_symbol, null_symbol, spec, spec.sfg_cycles(cp.N_Z))
+
+
+def _no_click_probability(cp, true_symbol, null_symbol, spec, cycles) -> float:
+    """sfg_no_click_probability with the point's cycles = spec.sfg_cycles(N_Z) given."""
     d2 = abs(true_symbol.complex_point() - null_symbol.complex_point()) ** 2
-    p = math.exp(-sfg_count_rate(cp, d2, spec))
+    p = math.exp(-_count_rate(cp, d2, cycles))
     if spec.include_thermal_residual:
-        nbar, K = _residual_context(cp, true_symbol, spec)
+        nbar, K = _residual_context(cp, true_symbol, cycles)
         p *= math.exp(-K * math.log1p(nbar))
     return p
 
@@ -347,13 +356,21 @@ def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
     waiting: floor(-ln u / r) + 1 pairs, geometric with click probability
     1 - e^-r, and never for r = 0.  Returns per trial the index of the
     hypothesis holding when the budget runs out, or the last one if every
-    hypothesis clicked.
+    hypothesis clicked.  The running total of the waits never decreases, so
+    that index is the number of running totals within the budget.
     """
     rates = np.reshape(rates, (len(rates), -1))
+    n = len(rates)
     with np.errstate(divide="ignore", over="ignore"):  # r = 0: infinite wait
-        spent = np.cumsum(np.floor(-np.log(u[: len(rates)]) / rates) + 1.0, axis=0)
-    survived = spent > modes_budget
-    return np.where(survived.any(axis=0), survived.argmax(axis=0), len(rates) - 1)
+        spent = np.log(u[:n])
+        np.negative(spent, out=spent)
+        spent /= rates
+    np.floor(spent, out=spent)
+    spent += 1.0
+    for j in range(1, n):
+        spent[j] += spent[j - 1]
+    held = (spent <= modes_budget).sum(axis=0)
+    return np.minimum(held, n - 1, out=held)
 
 
 #: uniforms per trial that a point rule may read: the QPSK test's entry offset
@@ -368,7 +385,10 @@ def uniforms(words) -> np.ndarray:
     centred in their cell, so logs stay finite and floor(n u) < n.  The
     52-bit words convert exactly, and faster, as int64."""
     top = (np.asarray(words, dtype=np.uint64) >> 12).view(np.int64)
-    return (top.astype(np.float64) + 0.5) * 2.0**-52
+    u = top.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u
 
 
 def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
@@ -388,14 +408,20 @@ def point_decider(
     the rule.  The heterodyne envelope is the M-sample average, complex
     Gaussian with per-quadrature deviation `envelope_sd`; the PA statistic
     is Normal(mean, N_Z / M), the real part of the same Box-Muller draw.
-    The zero-photon test (two symbols) nulls
-    `sfg_null_symbol` and declares it iff u[0] < sfg_no_click_probability.
-    The QPSK test enters the cyclic hypothesis order at offset floor(4 u[0]),
-    which keeps the error rate the same for every true symbol, and waits on
-    u[1:] (see `sequential_click_test`).
+    The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
+    it iff u[0] < sfg_no_click_probability, with the point's SFG cycles
+    derived once for both symbols.  The QPSK test enters the cyclic
+    hypothesis order at offset v = floor(4 u[0]), which keeps the error rate
+    the same for every true symbol, and waits on u[1:] (see
+    `sequential_click_test`).  Its rates come from the entry-offset table
+    R[j, t, v] = rows[t, (v + j) % 4], the rate of the j-th hypothesis tested
+    for true symbol t: a trial reads column R[:, t, v] and declares
+    (v + held) % 4, held being the index the click test returns.
 
-    Building a rule costs 3-18 us per point at N_Z = 100, the most for the
-    SFG tests (2 cores, Python 3.11.7, numpy 2.4.6), so each call builds it.
+    Building a rule costs 2-25 us per point at N_Z = 100, the most for the
+    SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each call builds
+    it; with include_thermal_residual the zero-photon rule's per-symbol
+    Gaussian states take about 0.3 ms.
 
     The rule carries `decide.draws`, the number of leading rows of u it
     reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).
@@ -428,19 +454,23 @@ def point_decider(
         n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
         rows = sfg_count_rate(cp, 1.0, spec) / cp.M * np.abs(points[:, None] - points) ** 2
-        steps = np.arange(n)[:, None]
+        offsets = np.arange(n)
+        # table[j, n t + v] = rows[t, (v + j) % n], the entry-offset table R
+        table = rows[:, (offsets + offsets[:, None]) % n].transpose(1, 0, 2).reshape(n, n * n)
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-            visit = (np.floor(n * u[0]).astype(np.intp) + steps) % n
-            declared = sequential_click_test(rows[i, visit], cp.M, u[1:])
-            return np.take_along_axis(visit, declared[None], axis=0)[0]
+            v = (n * u[0]).astype(np.intp)  # u > 0, so the cast floors
+            held = sequential_click_test(np.take(table, n * i + v, axis=1), cp.M, u[1:])
+            held += v
+            return np.remainder(held, n, out=held)
 
         decide.draws = DRAWS
 
     else:
         null_symbol = sfg_null_symbol(a)
-        null = a.symbols.index(null_symbol)
-        p_no_click = np.array([sfg_no_click_probability(cp, s, null_symbol, spec) for s in a.symbols])
+        null = int(a.symbols[1] is null_symbol)  # by identity: at eta = 0 the PAM symbols are equal
+        cycles = spec.sfg_cycles(cp.N_Z)
+        p_no_click = np.array([_no_click_probability(cp, s, null_symbol, spec, cycles) for s in a.symbols])
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)

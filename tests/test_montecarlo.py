@@ -19,11 +19,17 @@ from qbcsim.link import (
 from qbcsim.gaussian import heterodyne_samples
 from qbcsim.montecarlo import (
     _BLOCK,
+    _DRAW_STEPS,
+    _SYMBOL_SALT,
     BerCurve,
     BerCurvePoint,
     ExperimentConfig,
+    _block_trials,
     _count_point_errors,
     _counter_hash,
+    _mix64_inplace,
+    _point_rules,
+    count_errors,
     analytic_bound_value,
     derive_trial_seed,
     fit_error_exponent,
@@ -32,6 +38,7 @@ from qbcsim.montecarlo import (
     wilson_interval,
 )
 from qbcsim.receivers import (
+    DRAWS,
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
@@ -41,6 +48,7 @@ from qbcsim.receivers import (
     pa_decision_grid,
     sfg_count_rate,
     sfg_null_symbol,
+    uniforms,
 )
 
 
@@ -167,8 +175,8 @@ def test_sfg_thermal_residual_reaches_simulation():
         cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
         amp = math.sqrt(eta)
         other, null = Symbol(amp, 0.0), Symbol(amp, math.pi)
-        nbar_null, K = _residual_context(cp, null, on)
-        nbar_other, _ = _residual_context(cp, other, on)
+        nbar_null, K = _residual_context(cp, null, on.sfg_cycles(cp.N_Z))
+        nbar_other, _ = _residual_context(cp, other, on.sfg_cycles(cp.N_Z))
         p0_null = (1.0 + nbar_null) ** -K
         p0_other = math.exp(-sfg_count_rate(cp, 4.0 * eta, on)) * (1.0 + nbar_other) ** -K
         exact = 0.5 * (1.0 - p0_null) + 0.5 * p0_other
@@ -213,6 +221,68 @@ def test_run_experiment_parallel_invariance():
             assert pt.errors == _count_point_errors(cfg, p, 0, n)
             parts = [_count_point_errors(cfg, p, a, b - a) for a, b in zip(cuts, cuts[1:])]
             assert sum(parts) == pt.errors, (receiver, alphabet, p)
+
+
+def _reference_errors(decide, n_symbols, master_seed, point_index, count):
+    """One point's errors over trials [0, count), all hashed in one array
+    with `_counter_hash`: the engine without blocks or grouping."""
+    h = _counter_hash(master_seed, point_index, np.arange(count, dtype=np.uint64))
+    words = _mix64_inplace(np.vstack([h ^ _SYMBOL_SALT, h + _DRAW_STEPS[: decide.draws]]))
+    i = (words[0] & np.uint64(n_symbols - 1)).astype(np.intp)
+    return int(np.count_nonzero(decide(i, uniforms(words[1:])) != i))
+
+
+@pytest.mark.parametrize("receiver,alphabet,draws", [
+    (ReceiverKind.SFG, AlphabetKind.BPSK, 1),
+    (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, 2),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, DRAWS),
+])
+@pytest.mark.parametrize("shape", ["shared", "spanning"])
+def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape):
+    """run_experiment hashes a sweep's points together: whole points share a
+    block (9 points x 1000 trials), or one point spans several blocks.  Each
+    point's count equals the point counted alone, the unblocked reference and
+    the sum over an uneven split of its trial range."""
+    per_block = _block_trials(draws)
+    if shape == "shared":
+        sweep, n = tuple(0.25 * k for k in range(1, 10)), 1000
+        assert 2 * n <= per_block
+        cuts = [0, 377, 620, n - 3, n]
+    else:
+        sweep, n = (0.5, 1.0), 2 * per_block + 1234
+        cuts = [0, 777, per_block + 5, n - 3, n]
+    cfg = _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet, N_S=0.01,
+                  N_Z=100.0, M=1_000_000, sweep=sweep, trials_per_point=n)
+    n_symbols, rules = _point_rules(cfg, range(len(sweep)))
+    assert {decide.draws for _, decide in rules} == {draws}
+    for (p, decide), pt in zip(rules, run_experiment(cfg).points):
+        assert pt.errors == _count_point_errors(cfg, p, 0, n)
+        assert pt.errors == _reference_errors(decide, n_symbols, cfg.master_seed, p, n)
+        parts = [_count_point_errors(cfg, p, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        assert sum(parts) == pt.errors, (receiver, alphabet, shape, p)
+
+
+@pytest.mark.parametrize("draws", range(1, DRAWS + 1))
+def test_block_words_stay_below_mmap_threshold(draws):
+    """A block's word array, the hash row and `draws` uniform rows, holds at
+    least one trial and at most 128 KiB: glibc maps larger allocations afresh,
+    so such a block and each same-sized temporary page-faults every time."""
+    per_block = _block_trials(draws)
+    limit = 128 * 1024
+    assert per_block >= 1
+    assert (draws + 1) * per_block * 8 <= limit, (
+        f"{draws + 1} rows x {per_block} trials exceed 128 KiB, glibc's mmap "
+        "threshold: every block allocation would page-fault")
+    widths = []
+
+    def spy(i, u):
+        widths.append((u.base if u.base is not None else u).shape[-1])
+        return i
+
+    spy.draws = draws
+    count_errors([(p, spy) for p in range(9)], 2, 5, 0, 1000)
+    count_errors([(0, spy)], 2, 5, 0, 3 * per_block + 1)
+    assert 0 < (draws + 1) * max(widths) * 8 <= limit
 
 
 #: per-point error counts at master seed 20261018 over 2^16 + 4321 trials per

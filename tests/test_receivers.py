@@ -8,6 +8,7 @@ import pytest
 
 from qbcsim.gaussian import phase_sensitive_correlation
 from qbcsim.link import (
+    AlphabetKind,
     ChannelParams,
     Symbol,
     apply_channel,
@@ -15,6 +16,7 @@ from qbcsim.link import (
     make_alphabet_bpsk,
     make_alphabet_pam,
     make_alphabet_qpsk,
+    nominal_alphabet,
 )
 from qbcsim.gaussian import apply_two_mode_squeeze, heterodyne_samples
 from qbcsim.montecarlo import wilson_interval
@@ -413,9 +415,27 @@ def test_zero_photon_thermal_residual_option():
     assert errors > 0
     from qbcsim.receivers import _residual_context
 
-    nbar, K = _residual_context(cp, null, spec)
+    nbar, K = _residual_context(cp, null, spec.sfg_cycles(cp.N_Z))
     p_expect = 1.0 - (1.0 / (1.0 + nbar)) ** K
     assert errors / n == pytest.approx(p_expect, rel=0.2)
+
+
+@pytest.mark.parametrize("kind", [AlphabetKind.PAM, AlphabetKind.BPSK])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("eta", [0.0, 0.02])
+def test_zero_photon_threshold_is_no_click_probability(kind, residual, eta):
+    """The rule declares the null iff u[0] < p for p bit-identical to
+    sfg_no_click_probability: it does at the float just below p, not at p."""
+    cp = _cp(eta=eta, M=100_000)
+    a = nominal_alphabet(kind, eta)
+    spec = _sfg_spec(include_thermal_residual=residual)
+    null_symbol = sfg_null_symbol(a)
+    null = a.symbols.index(null_symbol)
+    decide = point_decider(cp, a, spec)
+    for k, s in enumerate(a.symbols):
+        p = sfg_no_click_probability(cp, s, null_symbol, spec)
+        u = np.array([[math.nextafter(p, 0.0), p]])
+        assert decide(np.array([k, k]), u).tolist() == [null, 1 - null], (k, p)
 
 
 def test_zero_photon_rejects_qpsk():
@@ -501,6 +521,36 @@ def test_sequential_click_test_survival_law():
     kept = int(np.count_nonzero(declared == 0))
     lo, hi = wilson_interval(kept, n, z=4.0)
     assert lo <= math.exp(-r * M) <= hi, (kept / n, math.exp(-r * M))
+
+
+def _first_survivor(rates, M, u):
+    """sequential_click_test as first written: the first hypothesis whose
+    cumulative wait exceeds the budget, else the last."""
+    rates = np.reshape(rates, (len(rates), -1))
+    with np.errstate(divide="ignore", over="ignore"):
+        spent = np.cumsum(np.floor(-np.log(u[: len(rates)]) / rates) + 1.0, axis=0)
+    survived = spent > M
+    return np.where(survived.any(0), survived.argmax(0), len(rates) - 1)
+
+
+def test_sequential_click_test_matches_first_survivor_reference():
+    """Counting running totals within the budget gives the first survivor,
+    for per-trial rates with zeros, a trial where every hypothesis clicks
+    (the last index) and a 1-D list of rates shared by all trials."""
+    rng = np.random.default_rng(31)
+    M, n = 10_000, 5000
+    u = uniforms(rng.bit_generator.random_raw((DRAWS, n)))
+    rates = rng.exponential(1.0 / M, size=(4, n))
+    rates[rng.random((4, n)) < 0.3] = 0.0
+    rates[:, 0] = 1.0  # every hypothesis clicks within a few mode pairs
+    got = sequential_click_test(rates, M, u[1:])
+    assert got[0] == 3
+    assert np.array_equal(got, _first_survivor(rates, M, u[1:]))
+    assert len(np.unique(got)) == 4
+    for listed in ([2.0 / M, 0.0], [3.0 / M, 1.0 / M, 0.5 / M]):
+        got = sequential_click_test(listed, M, u[1:])
+        assert np.array_equal(got, _first_survivor(listed, M, u[1:]))
+        assert len(np.unique(got)) == len(listed)
 
 
 # ---------------------------------------------------------------------------
