@@ -51,7 +51,6 @@ from .analytics import (
     classical_ep_lower_bound,
     erfc_eval,
     eve_exponent_ratio,
-    eve_random_phase_ber,
     exponent_gain_db,
     pa_ep_upper_bound,
     power_divider_penalty,
@@ -68,6 +67,7 @@ from .montecarlo import (
     BerCurvePoint,
     ExperimentConfig,
     derive_trial_seed,
+    eve_random_phase_ber,
     fit_error_exponent,
     run_experiment,
     wilson_interval,

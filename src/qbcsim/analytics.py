@@ -1,4 +1,7 @@
-"""Closed-form error-probability bounds, exponent gains, and security calculators.
+"""Closed forms only: error-probability bounds, exponent gains, and the
+security calculators `eve_exponent_ratio` and `power_divider_penalty`.
+The eavesdropper Monte Carlo, `montecarlo.eve_random_phase_ber`, runs on
+the trial engine and lives with it.
 
 Bounds are expressed per alphabet through the minimum squared constellation
 distance d^2 and the composite signal-to-noise measure N_S M / N_Z.  The
@@ -12,10 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .link import Alphabet, AlphabetKind, ChannelParams, UnsupportedAlphabetError, min_squared_distance
-from .receivers import _box_muller, envelope_sd
+from .link import Alphabet, AlphabetKind, UnsupportedAlphabetError, min_squared_distance
 
 
 class BoundKind(enum.Enum):
@@ -121,48 +121,3 @@ def power_divider_penalty(fraction_kept: float) -> float:
     if not 0.0 < fraction_kept <= 1.0:
         raise ValueError(f"fraction_kept must lie in (0, 1], got {fraction_kept}")
     return fraction_kept
-
-
-def eve_random_phase_ber(
-    eta: float,
-    N_S: float,
-    M: int,
-    N_Z: float,
-    trials: int,
-    rng: np.random.Generator,
-    phase_dist: str = "uniform",
-) -> float:
-    """Monte Carlo BER of a heterodyne eavesdropper against phase-hopped BPSK.
-
-    Each codeword carries a phase offset theta unknown to the eavesdropper:
-    "uniform" draws theta from [0, 2pi), "binary" from {0, pi}, and "none"
-    fixes theta = 0 as the no-defense control.  Trials run on the counter-hash
-    engine, as the one rule (point 0) of a `montecarlo.count_errors` call
-    seeded by one raw word of `rng`, in blocks of 4096 trials at its 3 draws:
-    the bit comes from the hash, the M-fold averaged envelope noise
-    (per-quadrature deviation `receivers.envelope_sd`) by Box-Muller from
-    u[0], u[1], the hop from u[2]; the decision is the real part's sign.
-    """
-    from .montecarlo import count_errors  # montecarlo imports this module
-
-    if trials < 10_000:
-        raise ValueError(f"need at least 1e4 trials, got {trials}")
-    if phase_dist not in ("uniform", "binary", "none"):
-        raise ValueError(f"unknown phase_dist {phase_dist!r}")
-    cp = ChannelParams(eta, 0.0, N_Z, M, N_S)
-    if not N_S > 0:
-        raise ValueError(f"N_S must be > 0, got {N_S}")
-    amp, sd = math.sqrt(eta), envelope_sd(cp)
-    if not math.isfinite(sd):
-        raise ValueError(f"envelope variance overflows: N_S M = {N_S * M:g} is too small")
-    hop = {"uniform": 2.0 * math.pi, "binary": math.pi, "none": 0.0}[phase_dist]
-
-    def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-        r, theta = _box_muller(u)
-        w = np.floor(2.0 * u[2]) if phase_dist == "binary" else u[2]
-        x = amp * np.cos(math.pi * i + hop * w) + sd * (r * np.cos(theta))
-        return (x < 0.0).astype(np.intp)  # nearest of +-sqrt(eta)
-
-    decide.draws = 3
-    master = int(rng.bit_generator.random_raw())
-    return count_errors([(0, decide)], 2, master, 0, trials)[0] / trials

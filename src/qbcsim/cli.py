@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    classical_ep_lower_bound, eve_exponent_ratio, eve_random_phase_ber, power_divider_penalty,
-)
+from .analytics import classical_ep_lower_bound, eve_exponent_ratio, power_divider_penalty
 from .config import DEFAULT_SEED, ConfigError, load_config, parse_sweep
 from .link import (
     AlphabetKind,
+    LinkBudget,
     channel_phase,
     min_squared_distance,
     mode_pairs,
@@ -34,7 +33,8 @@ from .link import (
     thermal_occupancy,
 )
 from .montecarlo import (
-    BerCurve, BerCurvePoint, analytic_bound_value, fit_error_exponent, run_experiment,
+    BerCurve, BerCurvePoint, analytic_bound_value, eve_random_phase_ber, fit_error_exponent,
+    run_experiment,
 )
 from .receivers import ReceiverKind
 
@@ -204,8 +204,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_link_budget(args) -> int:
-    from .link import LinkBudget
-
     try:
         lb = LinkBudget(
             G_t=args.gt,

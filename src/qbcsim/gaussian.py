@@ -122,20 +122,19 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(n, mean, cov)
 
 
-def _embed_two_mode(n_modes: int, mode_a: int, mode_b: int, block: np.ndarray) -> np.ndarray:
-    """Embed a 4x4 symplectic block acting on (mode_a, mode_b) into 2n x 2n."""
-    s = np.eye(2 * n_modes)
+def _apply_two_mode(
+    state: GaussianState, mode_a: int, mode_b: int, block: np.ndarray, what: str
+) -> GaussianState:
+    """Apply the 4x4 symplectic `block` of a `what` acting on (mode_a, mode_b)."""
+    state.check_mode(mode_a)
+    state.check_mode(mode_b)
+    if mode_a == mode_b:
+        raise ValueError(f"{what} needs two distinct modes")
+    s = np.eye(2 * state.n_modes)
     idx = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
-    for r, i in enumerate(idx):
-        for c, j in enumerate(idx):
-            s[i, j] = block[r, c]
-    return s
-
-
-def _apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    mean = s @ state.mean
+    s[np.ix_(idx, idx)] = block
     cov = s @ state.cov @ s.T  # GaussianState symmetrizes the rounding drift
-    return GaussianState(state.n_modes, mean, cov)
+    return GaussianState(state.n_modes, s @ state.mean, cov)
 
 
 def apply_beam_splitter(
@@ -146,10 +145,6 @@ def apply_beam_splitter(
     Implements a_a <- sqrt(eta) e^{-i phi} a_a + sqrt(1-eta) a_b and
     a_b <- -sqrt(eta) e^{i phi} a_b + sqrt(1-eta) a_a.
     """
-    state.check_mode(mode_a)
-    state.check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
     t = np.sqrt(eta)
@@ -164,7 +159,7 @@ def apply_beam_splitter(
             [0.0, r, -t * sp, -t * cp],
         ]
     )
-    return _apply_symplectic(state, _embed_two_mode(state.n_modes, mode_a, mode_b, block))
+    return _apply_two_mode(state, mode_a, mode_b, block, "beam splitter")
 
 
 def apply_two_mode_squeeze(
@@ -175,10 +170,6 @@ def apply_two_mode_squeeze(
     Implements a_a <- sqrt(G) a_a + sqrt(G-1) e^{i theta} a_b^dag and the
     symmetric map on mode_b.
     """
-    state.check_mode(mode_a)
-    state.check_mode(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("two-mode squeezer needs two distinct modes")
     if not 1.0 <= G < np.inf:
         raise ValueError(f"gain must be finite and >= 1, got {G}")
     g = np.sqrt(G)
@@ -193,7 +184,7 @@ def apply_two_mode_squeeze(
             [h * st, -h * ct, 0.0, g],
         ]
     )
-    return _apply_symplectic(state, _embed_two_mode(state.n_modes, mode_a, mode_b, block))
+    return _apply_two_mode(state, mode_a, mode_b, block, "two-mode squeezer")
 
 
 def partial_trace(state: GaussianState, keep: list[int]) -> GaussianState:

@@ -204,8 +204,8 @@ def thermal_occupancy(omega: float, T: float) -> float:
     For hbar*omega/(k_B*T) < 1e-6 the series 1/x - 1/2 + x/12 is used to avoid
     catastrophic cancellation in expm1.
     """
-    if omega <= 0 or T <= 0:
-        raise ValueError("omega and T must be positive")
+    if not (0 < omega < math.inf and 0 < T < math.inf):
+        raise ValueError(f"omega and T must be finite and positive, got {omega!r} and {T!r}")
     x = HBAR * omega / (K_BOLTZMANN * T)
     if x < 1e-6:
         return 1.0 / x - 0.5 + x / 12.0
@@ -231,6 +231,8 @@ def channel_phase(R: float, varphi_tag: float, omega: float, strict: bool = Fals
     dimensionally odd 2 pi R / c form verbatim for comparison; both values are
     reduced modulo 2 pi.
     """
+    if not all(map(math.isfinite, (R, varphi_tag, omega))):
+        raise ValueError(f"R, varphi_tag and omega must be finite, got {R!r}, {varphi_tag!r}, {omega!r}")
     if R < 0:
         raise ValueError(f"distance must be >= 0, got {R}")
     if strict:

@@ -10,8 +10,8 @@ receiver: it applies array-form rules decide(i, u) to numpy blocks, hashing
 each block in place and computing only the uniform rows the rules read.  Its
 rules are the per-point receiver rules of `receivers.point_decider`, all of a
 sweep's points passed at once, and the phase-hopped eavesdropper of
-`analytics.eve_random_phase_ber` (bit from the hash, Box-Muller noise from
-u[0] and u[1], hop from u[2]).
+`eve_random_phase_ber`, whose run lives in this module (bit from the hash,
+Box-Muller noise from u[0] and u[1], hop from u[2]).
 
 Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
 (128 KiB) of hash and uniform rows, so 2^14 // (draws + 1) trials.  Larger
@@ -36,7 +36,7 @@ from .analytics import (
     sfg_ep_upper_bound,
 )
 from .link import AlphabetKind, ChannelParams, UnsupportedAlphabetError, nominal_alphabet
-from .receivers import DRAWS, ReceiverKind, ReceiverSpec, point_decider, uniforms
+from .receivers import DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, point_decider, uniforms
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -277,6 +277,50 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
                 cols = slice(j * n, (j + 1) * n)
                 errors[g + j] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
     return errors
+
+
+def eve_random_phase_ber(
+    eta: float,
+    N_S: float,
+    M: int,
+    N_Z: float,
+    trials: int,
+    rng: np.random.Generator,
+    phase_dist: str = "uniform",
+) -> float:
+    """Monte Carlo BER of a heterodyne eavesdropper against phase-hopped BPSK.
+
+    Each codeword carries a phase offset theta unknown to the eavesdropper:
+    "uniform" draws theta from [0, 2pi), "binary" from {0, pi}, and "none"
+    fixes theta = 0 as the no-defense control.  The eavesdropper run lives
+    here, next to `count_errors`, its only engine: its trials are the one
+    rule (point 0) of a `count_errors` call seeded by one raw word of `rng`,
+    in blocks of 4096 trials at its 3 draws:
+    the bit comes from the hash, the M-fold averaged envelope noise
+    (per-quadrature deviation `receivers.envelope_sd`) by Box-Muller from
+    u[0], u[1], the hop from u[2]; the decision is the real part's sign.
+    """
+    if trials < 10_000:
+        raise ValueError(f"need at least 1e4 trials, got {trials}")
+    if phase_dist not in ("uniform", "binary", "none"):
+        raise ValueError(f"unknown phase_dist {phase_dist!r}")
+    cp = ChannelParams(eta, 0.0, N_Z, M, N_S)
+    if not N_S > 0:
+        raise ValueError(f"N_S must be > 0, got {N_S}")
+    amp, sd = math.sqrt(eta), envelope_sd(cp)
+    if not math.isfinite(sd):
+        raise ValueError(f"envelope variance overflows: N_S M = {N_S * M:g} is too small")
+    hop = {"uniform": 2.0 * math.pi, "binary": math.pi, "none": 0.0}[phase_dist]
+
+    def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        r, theta = _box_muller(u)
+        w = np.floor(2.0 * u[2]) if phase_dist == "binary" else u[2]
+        x = amp * np.cos(math.pi * i + hop * w) + sd * (r * np.cos(theta))
+        return (x < 0.0).astype(np.intp)  # nearest of +-sqrt(eta)
+
+    decide.draws = 3
+    master = int(rng.bit_generator.random_raw())
+    return count_errors([(0, decide)], 2, master, 0, trials)[0] / trials
 
 
 def run_experiment(cfg: ExperimentConfig) -> BerCurve:

@@ -206,12 +206,12 @@ def _c0_sq(cp: ChannelParams, symbol_distance_sq: float) -> float:
     return symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
 
 
-def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, cycles, infinite=False) -> float:
-    """Sum of n_b + n_E over the K cycles of `cycles` = spec.sfg_cycles(N_Z)
-    (over all of them if `infinite`), 2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
+def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec, infinite=False) -> float:
+    """Sum of n_b + n_E over the K cycles of spec.sfg_cycles(N_Z) (over all
+    of them if `infinite`), 2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
     With 1 - x^2K = -expm1(2K ln x) and 1 - x^2 = tau (1 + N_Z) (1 + x), whose
     tau cancels, it costs the same and stays accurate for any tau and K."""
-    _, log_x, K = cycles
+    _, log_x, K = spec.sfg_cycles(cp.N_Z)
     x = math.exp(log_x)
     captured = 1.0 if infinite else -math.expm1(2.0 * K * log_x)
     return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
@@ -234,16 +234,16 @@ def sfg_bookkeeping(
     sfg_count_rate).  Only this listing walks the K <= MAX_LISTED_CYCLES cycles.
     """
     C0_sq = _c0_sq(cp, symbol_distance_sq)
-    tau, log_x, K = cycles = spec.sfg_cycles(cp.N_Z)
+    tau, log_x, K = spec.sfg_cycles(cp.N_Z)
     if K > MAX_LISTED_CYCLES:
         raise ValueError(f"K = {K} cycles is too many to list; sfg_count_rate is the closed form")
     n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
-    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, cycles))
+    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
 
 
 def sfg_infinite_total(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
     """Closed form of the infinite cycle series, 2 tau M C0_sq x^2 / (1 - x^2)."""
-    return _cycle_sum(cp, symbol_distance_sq, spec.sfg_cycles(cp.N_Z), infinite=True)
+    return _cycle_sum(cp, symbol_distance_sq, spec, infinite=True)
 
 
 def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
@@ -262,12 +262,7 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
     is 0.586, 0.821 and 0.932 in the same units (Pirandola & Lloyd's Gaussian
     formula, evaluated outside this package), so the model exceeds it.
     """
-    return _count_rate(cp, symbol_distance_sq, spec.sfg_cycles(cp.N_Z))
-
-
-def _count_rate(cp: ChannelParams, symbol_distance_sq: float, cycles) -> float:
-    """sfg_count_rate with the point's cycles = spec.sfg_cycles(N_Z) given."""
-    return 4.0 * _cycle_sum(cp, symbol_distance_sq, cycles)
+    return 4.0 * _cycle_sum(cp, symbol_distance_sq, spec)
 
 
 def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]:
@@ -300,10 +295,10 @@ def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]
     return G, theta
 
 
-def _residual_context(cp: ChannelParams, true_symbol: Symbol, cycles) -> tuple[float, int]:
-    """(nbar, K) of the thermal floor, given cycles = spec.sfg_cycles(N_Z)."""
+def _residual_context(cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec) -> tuple[float, int]:
+    """(nbar, K) of the thermal floor under spec.sfg_cycles(N_Z)."""
     state = apply_channel(cp, true_symbol)
-    tau, _, K = cycles
+    tau, _, K = spec.sfg_cycles(cp.N_Z)
     return mean_photon_number(state, 1) * tau * mean_photon_number(state, 0), K  # n_I tau n_R
 
 
@@ -321,15 +316,10 @@ def sfg_no_click_probability(
     rejected with probability 1 - e^(-K nbar), so SFG-BPSK has an error floor
     of 1/2 (1 - e^(-K nbar)), about 1.7 % there.
     """
-    return _no_click_probability(cp, true_symbol, null_symbol, spec, spec.sfg_cycles(cp.N_Z))
-
-
-def _no_click_probability(cp, true_symbol, null_symbol, spec, cycles) -> float:
-    """sfg_no_click_probability with the point's cycles = spec.sfg_cycles(N_Z) given."""
     d2 = abs(true_symbol.complex_point() - null_symbol.complex_point()) ** 2
-    p = math.exp(-_count_rate(cp, d2, cycles))
+    p = math.exp(-sfg_count_rate(cp, d2, spec))
     if spec.include_thermal_residual:
-        nbar, K = _residual_context(cp, true_symbol, cycles)
+        nbar, K = _residual_context(cp, true_symbol, spec)
         p *= math.exp(-K * math.log1p(nbar))
     return p
 
@@ -409,8 +399,7 @@ def point_decider(
     Gaussian with per-quadrature deviation `envelope_sd`; the PA statistic
     is Normal(mean, N_Z / M), the real part of the same Box-Muller draw.
     The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
-    it iff u[0] < sfg_no_click_probability, with the point's SFG cycles
-    derived once for both symbols.  The QPSK test enters the cyclic
+    it iff u[0] < sfg_no_click_probability.  The QPSK test enters the cyclic
     hypothesis order at offset v = floor(4 u[0]), which keeps the error rate
     the same for every true symbol, and waits on u[1:] (see
     `sequential_click_test`).  Its rates come from the entry-offset table
@@ -469,8 +458,7 @@ def point_decider(
     else:
         null_symbol = sfg_null_symbol(a)
         null = int(a.symbols[1] is null_symbol)  # by identity: at eta = 0 the PAM symbols are equal
-        cycles = spec.sfg_cycles(cp.N_Z)
-        p_no_click = np.array([_no_click_probability(cp, s, null_symbol, spec, cycles) for s in a.symbols])
+        p_no_click = np.array([sfg_no_click_probability(cp, s, null_symbol, spec) for s in a.symbols])
 
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)

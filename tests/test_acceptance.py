@@ -14,7 +14,6 @@ from qbcsim.analytics import (
     classical_ep_lower_bound,
     erfc_eval,
     eve_exponent_ratio,
-    eve_random_phase_ber,
     exponent_gain_db,
     pa_ep_upper_bound,
     power_divider_penalty,
@@ -46,6 +45,7 @@ from qbcsim.montecarlo import (
     BerCurve,
     BerCurvePoint,
     ExperimentConfig,
+    eve_random_phase_ber,
     fit_error_exponent,
     run_experiment,
 )

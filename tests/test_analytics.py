@@ -10,14 +10,13 @@ from qbcsim.analytics import (
     classical_ep_lower_bound,
     erfc_eval,
     eve_exponent_ratio,
-    eve_random_phase_ber,
     exponent_gain_db,
     pa_ep_upper_bound,
     power_divider_penalty,
     sfg_ep_upper_bound,
 )
 from qbcsim.link import AlphabetKind, make_alphabet_bpsk, make_alphabet_pam, make_alphabet_qpsk
-from qbcsim.montecarlo import ExperimentConfig, _count_point_errors, wilson_interval
+from qbcsim.montecarlo import ExperimentConfig, _count_point_errors, eve_random_phase_ber, wilson_interval
 from qbcsim.receivers import ReceiverKind, ReceiverSpec, UnsupportedAlphabetError
 
 

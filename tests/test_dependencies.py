@@ -1,9 +1,11 @@
-"""The package needs only numpy and the standard library at run time, and
-keeps every function the benchmark's tracer binds by name."""
+"""The package needs only numpy and the standard library at run time, its
+modules import each other at module level and without a cycle, and it keeps
+every function the benchmark's tracer binds by name."""
 
 import ast
 import importlib.util
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -33,6 +35,57 @@ def test_src_imports_only_numpy_and_stdlib():
 def test_guard_catches_a_third_party_import():
     tree = ast.parse("import scipy.linalg\nfrom mpmath import mp\nfrom . import fock\nimport json")
     assert _third_party_imports(tree) == ["scipy.linalg", "mpmath"]
+
+
+def _package_imports(tree: ast.Module) -> tuple[set[str], list[int]]:
+    """The package modules a module imports (relative imports), and the lines
+    of those imports that sit below module level."""
+    top = {id(node) for node in tree.body}
+    modules, nested = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                modules.add(node.module.split(".")[0])
+            else:
+                modules |= {alias.name for alias in node.names}
+            if id(node) not in top:
+                nested.append(node.lineno)
+    return modules, nested
+
+
+def _import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the module import graph, or None if it has none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def test_src_imports_are_module_level_and_acyclic():
+    graph, nested = {}, {}
+    for path in SOURCES:
+        graph[path.stem], lines = _package_imports(ast.parse(path.read_text(), str(path)))
+        if lines:
+            nested[path.name] = lines
+    assert not nested, f"package imports inside a function or block (file: lines): {nested}"
+    cycle = _import_cycle(graph)
+    assert cycle is None, f"modules import each other in a cycle: {' -> '.join(cycle)}"
+
+
+def test_guard_catches_a_nested_import_and_a_cycle():
+    sources = {
+        "a": "from __future__ import annotations\nfrom .b import f\nfrom . import c\n",
+        "b": "import math\n\n\ndef g():\n    from .a import h\n",
+        "c": "import numpy as np\n",
+    }
+    found = {name: _package_imports(ast.parse(text)) for name, text in sources.items()}
+    assert found == {"a": ({"b", "c"}, []), "b": ({"a"}, [5]), "c": (set(), [])}
+    graph = {name: modules for name, (modules, _) in found.items()}
+    cycle = _import_cycle(graph)
+    assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"}
+    graph["b"] = set()
+    assert _import_cycle(graph) is None
 
 
 def test_bench_traced_functions_exist():

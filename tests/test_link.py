@@ -194,6 +194,27 @@ def test_channel_phase_conventions_differ():
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: thermal_occupancy(math.nan, 290.0),
+        lambda: thermal_occupancy(math.inf, 290.0),
+        lambda: thermal_occupancy(1e9, math.inf),
+        lambda: thermal_occupancy(1e9, math.nan),
+        lambda: channel_phase(math.nan, 0.0, 1e9),
+        lambda: channel_phase(math.inf, 0.0, 1e9),
+        lambda: channel_phase(1.0, math.inf, 1e9),
+        lambda: channel_phase(1.0, 0.0, math.nan),
+        lambda: channel_phase(1.0, 0.0, math.nan, strict=True),
+    ],
+    ids=["omega-nan", "omega-inf", "T-inf", "T-nan", "R-nan", "R-inf", "tag-inf", "omega-nan-phase",
+         "omega-nan-strict"],
+)
+def test_link_physics_rejects_non_finite_input(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_apply_channel_dark_symbol():
     cp = ChannelParams(eta=0.04, phi=0.0, N_Z=40.0, M=100, N_S=0.03)
     out = apply_channel(cp, Symbol(0.0, 0.0))

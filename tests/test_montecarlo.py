@@ -175,8 +175,8 @@ def test_sfg_thermal_residual_reaches_simulation():
         cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
         amp = math.sqrt(eta)
         other, null = Symbol(amp, 0.0), Symbol(amp, math.pi)
-        nbar_null, K = _residual_context(cp, null, on.sfg_cycles(cp.N_Z))
-        nbar_other, _ = _residual_context(cp, other, on.sfg_cycles(cp.N_Z))
+        nbar_null, K = _residual_context(cp, null, on)
+        nbar_other, _ = _residual_context(cp, other, on)
         p0_null = (1.0 + nbar_null) ** -K
         p0_other = math.exp(-sfg_count_rate(cp, 4.0 * eta, on)) * (1.0 + nbar_other) ** -K
         exact = 0.5 * (1.0 - p0_null) + 0.5 * p0_other

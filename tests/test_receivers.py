@@ -415,7 +415,7 @@ def test_zero_photon_thermal_residual_option():
     assert errors > 0
     from qbcsim.receivers import _residual_context
 
-    nbar, K = _residual_context(cp, null, spec.sfg_cycles(cp.N_Z))
+    nbar, K = _residual_context(cp, null, spec)
     p_expect = 1.0 - (1.0 / (1.0 + nbar)) ** K
     assert errors / n == pytest.approx(p_expect, rel=0.2)
 
