@@ -10,8 +10,12 @@ elsewhere.
 A two-mode state accepted here has phase-insensitive marginals and one
 cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
 cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
-fixed n0 - n1, and is built sector by sector.  The oracles solve each connected
-component of a pair's joint nonzero pattern alone; the spectra are unchanged.
+fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
+form one (2 dim - 1, dim, dim) stack: the conversion builds every block with
+batched matrix products from one squeeze spectrum per cutoff, and the oracles
+solve such a pair with one batched eigensolve per operator.  Any other pair
+(one mode, or an entry between sectors) is solved as one whole block.  Padded
+slots have eigenvalue 0, so the spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,21 +68,62 @@ def _require_psd(ev: np.ndarray) -> np.ndarray:
     return ev
 
 
+@lru_cache(maxsize=MAX_CUTOFF)
+def _sector_layout(dim: int):
+    """Sector stack of a two-mode cutoff, shared by every state at that cutoff.
+
+    Sector k = n0 - n1 runs over 1 - dim .. dim - 1 and lists its basis states
+    by ascending n1 in its first dim - |k| of dim slots.  Returns (n0, n1),
+    each (2 dim - 1, dim) and 0 in padded slots; `dense`, the flat indices
+    into the dim**2 x dim**2 matrix of every in-sector entry, and `stacked`,
+    the matching flat indices into the stack; and (lam, V) = eigh of i G per
+    sector, G = a0^dag a1^dag - a0 a1, so exp(r G) = V e^{-i r lam} V^dag.
+    """
+    k = np.arange(1 - dim, dim)[:, None]
+    n1 = np.maximum(-k, 0) + np.arange(dim)
+    n0 = n1 + k
+    valid = (n0 < dim) & (n1 < dim)
+    n0, n1 = np.where(valid, n0, 0), np.where(valid, n1, 0)
+    # a0^dag a1^dag steps a sector's slot j to j + 1
+    up = np.sqrt((n0[:, :-1] + 1.0) * (n1[:, :-1] + 1.0)) * valid[:, 1:]
+    j = np.arange(dim - 1)
+    iG = np.zeros((len(k), dim, dim), dtype=complex)
+    iG[:, j + 1, j], iG[:, j, j + 1] = 1j * up, -1j * up
+    lam, V = np.linalg.eigh(iG)
+    pair = valid[:, :, None] & valid[:, None, :]
+    flat = n0 * dim + n1
+    dense = (flat[:, :, None] * dim * dim + flat[:, None, :])[pair]
+    stacked = np.flatnonzero(pair)
+    layout = (n0, n1, dense, stacked, lam, V)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 def _blocks(rho0: FockOperator, rho1: FockOperator):
-    """Yields (indices, rho0 block, rho1 block) for each connected component
-    of the joint nonzero pattern; both operators vanish between components."""
+    """Padded (blocks, n, n) stacks of rho0 and rho1, block-diagonal alike.
+
+    Two two-mode operators with every nonzero inside a sector of fixed
+    n0 - n1 give one block per sector; any other pair gives one block, the
+    whole matrices.  A nonzero is any set bit, so a stray -0.0 between sectors
+    also sends the pair to the whole block.
+    """
     m0, m1 = rho0.matrix, rho1.matrix
     if m0.shape != m1.shape:
         raise ValueError("operators must share a truncation dimension")
-    linked = (m0 != 0) | (m1 != 0)
-    linked |= linked.T
-    label, new = None, np.arange(len(linked))
-    while not np.array_equal(new, label):  # each index takes the least label linked to it
-        label = new[new]
-        new = np.minimum(label, np.where(linked, label, len(label)).min(axis=1))
-    order = np.argsort(label, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        yield idx, m0[np.ix_(idx, idx)], m1[np.ix_(idx, idx)]
+    if rho0.n_modes == rho1.n_modes == 2:
+        dim = rho0.dimension
+        _, _, dense, stacked, _, _ = _sector_layout(dim)
+        inside = [m.ravel()[dense] for m in (m0, m1)]
+        if all(
+            np.count_nonzero(np.ascontiguousarray(m).view(np.uint64))
+            == np.count_nonzero(g.view(np.uint64))
+            for m, g in zip((m0, m1), inside)
+        ):
+            stacks = np.zeros((2, (2 * dim - 1) * dim * dim), dtype=complex)
+            stacks[:, stacked] = inside
+            return stacks.reshape(2, 2 * dim - 1, dim, dim)
+    return m0[None], m1[None]
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -159,22 +205,25 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
 
     d1 = _thermal_diag(max(nu1 - 0.5, 0.0), dim)
     d2 = _thermal_diag(max(nu2 - 0.5, 0.0), dim)
-    n0, n1 = np.divmod(np.arange(dim * dim), dim)
+    n0, n1, dense, stacked, lam, V = _sector_layout(dim)
+    # allocated before the block temporaries, so that freeing them leaves no
+    # hole below it: such a hole stays resident and raises the peak RSS
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(1 - dim, dim):
-        # sector n0 - n1 = k by ascending n1; a0^dag a1^dag steps it up by one
-        idx = np.flatnonzero(n0 - n1 == k)
-        thermal = d1[n0[idx]] * d2[n1[idx]]
-        block = np.diag(thermal)
-        if r > 1e-14:
-            up = r * np.sqrt((n0[idx[:-1]] + 1.0) * (n1[idx[:-1]] + 1.0))
-            U = _unitary_from_antihermitian(np.diag(up, -1) - np.diag(up, 1))
-            block = (U * thermal) @ U.conj().T
-        # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
-        phases = np.exp(1j * gamma * n0[idx])
-        block = (phases[:, None] * block) * np.conj(phases)
-        # symmetrized per sector: the entries between sectors are exact zeros
-        rho[np.ix_(idx, idx)] = 0.5 * (block + block.conj().T)
+    thermal = d1[n0] * d2[n1]  # padded slots are never scattered into rho
+    if r > 1e-14:
+        U = (V * np.exp(-1j * r * lam)[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        blocks = (U * thermal[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    else:
+        # unsqueezed: each block stays exactly diagonal
+        blocks = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
+        blocks[:, np.arange(dim), np.arange(dim)] = thermal
+    # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
+    phases = np.exp(1j * gamma * n0)
+    blocks = (phases[:, :, None] * blocks) * np.conj(phases)[:, None, :]
+    # symmetrized per sector: the entries between sectors are exact zeros
+    blocks += blocks.conj().transpose(0, 2, 1)
+    blocks *= 0.5
+    rho.ravel()[dense] = blocks.ravel()[stacked]
     return rho
 
 
@@ -184,8 +233,10 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
     Supports single-mode states (with displacement and squeezing) and the
     zero-mean two-mode family produced by the channel and receiver pipeline.
     Both conversions return the matrix Hermitian-symmetrized, the two-mode
-    one sector by sector.  The reported trace deficit is the probability weight
-    beyond the cutoff.
+    one sector by sector.  A single-mode state solves its squeeze and
+    displacement generators each time; a two-mode state solves nothing, as
+    every sector's squeeze spectrum is solved once per cutoff.  The reported
+    trace deficit is the probability weight beyond the cutoff.
     """
     if state.n_modes > 2:
         raise ValueError("conversion supports at most two modes")
@@ -205,11 +256,10 @@ def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     P = (1 - D)/2 where D is the trace distance, half the sum of the absolute
     eigenvalues of the difference.
     """
-    distance = 0.0
-    for _, b0, b1 in _blocks(rho0, rho1):
-        _require_psd(np.linalg.eigvalsh(b0))
-        _require_psd(np.linalg.eigvalsh(b1))
-        distance += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
+    b0, b1 = _blocks(rho0, rho1)
+    _require_psd(np.linalg.eigvalsh(b0))
+    _require_psd(np.linalg.eigvalsh(b1))
+    distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
     return max(0.0, 0.5 * (1.0 - distance))
 
 
@@ -217,17 +267,18 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     """Returns f(s) = Tr(rho0^s rho1^{1-s}) as a cheap callable.  Eigenvalues
     at or below 1e-14 of their operator's largest are dropped: 0^s = 0 for
     every s, s = 0 included."""
-    n = len(rho0.matrix)
-    lam0, lam1, w = np.zeros(n), np.zeros(n), np.zeros((n, n))
-    for idx, b0, b1 in _blocks(rho0, rho1):
-        (l0, v0), (l1, v1) = np.linalg.eigh(b0), np.linalg.eigh(b1)
-        lam0[idx], lam1[idx] = _require_psd(l0), _require_psd(l1)
-        w[np.ix_(idx, idx)] = np.abs(v0.conj().T @ v1) ** 2
-    keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
-    log0, log1, w = np.log(lam0[keep0]), np.log(lam1[keep1]), w[np.ix_(keep0, keep1)]
+    b0, b1 = _blocks(rho0, rho1)
+    (lam0, v0), (lam1, v1) = np.linalg.eigh(b0), np.linalg.eigh(b1)
+    keep0, keep1 = (
+        _require_psd(lam) > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1)
+    )
+    w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2
+    w *= keep0[:, :, None] & keep1[:, None, :]
+    log0, log1 = np.log(np.where(keep0, lam0, 1.0)), np.log(np.where(keep1, lam1, 1.0))
 
     def f(s: float) -> float:
-        return float(np.exp(s * log0) @ w @ np.exp((1.0 - s) * log1))
+        x0, x1 = np.exp(s * log0), np.exp((1.0 - s) * log1)
+        return float(np.sum((x0[:, None, :] @ w)[:, 0] * x1))
 
     return f
 

@@ -186,29 +186,38 @@ class LinkBudget:
             raise ValueError(f"varphi_tag must be finite, got {self.varphi_tag}")
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or ValueError when finite inputs gave a result outside the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} leaves the float range ({value!r})")
+    return value
+
+
 def rtt_from_link_budget(lb: LinkBudget) -> float:
     """Round-trip transmissivity G_r G_t c^2 sigma_Q / (16 pi omega^2 R_t^2 R_r^2).
 
     The value is returned as computed even when it exceeds 1; callers decide
     how to report that.  Note this expression is the one used throughout this
     package and differs from the conventional (4 pi)^3 radar-equation form.
+    Raises ValueError when the result is not finite.
     """
-    return (lb.G_r * lb.G_t * C_LIGHT**2 * lb.sigma_Q) / (
-        16.0 * math.pi * lb.omega**2 * lb.R_t**2 * lb.R_r**2
-    )
+    den = 16.0 * math.pi * lb.omega**2 * lb.R_t**2 * lb.R_r**2
+    num = lb.G_r * lb.G_t * C_LIGHT**2 * lb.sigma_Q
+    return _finite(num / den if den else math.inf, "round-trip transmissivity")
 
 
 def thermal_occupancy(omega: float, T: float) -> float:
     """Planck occupancy 1/(e^{hbar omega / k_B T} - 1).
 
     For hbar*omega/(k_B*T) < 1e-6 the series 1/x - 1/2 + x/12 is used to avoid
-    catastrophic cancellation in expm1.
+    catastrophic cancellation in expm1.  Raises ValueError when the result is
+    not finite.
     """
     if not (0 < omega < math.inf and 0 < T < math.inf):
         raise ValueError(f"omega and T must be finite and positive, got {omega!r} and {T!r}")
     x = HBAR * omega / (K_BOLTZMANN * T)
     if x < 1e-6:
-        return 1.0 / x - 0.5 + x / 12.0
+        return _finite(1.0 / x - 0.5 + x / 12.0 if x else math.inf, "thermal occupancy")
     if x > 700.0:  # expm1 would overflow; occupancy is e^{-x} to this precision
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -229,15 +238,15 @@ def channel_phase(R: float, varphi_tag: float, omega: float, strict: bool = Fals
 
     The default uses omega * R / c (radians).  Strict mode evaluates the
     dimensionally odd 2 pi R / c form verbatim for comparison; both values are
-    reduced modulo 2 pi.
+    reduced modulo 2 pi.  Raises ValueError when the unreduced phase is not
+    finite.
     """
     if not all(map(math.isfinite, (R, varphi_tag, omega))):
         raise ValueError(f"R, varphi_tag and omega must be finite, got {R!r}, {varphi_tag!r}, {omega!r}")
     if R < 0:
         raise ValueError(f"distance must be >= 0, got {R}")
-    if strict:
-        return (TWO_PI * R / C_LIGHT + varphi_tag) % TWO_PI
-    return (omega * R / C_LIGHT + varphi_tag) % TWO_PI
+    phase = (TWO_PI if strict else omega) * R / C_LIGHT + varphi_tag
+    return _finite(phase, "channel phase") % TWO_PI
 
 
 def apply_channel(cp: ChannelParams, symbol: Symbol) -> GaussianState:

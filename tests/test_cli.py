@@ -430,6 +430,20 @@ def test_link_budget_rejects_nonpositive(capsys):
         assert "invalid link budget" in capsys.readouterr().err
 
 
+def test_link_budget_rejects_an_infinite_result(capsys):
+    """Finite inputs whose eta and N_Z overflow exit 2 with a message instead
+    of printing eta = inf and N_Z = inf."""
+    code = main([
+        "link-budget",
+        "--gt", "1", "--gr", "1", "--f-hz", "1e-150", "--rt", "1", "--rr", "1",
+        "--sigma-q", "1", "--t", "1e150", "--w", "1e9", "--ts", "1e-5",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "invalid link budget" in captured.err and "float range" in captured.err
+    assert "inf" not in captured.out
+
+
 def test_security_report(capsys):
     assert main(["security"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """The package needs only numpy and the standard library at run time, its
-modules import each other at module level and without a cycle, and it keeps
-every function the benchmark's tracer binds by name."""
+modules import each other at module level and without a cycle, it keeps
+every function the benchmark's tracer binds by name, and it looks up numpy's
+eigensolvers on numpy.linalg at each call, where that tracer counts them."""
 
 import ast
 import importlib.util
@@ -86,6 +87,59 @@ def test_guard_catches_a_nested_import_and_a_cycle():
     assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"}
     graph["b"] = set()
     assert _import_cycle(graph) is None
+
+
+def _is_linalg_function(node: ast.expr) -> bool:
+    """`<name>.linalg.<function>`, such as np.linalg.eigh."""
+    return isinstance(node, ast.Attribute) and (
+        isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+    )
+
+
+def _linalg_bindings(tree: ast.Module) -> list[int]:
+    """Lines that bind a numpy.linalg function to a name: any `from
+    numpy.linalg import ...`, and a module-level assignment whose value is
+    such a function or a tuple or list of them."""
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy.linalg"
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            values = node.value.elts if isinstance(node.value, (ast.Tuple, ast.List)) else [node.value]
+            if any(_is_linalg_function(v) for v in values):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_src_looks_up_linalg_functions_at_each_call():
+    """The bench tracer replaces numpy.linalg.eigh and eigvalsh on numpy.linalg;
+    a name bound to the original beforehand would make the traced eigensolve
+    counts read 0."""
+    found = {
+        path.name: lines
+        for path in SOURCES
+        if (lines := _linalg_bindings(ast.parse(path.read_text(), str(path))))
+    }
+    assert not found, f"numpy.linalg functions bound by name (file: lines): {found}"
+
+
+def test_guard_catches_a_bound_linalg_function():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "solve = np.linalg.eigvalsh\n"
+        "pair: tuple = (numpy.linalg.eigh, np.linalg.eigvalsh)\n"
+        "scale = np.linalg.norm(np.ones(2))\n"
+        "linalg = np.linalg\n"
+        "\n"
+        "def f(m):\n"
+        "    from numpy.linalg import eigvalsh as ev\n"
+        "    local = np.linalg.eigh\n"
+        "    return np.linalg.eigh(m), linalg.eigvalsh(m)\n"
+    )
+    assert _linalg_bindings(tree) == [2, 3, 4, 9]
 
 
 def test_bench_traced_functions_exist():

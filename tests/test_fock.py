@@ -8,6 +8,7 @@ import pytest
 
 from qbcsim.fock import (
     FockOperator,
+    _blocks,
     _ladder,
     _unitary_from_antihermitian,
     chernoff_exponent_oracle,
@@ -385,3 +386,65 @@ def test_oracles_equal_dense_spectra():
         helstrom, xi = _dense_oracles(r0.matrix, r1.matrix)
         assert helstrom_oracle(r0, r1) == pytest.approx(helstrom, abs=1e-10)
         assert chernoff_exponent_oracle(r0, r1) == pytest.approx(xi, abs=1e-10)
+
+
+@pytest.mark.parametrize("entry", [1e-7, -0.0], ids=["linked-1e-7", "signed-zero"])
+def test_an_entry_between_sectors_takes_the_whole_block(entry):
+    """A pipeline operator with a Hermitian pair of entries between |0,0> and
+    |1,0>, which lie in different sectors of n0 - n1 and carry enough weight
+    to keep it PSD, is solved whole, whichever side of the pair it is on; any
+    set bit counts, so -0.0 does too.  Against its sector-exact original, a
+    1e-7 pair alone sets the trace distance, which a per-sector solve drops."""
+    rho = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(55)), 5)
+    m = rho.matrix.copy()
+    m[0, rho.dimension] = m[rho.dimension, 0] = entry  # |n0, n1> sits at n0 * dim + n1
+    odd = FockOperator(2, rho.dimension, m, 0.0)
+    other = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(56)), 5)
+    for partner in (rho, other):
+        for r0, r1 in ((odd, partner), (partner, odd)):
+            assert len(_blocks(r0, r1)[0]) == 1
+            helstrom, xi = _dense_oracles(r0.matrix, r1.matrix)
+            assert helstrom_oracle(r0, r1) == pytest.approx(helstrom, abs=1e-10)
+            assert chernoff_exponent_oracle(r0, r1) == pytest.approx(xi, abs=1e-10)
+    assert len(_blocks(rho, other)[0]) == 2 * rho.dimension - 1
+
+
+def _count_eig_calls(monkeypatch) -> dict:
+    """Counts of np.linalg.eigh and eigvalsh calls from now on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_criterion_6_pair_solves_each_operator_once(monkeypatch):
+    """At cutoff 17 a conversion at a cutoff already used solves nothing, and
+    both oracles together make one batched eigensolve per operator and one for
+    the difference."""
+    cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
+    s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
+    gaussian_to_fock(apply_channel(cp, s0), 17)
+    calls = _count_eig_calls(monkeypatch)
+    f0 = gaussian_to_fock(apply_channel(cp, s0), 17)
+    f1 = gaussian_to_fock(apply_channel(cp, s1), 17)
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+    helstrom_oracle(f0, f1)
+    chernoff_exponent_oracle(f0, f1)
+    assert calls["eigvalsh"] <= 3 and calls["eigh"] <= 2, calls
+
+
+def test_unsqueezed_pair_is_exactly_diagonal():
+    """The channel output of Symbol(0, 0) has no cross-correlation, so its
+    matrix is the thermal product with every off-diagonal entry exactly zero."""
+    cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
+    m = gaussian_to_fock(apply_channel(cp, Symbol(0.0, 0.0)), 17).matrix
+    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+    assert np.all(np.diag(m).real > 0.0)

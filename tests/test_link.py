@@ -215,6 +215,27 @@ def test_link_physics_rejects_non_finite_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rtt_from_link_budget(_example_budget(omega=2 * math.pi * 1e-150)),
+        lambda: rtt_from_link_budget(_example_budget(R_t=1e-200)),
+        lambda: rtt_from_link_budget(_example_budget(G_t=1e300, G_r=1e300)),
+        lambda: thermal_occupancy(1e-300, 1e300),
+        lambda: thermal_occupancy(1e-10, 1e300),
+        lambda: channel_phase(1e308, 0.0, 1e308),
+        lambda: channel_phase(1e308, 0.0, 1.0, strict=True),
+    ],
+    ids=["rtt-low-omega", "rtt-tiny-R_t", "rtt-huge-gain", "occupancy-x-underflows",
+         "occupancy-1/x-overflows", "phase-overflows", "phase-overflows-strict"],
+)
+def test_link_physics_rejects_a_result_outside_the_float_range(call):
+    """Finite, positive inputs whose result leaves the float range raise
+    ValueError, not ZeroDivisionError, and return neither inf nor nan."""
+    with pytest.raises(ValueError, match="float range"):
+        call()
+
+
 def test_apply_channel_dark_symbol():
     cp = ChannelParams(eta=0.04, phi=0.0, N_Z=40.0, M=100, N_S=0.03)
     out = apply_channel(cp, Symbol(0.0, 0.0))
