@@ -11,19 +11,24 @@ A two-mode state accepted here has phase-insensitive marginals and one
 cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
 cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
 fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
-form one (2 dim - 1, dim, dim) stack: the conversion builds every block with
-batched matrix products from one squeeze spectrum per cutoff, and the oracles
-solve such a pair with one batched eigensolve per operator.  Any other pair
-(one mode, or an entry between sectors) is solved as one whole block.  Padded
-slots have eigenvalue 0, so the spectra are unchanged.
+form one (2 dim - 1, dim, dim) stack, and that stack is what a two-mode
+`FockOperator` stores: the conversion builds every block with batched matrix
+products from one squeeze spectrum per cutoff and never forms the dim**2 x
+dim**2 matrix, which `.matrix` builds only when it is read.  Each operator
+solves its stack once, on first use, and both oracles read that spectrum, so
+a pair costs one batched eigensolve per operator plus one for Helstrom's
+difference.  A one-mode operator, or a two-mode one given as a matrix with an
+entry between sectors, is one whole block; a pair with such an operator is
+solved as one whole block.  Padded slots have eigenvalue 0, so the spectra
+are unchanged.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,51 +39,31 @@ EIGENVALUE_FLOOR = -1e-10
 MAX_CUTOFF = 40
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Density operator in a truncated number basis.
+class _Sectors(NamedTuple):
+    """Sector stack of a two-mode cutoff, shared by every operator at it.
 
-    dimension is the per-mode cutoff plus one; matrix has shape
-    dimension**n_modes square; trace_deficit reports 1 - trace lost to the
-    truncation.
+    Sector k = n0 - n1 runs over 1 - dim .. dim - 1 and lists its basis states
+    by ascending n1 in its first dim - |k| of dim slots.  n0 and n1 are each
+    (2 dim - 1, dim) and 0 in padded slots; `dense` holds the flat indices
+    into the dim**2 x dim**2 matrix of every in-sector entry and `stacked` the
+    matching flat indices into the stack; `padded` marks the stack's padded
+    entries; `diagonal` is the (sector, slot) of each basis state n0 dim + n1
+    in dense order; (lam, V) = eigh of i G per sector, G = a0^dag a1^dag -
+    a0 a1, so exp(r G) = V e^{-i r lam} V^dag.
     """
 
-    n_modes: int
-    dimension: int
-    matrix: np.ndarray
-    trace_deficit: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.dimension**self.n_modes
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
-        # m^H - m in place: a second dense temporary per state makes the heap
-        # trim and re-fault its pages on every conversion
-        asym = m.conj().T
-        asym -= m
-        if np.max(np.abs(asym)) > HERMITICITY_ATOL:
-            raise ValueError("density matrix must be Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-
-def _require_psd(ev: np.ndarray) -> np.ndarray:
-    if np.min(ev) < EIGENVALUE_FLOOR:
-        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(ev)}")
-    return ev
+    n0: np.ndarray
+    n1: np.ndarray
+    dense: np.ndarray
+    stacked: np.ndarray
+    padded: np.ndarray
+    diagonal: tuple[np.ndarray, np.ndarray]
+    lam: np.ndarray
+    V: np.ndarray
 
 
 @lru_cache(maxsize=MAX_CUTOFF)
-def _sector_layout(dim: int):
-    """Sector stack of a two-mode cutoff, shared by every state at that cutoff.
-
-    Sector k = n0 - n1 runs over 1 - dim .. dim - 1 and lists its basis states
-    by ascending n1 in its first dim - |k| of dim slots.  Returns (n0, n1),
-    each (2 dim - 1, dim) and 0 in padded slots; `dense`, the flat indices
-    into the dim**2 x dim**2 matrix of every in-sector entry, and `stacked`,
-    the matching flat indices into the stack; and (lam, V) = eigh of i G per
-    sector, G = a0^dag a1^dag - a0 a1, so exp(r G) = V e^{-i r lam} V^dag.
-    """
+def _sectors(dim: int) -> _Sectors:
     k = np.arange(1 - dim, dim)[:, None]
     n1 = np.maximum(-k, 0) + np.arange(dim)
     n0 = n1 + k
@@ -93,37 +78,124 @@ def _sector_layout(dim: int):
     pair = valid[:, :, None] & valid[:, None, :]
     flat = n0 * dim + n1
     dense = (flat[:, :, None] * dim * dim + flat[:, None, :])[pair]
-    stacked = np.flatnonzero(pair)
-    layout = (n0, n1, dense, stacked, lam, V)
-    for a in layout:
+    d0, d1 = np.divmod(np.arange(dim * dim), dim)
+    diagonal = (d0 - d1 + dim - 1, np.minimum(d0, d1))
+    sectors = _Sectors(n0, n1, dense, np.flatnonzero(pair), ~pair, diagonal, lam, V)
+    for a in (*sectors[:5], *diagonal, lam, V):
         a.setflags(write=False)
-    return layout
+    return sectors
+
+
+def _checked_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a stack of blocks, refusing a spectrum below EIGENVALUE_FLOOR."""
+    lam, v = np.linalg.eigh(blocks)
+    if np.min(lam) < EIGENVALUE_FLOOR:
+        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(lam)}")
+    return lam, v
+
+
+class FockOperator:
+    """Density operator in a truncated number basis.
+
+    dimension is the per-mode cutoff plus one; matrix has shape
+    dimension**n_modes square; trace_deficit reports 1 - trace lost to the
+    truncation.  The operator owns its data: the constructor copies `matrix`,
+    and every array it keeps or hands out is read-only.
+
+    It stores a stack of blocks: the (2 dim - 1, dim, dim) sector stack of the
+    module docstring for a two-mode operator whose every set bit lies inside a
+    sector, else the whole matrix as one block.  A given matrix is classified
+    once, here; `gaussian_to_fock` hands a two-mode state's stack over
+    directly.  `.matrix` is built from the stack on first read and kept, and
+    the stack's eigendecomposition is solved on first use and kept.
+    """
+
+    __slots__ = ("n_modes", "dimension", "trace_deficit", "_stack", "_matrix", "_eigh")
+
+    def __init__(self, n_modes: int, dimension: int, matrix, trace_deficit: float):
+        if n_modes not in (1, 2):
+            raise ValueError(f"n_modes must be 1 or 2, got {n_modes}")
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        d = dimension**n_modes
+        m = np.array(matrix, dtype=complex)
+        if m.shape != (d, d):
+            raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
+        stack = m[None]
+        if n_modes == 2:
+            sec = _sectors(dimension)
+            inside = m.ravel()[sec.dense]
+            # any set bit counts, so a stray -0.0 between sectors does too
+            if np.count_nonzero(m.view(np.uint64)) == np.count_nonzero(inside.view(np.uint64)):
+                stack = np.zeros((2 * dimension - 1, dimension, dimension), dtype=complex)
+                stack.ravel()[sec.stacked] = inside
+        self._fill(n_modes, dimension, stack, m, trace_deficit)
+
+    @classmethod
+    def _from_stack(cls, dimension: int, stack: np.ndarray, trace_deficit: float) -> FockOperator:
+        """A two-mode operator from its sector stack, taken over without a copy."""
+        rho = cls.__new__(cls)
+        rho._fill(2, dimension, stack, None, trace_deficit)
+        return rho
+
+    def _fill(self, n_modes, dimension, stack, matrix, trace_deficit) -> None:
+        if not math.isfinite(trace_deficit):
+            raise ValueError(f"trace_deficit must be finite, got {trace_deficit}")
+        # the stack holds every set bit, so checking it checks every entry
+        if not np.isfinite(stack).all():
+            raise ValueError("density matrix must be finite")
+        asym = stack.conj().transpose(0, 2, 1)
+        asym -= stack
+        if np.max(np.abs(asym)) > HERMITICITY_ATOL:
+            raise ValueError("density matrix must be Hermitian")
+        for a in (stack, matrix):
+            if a is not None:
+                a.setflags(write=False)
+        fields = dict(n_modes=n_modes, dimension=dimension, trace_deficit=float(trace_deficit),
+                      _stack=stack, _matrix=matrix, _eigh=None)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FockOperator is immutable: cannot set {name}")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dimension**n_modes square matrix, read-only."""
+        if self._matrix is None:
+            sec = _sectors(self.dimension)
+            d = self.dimension**2
+            m = np.zeros((d, d), dtype=complex)
+            m.ravel()[sec.dense] = self._stack.ravel()[sec.stacked]
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """PSD-checked eigh of the stored stack, solved on first use and kept."""
+        if self._eigh is None:
+            lam, v = _checked_eigh(self._stack)
+            lam.setflags(write=False)
+            v.setflags(write=False)
+            object.__setattr__(self, "_eigh", (lam, v))
+        return self._eigh
 
 
 def _blocks(rho0: FockOperator, rho1: FockOperator):
     """Padded (blocks, n, n) stacks of rho0 and rho1, block-diagonal alike.
 
-    Two two-mode operators with every nonzero inside a sector of fixed
-    n0 - n1 give one block per sector; any other pair gives one block, the
-    whole matrices.  A nonzero is any set bit, so a stray -0.0 between sectors
-    also sends the pair to the whole block.
+    Two operators whose stored stacks have as many blocks (two sector stacks,
+    or two whole matrices) give those stacks; a sector stack against a whole
+    matrix gives one block, both whole matrices.
     """
-    m0, m1 = rho0.matrix, rho1.matrix
-    if m0.shape != m1.shape:
-        raise ValueError("operators must share a truncation dimension")
-    if rho0.n_modes == rho1.n_modes == 2:
-        dim = rho0.dimension
-        _, _, dense, stacked, _, _ = _sector_layout(dim)
-        inside = [m.ravel()[dense] for m in (m0, m1)]
-        if all(
-            np.count_nonzero(np.ascontiguousarray(m).view(np.uint64))
-            == np.count_nonzero(g.view(np.uint64))
-            for m, g in zip((m0, m1), inside)
-        ):
-            stacks = np.zeros((2, (2 * dim - 1) * dim * dim), dtype=complex)
-            stacks[:, stacked] = inside
-            return stacks.reshape(2, 2 * dim - 1, dim, dim)
-    return m0[None], m1[None]
+    if (rho0.n_modes, rho0.dimension) != (rho1.n_modes, rho1.dimension):
+        raise ValueError(
+            "operators must share a number of modes and a truncation dimension, got "
+            f"{rho0.n_modes} x {rho0.dimension} and {rho1.n_modes} x {rho1.dimension}"
+        )
+    if len(rho0._stack) == len(rho1._stack):
+        return rho0._stack, rho1._stack
+    return rho0.matrix[None], rho1.matrix[None]
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -174,6 +246,7 @@ def _single_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
 
 
 def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
+    """The zero-padded sector stack of a two-mode pipeline state."""
     if np.max(np.abs(state.mean)) > 1e-10:
         raise ValueError("two-mode conversion supports zero-mean states only")
     cov = state.cov
@@ -205,26 +278,23 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
 
     d1 = _thermal_diag(max(nu1 - 0.5, 0.0), dim)
     d2 = _thermal_diag(max(nu2 - 0.5, 0.0), dim)
-    n0, n1, dense, stacked, lam, V = _sector_layout(dim)
-    # allocated before the block temporaries, so that freeing them leaves no
-    # hole below it: such a hole stays resident and raises the peak RSS
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-    thermal = d1[n0] * d2[n1]  # padded slots are never scattered into rho
+    sec = _sectors(dim)
+    thermal = d1[sec.n0] * d2[sec.n1]  # padded slots are zeroed below
     if r > 1e-14:
-        U = (V * np.exp(-1j * r * lam)[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        U = (sec.V * np.exp(-1j * r * sec.lam)[:, None, :]) @ sec.V.conj().transpose(0, 2, 1)
         blocks = (U * thermal[:, None, :]) @ U.conj().transpose(0, 2, 1)
     else:
         # unsqueezed: each block stays exactly diagonal
         blocks = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
         blocks[:, np.arange(dim), np.arange(dim)] = thermal
     # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
-    phases = np.exp(1j * gamma * n0)
+    phases = np.exp(1j * gamma * sec.n0)
     blocks = (phases[:, :, None] * blocks) * np.conj(phases)[:, None, :]
     # symmetrized per sector: the entries between sectors are exact zeros
     blocks += blocks.conj().transpose(0, 2, 1)
     blocks *= 0.5
-    rho.ravel()[dense] = blocks.ravel()[stacked]
-    return rho
+    blocks[sec.padded] = 0.0
+    return blocks
 
 
 def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
@@ -232,22 +302,25 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
 
     Supports single-mode states (with displacement and squeezing) and the
     zero-mean two-mode family produced by the channel and receiver pipeline.
-    Both conversions return the matrix Hermitian-symmetrized, the two-mode
-    one sector by sector.  A single-mode state solves its squeeze and
-    displacement generators each time; a two-mode state solves nothing, as
-    every sector's squeeze spectrum is solved once per cutoff.  The reported
-    trace deficit is the probability weight beyond the cutoff.
+    Both conversions return the operator Hermitian-symmetrized, the two-mode
+    one sector by sector as its sector stack, with no dense matrix.  A
+    single-mode state solves its squeeze and displacement generators each
+    time; a two-mode state solves nothing, as every sector's squeeze spectrum
+    is solved once per cutoff.  The reported trace deficit is the probability
+    weight beyond the cutoff; the two-mode one sums the stack's diagonal in
+    the dense matrix's order, so it equals 1 - trace(.matrix) exactly.
     """
     if state.n_modes > 2:
         raise ValueError("conversion supports at most two modes")
     if n_max < 1 or n_max > MAX_CUTOFF:
         raise ValueError(f"n_max must lie in [1, {MAX_CUTOFF}], got {n_max}")
     dim = n_max + 1
-    rho = (_single_mode_fock if state.n_modes == 1 else _two_mode_fock)(state, dim)
-    deficit = float(1.0 - np.trace(rho).real)
-    return FockOperator(
-        n_modes=state.n_modes, dimension=dim, matrix=rho, trace_deficit=deficit
-    )
+    if state.n_modes == 1:
+        rho = _single_mode_fock(state, dim)
+        return FockOperator(1, dim, rho, float(1.0 - np.trace(rho).real))
+    stack = _two_mode_fock(state, dim)
+    sector, slot = _sectors(dim).diagonal
+    return FockOperator._from_stack(dim, stack, float(1.0 - stack[sector, slot, slot].sum().real))
 
 
 def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
@@ -257,8 +330,9 @@ def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     eigenvalues of the difference.
     """
     b0, b1 = _blocks(rho0, rho1)
-    _require_psd(np.linalg.eigvalsh(b0))
-    _require_psd(np.linalg.eigvalsh(b1))
+    # PSD checks from each operator's kept spectrum, which the overlap reuses
+    rho0._spectrum()
+    rho1._spectrum()
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
     return max(0.0, 0.5 * (1.0 - distance))
 
@@ -268,10 +342,11 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     at or below 1e-14 of their operator's largest are dropped: 0^s = 0 for
     every s, s = 0 included."""
     b0, b1 = _blocks(rho0, rho1)
-    (lam0, v0), (lam1, v1) = np.linalg.eigh(b0), np.linalg.eigh(b1)
-    keep0, keep1 = (
-        _require_psd(lam) > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1)
+    (lam0, v0), (lam1, v1) = (
+        rho._spectrum() if b is rho._stack else _checked_eigh(b)
+        for rho, b in ((rho0, b0), (rho1, b1))
     )
+    keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
     w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2
     w *= keep0[:, :, None] & keep1[:, None, :]
     log0, log1 = np.log(np.where(keep0, lam0, 1.0)), np.log(np.where(keep1, lam1, 1.0))

@@ -18,8 +18,9 @@ Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
 arrays, and the temporaries of their size, exceed glibc's mmap threshold and
 page-fault on every allocation.  Whole points share a block when they fit
 (1000-trial points go 2 to a block for the 5-draw SFG-QPSK rule, 5 for the
-2-draw ones and 8 for the zero-photon test), and the trial-only hash step is
-computed once for all of them.
+2-draw ones and 8 for the zero-photon test), the trial-only hash step is
+computed once for all of them, and their hash rows are finished together in
+one array of at most _BLOCK words.
 """
 
 from __future__ import annotations
@@ -262,20 +263,23 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
         z = _mix64_inplace(trials)
         n = len(z)
         group = per_block // n
-        for g in range(0, len(rules), group):
-            members = rules[g : g + group]
-            words = np.empty((draws + 1, len(members) * n), dtype=np.uint64)
-            h = words[0]
-            np.bitwise_xor(z, prefixes[g : g + group], out=h.reshape(len(members), n))
-            _finish_hash(h)
-            np.add(h, steps, out=words[1:])
-            h ^= _SYMBOL_SALT
-            _mix64_inplace(words)
-            i = (h & mask).astype(np.intp)
-            u = uniforms(words[1:])
-            for j, (_, decide) in enumerate(members):
-                cols = slice(j * n, (j + 1) * n)
-                errors[g + j] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
+        # whole groups of hash rows, as many as fit the _BLOCK word budget,
+        # are finished in one array
+        rows = group * (_BLOCK // (group * n))
+        for c in range(0, len(rules), rows):
+            hashes = _finish_hash(z ^ prefixes[c : c + rows])
+            for g in range(c, min(c + rows, len(rules)), group):
+                members = rules[g : g + group]
+                hg = hashes[g - c : g - c + group].reshape(-1)
+                words = np.empty((draws + 1, len(hg)), dtype=np.uint64)
+                np.add(hg, steps, out=words[1:])
+                h = np.bitwise_xor(hg, _SYMBOL_SALT, out=words[0])
+                _mix64_inplace(words)
+                i = (h & mask).astype(np.intp)
+                u = uniforms(words[1:])
+                for j, (_, decide) in enumerate(members):
+                    cols = slice(j * n, (j + 1) * n)
+                    errors[g + j] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
     return errors
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,18 +428,124 @@ def _count_eig_calls(monkeypatch) -> dict:
 
 def test_criterion_6_pair_solves_each_operator_once(monkeypatch):
     """At cutoff 17 a conversion at a cutoff already used solves nothing, and
-    both oracles together make one batched eigensolve per operator and one for
-    the difference."""
+    both oracles together, in either order, make one batched eigh per
+    operator, kept on it, and one eigvalsh for Helstrom's difference."""
     cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
     s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
     gaussian_to_fock(apply_channel(cp, s0), 17)
-    calls = _count_eig_calls(monkeypatch)
-    f0 = gaussian_to_fock(apply_channel(cp, s0), 17)
-    f1 = gaussian_to_fock(apply_channel(cp, s1), 17)
-    assert calls == {"eigh": 0, "eigvalsh": 0}
-    helstrom_oracle(f0, f1)
-    chernoff_exponent_oracle(f0, f1)
-    assert calls["eigvalsh"] <= 3 and calls["eigh"] <= 2, calls
+    oracles = [helstrom_oracle, chernoff_exponent_oracle]
+    for order in (oracles, oracles[::-1]):
+        calls = _count_eig_calls(monkeypatch)
+        f0 = gaussian_to_fock(apply_channel(cp, s0), 17)
+        f1 = gaussian_to_fock(apply_channel(cp, s1), 17)
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        for oracle in order:
+            oracle(f0, f1)
+        assert calls["eigvalsh"] <= 1 and calls["eigh"] <= 2, (order[0].__name__, calls)
+        monkeypatch.undo()
+
+
+def test_two_mode_oracles_build_no_dense_matrix():
+    """A cutoff-17 pair, converted and put through both oracles, peaks below
+    the 324 x 324 complex matrix (1.68 MB) that its dense form would take."""
+    cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
+    states = [apply_channel(cp, Symbol(math.sqrt(cp.eta), 1.1)),
+              apply_channel(cp, Symbol(0.3, 2.5))]
+    gaussian_to_fock(states[0], 17)  # the cutoff's shared tables
+    dense_bytes = (18 * 18) ** 2 * 16
+    tracemalloc.start()
+    try:
+        f0, f1 = (gaussian_to_fock(st, 17) for st in states)
+        helstrom_oracle(f0, f1)
+        chernoff_exponent_oracle(f0, f1)
+        peak = tracemalloc.get_traced_memory()[1]
+        f0.matrix
+        with_matrix = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes, peak
+    assert with_matrix >= dense_bytes  # the measure does see a dense matrix
+
+
+def _sector_gather(m, dim):
+    """The zero-padded stack of the sectors n0 - n1 = k of a dense two-mode
+    matrix, each listing its basis states |n0, n1> by ascending n1."""
+    stack = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
+    for k in range(1 - dim, dim):
+        states = [(n1 + k) * dim + n1 for n1 in range(dim) if 0 <= n1 + k < dim]
+        stack[k + dim - 1, : len(states), : len(states)] = m[np.ix_(states, states)]
+    return stack
+
+
+def test_two_mode_conversion_stores_the_sector_gather_of_its_matrix():
+    """The stored stack is the in-sector gather of `.matrix` bit for bit,
+    padded with +0.0, and the trace deficit is 1 - trace(.matrix) exactly."""
+    rng = np.random.default_rng(1818)
+    cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
+    states = [_random_pipeline_state(rng) for _ in range(6)] + [apply_channel(cp, Symbol(0.0, 0.0))]
+    for n_max, st in zip((17, 17, 9, 5, 1, 24, 17), states):
+        rho = gaussian_to_fock(st, n_max)
+        stack = _blocks(rho, rho)[0]
+        expect = _sector_gather(rho.matrix, n_max + 1)
+        assert stack.shape == expect.shape
+        assert np.array_equal(stack.view(np.uint64), expect.view(np.uint64))
+        assert rho.trace_deficit == float(1.0 - np.trace(rho.matrix).real)
+
+
+@pytest.mark.parametrize("oracle", [helstrom_oracle, chernoff_exponent_oracle])
+def test_oracles_reject_operators_of_different_modes_or_cutoffs(oracle):
+    """A one-mode 4 x 4 operator and a two-mode 2 x 2 one share a matrix shape
+    but not a basis; two two-mode cutoffs share neither."""
+    one_mode = gaussian_to_fock(thermal(0.3), 3)
+    two_mode = gaussian_to_fock(tmss(0.2), 1)
+    assert one_mode.matrix.shape == two_mode.matrix.shape
+    cutoffs = gaussian_to_fock(tmss(0.2), 5), gaussian_to_fock(tmss(0.2), 6)
+    for r0, r1 in ((one_mode, two_mode), cutoffs):
+        for a, b in ((r0, r1), (r1, r0)):
+            with pytest.raises(ValueError, match="share a number of modes"):
+                oracle(a, b)
+
+
+def test_operator_owns_its_data():
+    """The constructor copies its matrix, so writing to the source afterwards
+    moves no oracle value; the matrix, the stack and the kept spectrum it
+    hands out are read-only, and its attributes cannot be rebound."""
+    dim = 4
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho = FockOperator(1, dim, m, 0.0)
+    other = gaussian_to_fock(thermal(0.3), dim - 1)
+    before = helstrom_oracle(rho, other), chernoff_exponent_oracle(rho, other)
+    m[0, 0] = 5.0
+    assert (helstrom_oracle(rho, other), chernoff_exponent_oracle(rho, other)) == before
+    pair = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(7)), 5)
+    source = pair.matrix.copy()
+    copied = FockOperator(2, pair.dimension, source, pair.trace_deficit)
+    partner = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(8)), 5)
+    before = helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)
+    source[:] = 0.0
+    assert (helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)) == before
+    for op in (rho, pair, copied):
+        arrays = [op.matrix, _blocks(op, op)[0], *op._spectrum()]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.ravel()[0] = 1.0
+        with pytest.raises(AttributeError):
+            op.trace_deficit = 0.5
+
+
+def test_operator_rejects_bad_arguments():
+    m = np.eye(4, dtype=complex) / 4
+    FockOperator(1, 4, m, 0.0)
+    FockOperator(2, 2, m, 0.0)
+    bad_arguments = ((0, 4, 0.0), (3, 4, 0.0), (1, 0, 0.0), (1, 4, math.nan), (1, 4, math.inf))
+    for n_modes, dimension, deficit in bad_arguments:
+        with pytest.raises(ValueError):
+            FockOperator(n_modes, dimension, m, deficit)
+    for bad in (math.nan, math.inf):
+        poisoned = m.copy()
+        poisoned[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FockOperator(1, 4, poisoned, 0.0)
 
 
 def test_unsqueezed_pair_is_exactly_diagonal():

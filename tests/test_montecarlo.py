@@ -237,17 +237,23 @@ def _reference_errors(decide, n_symbols, master_seed, point_index, count):
     (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, 2),
     (ReceiverKind.SFG, AlphabetKind.QPSK, DRAWS),
 ])
-@pytest.mark.parametrize("shape", ["shared", "spanning"])
+@pytest.mark.parametrize("shape", ["shared", "spanning", "rows-split"])
 def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape):
     """run_experiment hashes a sweep's points together: whole points share a
-    block (9 points x 1000 trials), or one point spans several blocks.  Each
-    point's count equals the point counted alone, the unblocked reference and
-    the sum over an uneven split of its trial range."""
+    block (9 points x 1000 trials), one point spans several blocks, or the
+    points' hash rows of a block exceed the _BLOCK word budget and are
+    finished in several arrays.  Each point's count equals the point counted
+    alone, the unblocked reference and the sum over an uneven split of its
+    trial range."""
     per_block = _block_trials(draws)
     if shape == "shared":
         sweep, n = tuple(0.25 * k for k in range(1, 10)), 1000
         assert 2 * n <= per_block
         cuts = [0, 377, 620, n - 3, n]
+    elif shape == "rows-split":
+        sweep, n = tuple(0.25 * k for k in range(1, 10)), per_block + 7
+        assert len(sweep) * per_block > _BLOCK
+        cuts = [0, 5, per_block, n - 3, n]
     else:
         sweep, n = (0.5, 1.0), 2 * per_block + 1234
         cuts = [0, 777, per_block + 5, n - 3, n]
