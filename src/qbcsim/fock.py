@@ -14,13 +14,14 @@ fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
 form one (2 dim - 1, dim, dim) stack, and that stack is what a two-mode
 `FockOperator` stores: the conversion builds every block with batched matrix
 products from one squeeze spectrum per cutoff and never forms the dim**2 x
-dim**2 matrix, which `.matrix` builds only when it is read.  Each operator
-solves its stack once, on first use, and both oracles read that spectrum, so
-a pair costs one batched eigensolve per operator plus one for Helstrom's
-difference.  A one-mode operator, or a two-mode one given as a matrix with an
-entry between sectors, is one whole block; a pair with such an operator is
-solved as one whole block.  Padded slots have eigenvalue 0, so the spectra
-are unchanged.
+dim**2 matrix, which `.matrix` builds only when it is read.  The conversion
+builds each state as a unitary acting on a thermal diagonal, and the operator
+keeps that spectrum, so both oracles read it and a converted pair costs one
+`eigvalsh`, of Helstrom's difference.  An operator built from a matrix solves
+its stack once, on first use, and keeps that spectrum instead.  A one-mode
+operator, or a two-mode one given as a matrix with an entry between sectors,
+is one whole block; a pair with such an operator is solved as one whole
+block.  Padded slots have eigenvalue 0, so the spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ class _Sectors(NamedTuple):
     into the dim**2 x dim**2 matrix of every in-sector entry and `stacked` the
     matching flat indices into the stack; `padded` marks the stack's padded
     entries; `diagonal` is the (sector, slot) of each basis state n0 dim + n1
-    in dense order; (lam, V) = eigh of i G per sector, G = a0^dag a1^dag -
-    a0 a1, so exp(r G) = V e^{-i r lam} V^dag.
+    in dense order; `valid` marks the slots that hold a basis state; (lam, V)
+    = eigh of i G per sector, G = a0^dag a1^dag - a0 a1, so exp(r G) =
+    V e^{-i r lam} V^dag.
     """
 
     n0: np.ndarray
     n1: np.ndarray
+    valid: np.ndarray
     dense: np.ndarray
     stacked: np.ndarray
     padded: np.ndarray
@@ -80,17 +83,21 @@ def _sectors(dim: int) -> _Sectors:
     dense = (flat[:, :, None] * dim * dim + flat[:, None, :])[pair]
     d0, d1 = np.divmod(np.arange(dim * dim), dim)
     diagonal = (d0 - d1 + dim - 1, np.minimum(d0, d1))
-    sectors = _Sectors(n0, n1, dense, np.flatnonzero(pair), ~pair, diagonal, lam, V)
-    for a in (*sectors[:5], *diagonal, lam, V):
+    sectors = _Sectors(n0, n1, valid, dense, np.flatnonzero(pair), ~pair, diagonal, lam, V)
+    for a in (*sectors[:6], *diagonal, lam, V):
         a.setflags(write=False)
     return sectors
+
+
+def _require_psd(lam: np.ndarray) -> None:
+    if np.min(lam) < EIGENVALUE_FLOOR:
+        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(lam)}")
 
 
 def _checked_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a stack of blocks, refusing a spectrum below EIGENVALUE_FLOOR."""
     lam, v = np.linalg.eigh(blocks)
-    if np.min(lam) < EIGENVALUE_FLOOR:
-        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(lam)}")
+    _require_psd(lam)
     return lam, v
 
 
@@ -105,9 +112,11 @@ class FockOperator:
     It stores a stack of blocks: the (2 dim - 1, dim, dim) sector stack of the
     module docstring for a two-mode operator whose every set bit lies inside a
     sector, else the whole matrix as one block.  A given matrix is classified
-    once, here; `gaussian_to_fock` hands a two-mode state's stack over
-    directly.  `.matrix` is built from the stack on first read and kept, and
-    the stack's eigendecomposition is solved on first use and kept.
+    once, here; `gaussian_to_fock` hands a state's stack over directly.
+    `.matrix` is built from the stack on first read and kept.  The stack's
+    eigendecomposition is kept too: `gaussian_to_fock` hands over the one the
+    state is built from, and an operator built from a matrix solves it on
+    first use.
     """
 
     __slots__ = ("n_modes", "dimension", "trace_deficit", "_stack", "_matrix", "_eigh")
@@ -132,10 +141,16 @@ class FockOperator:
         self._fill(n_modes, dimension, stack, m, trace_deficit)
 
     @classmethod
-    def _from_stack(cls, dimension: int, stack: np.ndarray, trace_deficit: float) -> FockOperator:
-        """A two-mode operator from its sector stack, taken over without a copy."""
+    def _from_stack(cls, n_modes: int, dimension: int, stack: np.ndarray, lam: np.ndarray,
+                    vecs: np.ndarray, trace_deficit: float) -> FockOperator:
+        """An operator from its stack of blocks and the spectrum it is built
+        from, stack = vecs diag(lam) vecs^dag per block, all taken over without
+        a copy.  A one-mode stack is its one whole block, a two-mode one the
+        sector stack."""
         rho = cls.__new__(cls)
-        rho._fill(2, dimension, stack, None, trace_deficit)
+        rho._fill(n_modes, dimension, stack, stack[0] if n_modes == 1 else None, trace_deficit)
+        _require_psd(lam)
+        rho._keep_spectrum(lam, vecs)
         return rho
 
     def _fill(self, n_modes, dimension, stack, matrix, trace_deficit) -> None:
@@ -171,13 +186,17 @@ class FockOperator:
             object.__setattr__(self, "_matrix", m)
         return self._matrix
 
+    def _keep_spectrum(self, lam: np.ndarray, vecs: np.ndarray) -> None:
+        lam.setflags(write=False)
+        vecs.setflags(write=False)
+        object.__setattr__(self, "_eigh", (lam, vecs))
+
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """PSD-checked eigh of the stored stack, solved on first use and kept."""
+        """PSD-checked (lam, V) of the stored stack, V unitary per block: the
+        one handed over by the conversion, or else solved on first use and
+        kept."""
         if self._eigh is None:
-            lam, v = _checked_eigh(self._stack)
-            lam.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "_eigh", (lam, v))
+            self._keep_spectrum(*_checked_eigh(self._stack))
         return self._eigh
 
 
@@ -220,7 +239,10 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     return np.exp(n * math.log(nbar) - (n + 1) * math.log(nbar + 1.0))
 
 
-def _single_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
+def _single_mode_fock(state: GaussianState, dim: int):
+    """The matrix of a one-mode state and the spectrum it is built from: the
+    thermal diagonal and the unitary D Ph S (displacement, phase rotation,
+    squeeze) that carries it."""
     cov = state.cov
     nu = math.sqrt(max(np.linalg.det(cov), 0.25))
     evals, evecs = np.linalg.eigh(cov)
@@ -228,7 +250,9 @@ def _single_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
     r = 0.25 * math.log(evals[1] / evals[0]) if evals[0] > 0 else 0.0
     psi = math.atan2(evecs[1, 1], evecs[0, 1])  # orientation of the major axis
 
-    rho = np.diag(_thermal_diag(nu - 0.5, dim)).astype(complex)
+    lam = _thermal_diag(nu - 0.5, dim)
+    rho = np.diag(lam).astype(complex)
+    vecs = np.eye(dim, dtype=complex)
     a = _ladder(dim)
     if abs(r) > 1e-14:
         # anti-squeeze x by r, then rotate the major axis up to angle psi
@@ -237,16 +261,20 @@ def _single_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
         rho = S @ rho @ S.conj().T
         phases = np.exp(1j * psi * np.arange(dim))
         rho = (phases[:, None] * rho) * np.conj(phases)[None, :]
+        vecs = phases[:, None] * S
     alpha = (state.mean[0] + 1j * state.mean[1]) / math.sqrt(2.0)
     if abs(alpha) > 1e-14:
         K = alpha * a.conj().T - np.conj(alpha) * a
         D = _unitary_from_antihermitian(K)
         rho = D @ rho @ D.conj().T
-    return 0.5 * (rho + rho.conj().T)
+        vecs = D @ vecs
+    return 0.5 * (rho + rho.conj().T), lam, vecs
 
 
-def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
-    """The zero-padded sector stack of a two-mode pipeline state."""
+def _two_mode_fock(state: GaussianState, dim: int):
+    """The zero-padded sector stack of a two-mode pipeline state and the
+    spectrum it is built from: the thermal product, 0 in padded slots, and
+    per sector the mode-0 phase times the squeeze unitary."""
     if np.max(np.abs(state.mean)) > 1e-10:
         raise ValueError("two-mode conversion supports zero-mean states only")
     cov = state.cov
@@ -285,6 +313,7 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
         blocks = (U * thermal[:, None, :]) @ U.conj().transpose(0, 2, 1)
     else:
         # unsqueezed: each block stays exactly diagonal
+        U = np.eye(dim)
         blocks = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
         blocks[:, np.arange(dim), np.arange(dim)] = thermal
     # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
@@ -294,7 +323,7 @@ def _two_mode_fock(state: GaussianState, dim: int) -> np.ndarray:
     blocks += blocks.conj().transpose(0, 2, 1)
     blocks *= 0.5
     blocks[sec.padded] = 0.0
-    return blocks
+    return blocks, np.where(sec.valid, thermal, 0.0), phases[:, :, None] * U
 
 
 def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
@@ -303,7 +332,9 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
     Supports single-mode states (with displacement and squeezing) and the
     zero-mean two-mode family produced by the channel and receiver pipeline.
     Both conversions return the operator Hermitian-symmetrized, the two-mode
-    one sector by sector as its sector stack, with no dense matrix.  A
+    one sector by sector as its sector stack, with no dense matrix.  Each
+    builds the state as a unitary acting on a thermal diagonal and hands that
+    spectrum over to the operator, so no oracle solves it again.  A
     single-mode state solves its squeeze and displacement generators each
     time; a two-mode state solves nothing, as every sector's squeeze spectrum
     is solved once per cutoff.  The reported trace deficit is the probability
@@ -316,11 +347,13 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
         raise ValueError(f"n_max must lie in [1, {MAX_CUTOFF}], got {n_max}")
     dim = n_max + 1
     if state.n_modes == 1:
-        rho = _single_mode_fock(state, dim)
-        return FockOperator(1, dim, rho, float(1.0 - np.trace(rho).real))
-    stack = _two_mode_fock(state, dim)
+        rho, lam, vecs = _single_mode_fock(state, dim)
+        deficit = float(1.0 - np.trace(rho).real)
+        return FockOperator._from_stack(1, dim, rho[None], lam[None], vecs[None], deficit)
+    stack, lam, vecs = _two_mode_fock(state, dim)
     sector, slot = _sectors(dim).diagonal
-    return FockOperator._from_stack(dim, stack, float(1.0 - stack[sector, slot, slot].sum().real))
+    deficit = float(1.0 - stack[sector, slot, slot].sum().real)
+    return FockOperator._from_stack(2, dim, stack, lam, vecs, deficit)
 
 
 def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
@@ -330,7 +363,8 @@ def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     eigenvalues of the difference.
     """
     b0, b1 = _blocks(rho0, rho1)
-    # PSD checks from each operator's kept spectrum, which the overlap reuses
+    # PSD checks: a converted operator's spectrum was checked when handed
+    # over; one built from a matrix is solved here and kept for the overlap
     rho0._spectrum()
     rho1._spectrum()
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
@@ -338,9 +372,11 @@ def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
 
 
 def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
-    """Returns f(s) = Tr(rho0^s rho1^{1-s}) as a cheap callable.  Eigenvalues
-    at or below 1e-14 of their operator's largest are dropped: 0^s = 0 for
-    every s, s = 0 included."""
+    """Returns s -> (f, f', f'') for f(s) = Tr(rho0^s rho1^{1-s}) as a cheap
+    callable.  f is a sum of terms w lam0^s lam1^(1-s), and each derivative
+    multiplies a term by ln lam0 - ln lam1.  Eigenvalues at or below 1e-14 of
+    their operator's largest are dropped, and so are terms of weight 0: 0^s =
+    0 for every s, s = 0 included."""
     b0, b1 = _blocks(rho0, rho1)
     (lam0, v0), (lam1, v1) = (
         rho._spectrum() if b is rho._stack else _checked_eigh(b)
@@ -348,12 +384,17 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     )
     keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
     w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2
-    w *= keep0[:, :, None] & keep1[:, None, :]
-    log0, log1 = np.log(np.where(keep0, lam0, 1.0)), np.log(np.where(keep1, lam1, 1.0))
+    terms = keep0[:, :, None] & keep1[:, None, :] & (w > 0.0)
+    block, i, j = np.nonzero(terms)
+    w = w[terms]
+    log1 = np.log(lam1[block, j])
+    gap = np.log(lam0[block, i]) - log1
+    gap2 = gap * gap
 
-    def f(s: float) -> float:
-        x0, x1 = np.exp(s * log0), np.exp((1.0 - s) * log1)
-        return float(np.sum((x0[:, None, :] @ w)[:, 0] * x1))
+    def f(s: float) -> tuple[float, float, float]:
+        x = np.exp(s * gap + log1)
+        x *= w
+        return float(np.sum(x)), float(x @ gap), float(x @ gap2)
 
     return f
 
@@ -361,22 +402,36 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
 def chernoff_exponent_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     """Chernoff exponent -log min_{0<=s<=1} Tr(rho0^s rho1^{1-s}).
 
-    The overlap sum_ij w_ij lam0_i^s lam1_j^(1-s), w_ij >= 0, is a positive sum
-    of log-linear terms, hence log-convex: one golden-section search over
-    [0, 1] finds its minimum, with f(0) and f(1) kept for a minimum at an end.
+    The overlap f(s) = sum_ij w_ij lam0_i^s lam1_j^(1-s), w_ij >= 0, is a
+    positive sum of log-linear terms, hence log-convex, so g = ln f has an
+    increasing slope g' = f'/f.  If g'(0) >= 0 the minimum is at s = 0, and if
+    g'(1) <= 0 at s = 1.  Otherwise a Newton search on g' (steps -g'/g'',
+    g'' = f''/f - g'^2) starts where the chord of g' between the ends crosses
+    zero and keeps [lo, hi] around the root by the sign of g' at each point; a
+    step that would leave the bracket is replaced by bisecting it.  It stops
+    at a step below 1e-12 or a bracket below 1e-10, in about six evaluations
+    of f on pipeline pairs.  f(0) and f(1) stay in the minimum taken.
     """
     f = _overlap_curve(rho0, rho1)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi, x1, x2 = 0.0, 1.0, 1.0 - invphi, invphi
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-10:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    best = min(f(0.0), f(1.0), f1, f2)
+    (f_lo, df_lo, _), (f_hi, df_hi, _) = f(0.0), f(1.0)
+    best = min(f_lo, f_hi)
+    if df_lo < 0.0 < df_hi:
+        lo, hi = 0.0, 1.0
+        slope_lo, slope_hi = df_lo / f_lo, df_hi / f_hi
+        s = slope_lo / (slope_lo - slope_hi)
+        while True:
+            fs, df, ddf = f(s)
+            best = min(best, fs)
+            slope = df / fs
+            if slope < 0.0:
+                lo = s
+            elif slope > 0.0:
+                hi = s
+            else:
+                break
+            curvature = ddf / fs - slope * slope
+            step = -slope / curvature if curvature > 0.0 else math.inf
+            if abs(step) < 1e-12 or hi - lo < 1e-10:
+                break
+            s = s + step if lo < s + step < hi else 0.5 * (lo + hi)
     return -math.log(max(best, 1e-300))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qbcsim import fock
 from qbcsim.fock import (
     FockOperator,
     _blocks,
@@ -223,6 +224,58 @@ def test_chernoff_search_against_dense_grid():
         assert xi == pytest.approx(-math.log(min(coarse.min(), fine.min())), abs=1e-8)
 
 
+def _golden_section_exponent(f):
+    """Reference search: golden section on [0, 1] down to a bracket of 1e-10,
+    with f(0) and f(1) in the minimum; f returns (f, f', f'') and only f is
+    read.  It makes 54 evaluations."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi, x1, x2 = 0.0, 1.0, 1.0 - invphi, invphi
+    f1, f2 = f(x1)[0], f(x2)[0]
+    while hi - lo > 1e-10:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)[0]
+    return -math.log(max(min(f(0.0)[0], f(1.0)[0], f1, f2), 1e-300))
+
+
+def test_newton_search_against_golden_section(monkeypatch):
+    """On the first 200 criterion-6 pairs of the oracle benchmark (cutoff 17,
+    the draws of seed 5), the Newton search finds the golden-section
+    exponent within 1e-12, in a median of at most 10 evaluations of f and
+    never more than golden section's 54."""
+    curve = fock._overlap_curve
+    evaluations = []
+
+    def counted(rho0, rho1):
+        f = curve(rho0, rho1)
+        evaluations.append(0)
+
+        def g(s):
+            evaluations[-1] += 1
+            return f(s)
+
+        return g
+
+    monkeypatch.setattr(fock, "_overlap_curve", counted)
+    for index in range(200):
+        rng = np.random.default_rng([5, index])
+        u = lambda lo, hi: float(rng.uniform(lo, hi))
+        cp = ChannelParams(eta=u(0.0, 0.3), phi=u(0.0, 2 * math.pi), N_Z=u(0.05, 1.0),
+                           M=100, N_S=u(0.01, 0.3))
+        s0 = Symbol(math.sqrt(cp.eta), u(0.0, 2 * math.pi))
+        s1 = Symbol(math.sqrt(u(0.0, 0.3)), u(0.0, 2 * math.pi))
+        f0, f1 = (gaussian_to_fock(apply_channel(cp, s), 17) for s in (s0, s1))
+        xi = chernoff_exponent_oracle(f0, f1)
+        assert xi == pytest.approx(_golden_section_exponent(curve(f0, f1)), abs=1e-12)
+    assert len(evaluations) == 200
+    assert np.median(evaluations) <= 10 and max(evaluations) <= 54, evaluations
+
+
 def test_chernoff_symmetry():
     cp = ChannelParams(eta=0.05, phi=0.0, N_Z=1.0, M=100, N_S=0.01)
     r0 = gaussian_to_fock(apply_channel(cp, Symbol(0.0, 0.0)), 16)
@@ -426,22 +479,36 @@ def _count_eig_calls(monkeypatch) -> dict:
     return calls
 
 
-def test_criterion_6_pair_solves_each_operator_once(monkeypatch):
-    """At cutoff 17 a conversion at a cutoff already used solves nothing, and
-    both oracles together, in either order, make one batched eigh per
-    operator, kept on it, and one eigvalsh for Helstrom's difference."""
+def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
+    """At cutoff 17 a conversion at a cutoff already used solves nothing and
+    hands its spectrum to the operator, so both oracles together, in either
+    order, make no eigh and one eigvalsh, of Helstrom's difference, and the
+    Chernoff oracle alone solves nothing.  The same pair built from its
+    matrices makes one batched eigh per operator, kept on it."""
     cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
     s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
     gaussian_to_fock(apply_channel(cp, s0), 17)
     oracles = [helstrom_oracle, chernoff_exponent_oracle]
-    for order in (oracles, oracles[::-1]):
+    cases = (
+        (oracles, {"eigh": 0, "eigvalsh": 1}),
+        (oracles[::-1], {"eigh": 0, "eigvalsh": 1}),
+        ([chernoff_exponent_oracle], {"eigh": 0, "eigvalsh": 0}),
+    )
+    for order, expect in cases:
         calls = _count_eig_calls(monkeypatch)
         f0 = gaussian_to_fock(apply_channel(cp, s0), 17)
         f1 = gaussian_to_fock(apply_channel(cp, s1), 17)
         assert calls == {"eigh": 0, "eigvalsh": 0}
         for oracle in order:
             oracle(f0, f1)
-        assert calls["eigvalsh"] <= 1 and calls["eigh"] <= 2, (order[0].__name__, calls)
+        assert calls == expect, ([o.__name__ for o in order], calls)
+        monkeypatch.undo()
+    for order in (oracles, oracles[::-1]):
+        m0, m1 = (FockOperator(2, 18, f.matrix, f.trace_deficit) for f in (f0, f1))
+        calls = _count_eig_calls(monkeypatch)
+        for oracle in order:
+            oracle(m0, m1)
+        assert calls == {"eigh": 2, "eigvalsh": 1}, (order[0].__name__, calls)
         monkeypatch.undo()
 
 
@@ -509,7 +576,8 @@ def test_oracles_reject_operators_of_different_modes_or_cutoffs(oracle):
 def test_operator_owns_its_data():
     """The constructor copies its matrix, so writing to the source afterwards
     moves no oracle value; the matrix, the stack and the kept spectrum it
-    hands out are read-only, and its attributes cannot be rebound."""
+    hands out, solved or handed over by a one- or two-mode conversion, are
+    read-only, and its attributes cannot be rebound."""
     dim = 4
     m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho = FockOperator(1, dim, m, 0.0)
@@ -524,13 +592,73 @@ def test_operator_owns_its_data():
     before = helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)
     source[:] = 0.0
     assert (helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)) == before
-    for op in (rho, pair, copied):
+    for op in (rho, pair, copied, other, partner):
         arrays = [op.matrix, _blocks(op, op)[0], *op._spectrum()]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.ravel()[0] = 1.0
         with pytest.raises(AttributeError):
             op.trace_deficit = 0.5
+
+
+def _wide_pipeline_states(rng, count):
+    """Channel outputs over eta in [0, 1], N_S in [1e-3, 2], N_Z in [0, 3] and
+    random phases, half of them followed by a receiver's two-mode squeeze."""
+    states = []
+    for _ in range(count):
+        cp = ChannelParams(
+            eta=float(rng.uniform(0.0, 1.0)),
+            phi=float(rng.uniform(0, 2 * math.pi)),
+            N_Z=float(rng.uniform(0.0, 3.0)),
+            M=100,
+            N_S=float(rng.uniform(1e-3, 2.0)),
+        )
+        st = apply_channel(cp, Symbol(math.sqrt(cp.eta), float(rng.uniform(0, 2 * math.pi))))
+        if rng.uniform() < 0.5:
+            st = apply_two_mode_squeeze(
+                st, 0, 1, 1.0 + float(rng.uniform(0, 0.5)), float(rng.uniform(0, 2 * math.pi))
+            )
+        states.append(st)
+    return states
+
+
+def test_kept_spectrum_is_the_eigendecomposition_of_the_stack(monkeypatch):
+    """The spectrum a conversion hands over, which no oracle solves again, is
+    an eigendecomposition of the stored stack: sorted, its eigenvalues are
+    eigvalsh's, padded slots hold exactly 0, every block's vectors are
+    unitary and V diag(lam) V^dag rebuilds the block.  Covered: random
+    pipeline states at cutoffs 1-40, a zero cross-correlation phase (TMSS,
+    channel phase 0), the unsqueezed branch (an absent tag), and one-mode
+    thermal, coherent, squeezed and squeezed-displaced states."""
+    rng = np.random.default_rng(1919)
+    cp = ChannelParams(eta=0.4, phi=0.0, N_Z=0.7, M=100, N_S=0.5)
+    squeezed = partial_trace(apply_beam_splitter(tmss(0.3), 0, 1, 0.5, 0.7), [0])
+    cases = [(st, int(n)) for st, n in zip(_wide_pipeline_states(rng, 24), rng.integers(1, 41, 24))]
+    cases += [(tmss(1.5), 20), (apply_channel(cp, Symbol(0.5, 0.0)), 17), (tmss(0.2), 40),
+              (apply_channel(cp, Symbol(0.0, 0.0)), 17), (apply_channel(cp, Symbol(0.0, 0.0)), 1)]
+    cases += [(thermal(0.8), 25), (coherent(0.6 - 0.2j), 22), (squeezed, 30),
+              (GaussianState(1, np.array([0.2, -0.1]), squeezed.cov), 30)]
+    for st, n_max in cases:
+        rho = gaussian_to_fock(st, n_max)
+        calls = _count_eig_calls(monkeypatch)
+        lam, vecs = rho._spectrum()
+        monkeypatch.undo()
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        stack = _blocks(rho, rho)[0]
+        dim = n_max + 1
+        assert lam.shape == stack.shape[:2] and vecs.shape == stack.shape
+        for a in (lam, vecs):
+            with pytest.raises(ValueError, match="read-only"):
+                a.ravel()[0] = 1.0
+        if st.n_modes == 2:
+            size = dim - np.abs(np.arange(1 - dim, dim))  # states per sector n0 - n1
+            padded = np.arange(dim)[None, :] >= size[:, None]
+            assert np.all(lam[padded] == 0.0)
+        assert np.max(np.abs(np.sort(lam, axis=1) - np.linalg.eigvalsh(stack))) <= 1e-14
+        eye = np.eye(stack.shape[1])
+        assert np.max(np.abs(vecs @ vecs.conj().transpose(0, 2, 1) - eye)) <= 1e-13
+        rebuilt = (vecs * lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(rebuilt - stack)) <= 1e-14
 
 
 def test_operator_rejects_bad_arguments():
