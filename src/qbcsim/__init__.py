@@ -30,6 +30,7 @@ from .link import (
     make_alphabet_qpsk,
     min_squared_distance,
     mode_pairs,
+    return_idler_moments,
     rtt_from_link_budget,
     thermal_occupancy,
 )

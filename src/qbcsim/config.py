@@ -4,13 +4,14 @@ The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
 experiment block, and at least one is required; [output] is optional.  Unknown
 sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
-N_Z finite and > 0; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and
-sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
-include_thermal_residual), SFG tunables outside an SFG experiment,
-include_thermal_residual in an SFG-QPSK experiment (its sequential click test
-reads only sfg_count_rate), unsupported receiver/alphabet pairs (PA with QPSK),
-experiment names that are not safe file stems or repeat an earlier name, and
-bytes that are not UTF-8 are rejected with file:line diagnostics.
+N_Z finite and > 0, with finite channel moments at the largest sweep point;
+M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z)
+< 1; sfg_capture_eps in (0, 1); a boolean include_thermal_residual), SFG
+tunables outside an SFG experiment, include_thermal_residual in an SFG-QPSK
+experiment (its sequential click test reads only sfg_count_rate), unsupported
+receiver/alphabet pairs (PA with QPSK), experiment names that are not safe
+file stems or repeat an earlier name, and bytes that are not UTF-8 are
+rejected with file:line diagnostics.
 
 Example::
 

@@ -159,8 +159,8 @@ class FockOperator:
         # the stack holds every set bit, so checking it checks every entry
         if not np.isfinite(stack).all():
             raise ValueError("density matrix must be finite")
-        asym = stack.conj().transpose(0, 2, 1)
-        asym -= stack
+        asym = stack.conj()
+        asym -= stack.transpose(0, 2, 1)
         if np.max(np.abs(asym)) > HERMITICITY_ATOL:
             raise ValueError("density matrix must be Hermitian")
         for a in (stack, matrix):

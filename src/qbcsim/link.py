@@ -12,15 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .gaussian import (
-    GaussianState,
-    apply_beam_splitter,
-    coherent,
-    partial_trace,
-    tensor,
-    thermal,
-    tmss,
-)
+from .gaussian import GaussianState
 
 C_LIGHT = 299_792_458.0  # m/s
 HBAR = 1.054_571_817e-34  # J s
@@ -249,25 +241,41 @@ def channel_phase(R: float, varphi_tag: float, omega: float, strict: bool = Fals
     return _finite(phase, "channel phase") % TWO_PI
 
 
-def apply_channel(cp: ChannelParams, symbol: Symbol) -> GaussianState:
-    """Send the signal half of an entangled pair through the tag channel.
+def return_idler_moments(cp: ChannelParams, symbol: Symbol) -> tuple[float, float, complex]:
+    """The channel: (n_R, n_I, c) of the joint return-idler state of a symbol.
 
-    Builds tmss(N_S) (x) thermal(N_Z), mixes signal and environment on a beam
-    splitter with transmissivity amplitude^2 and phase symbol.phase + cp.phi,
-    and discards the lost port.  Returns the joint (return, idler) state with
-    the return mode first.
+    The tag mixes the signal half of tmss(N_S) with thermal(N_Z) on a beam
+    splitter of transmissivity eta = amplitude^2 and phase p = symbol.phase +
+    cp.phi, and the lost port is discarded.  The zero-mean result is fixed by
+    the return occupancy n_R = eta N_S + (1 - eta) N_Z, the idler occupancy
+    n_I = N_S and the correlation c = <a_R a_I> = sqrt(eta N_S (N_S + 1))
+    e^{-i p}.  Raises ValueError when a moment leaves the float range.
     """
     eta = symbol.eta
-    phi = symbol.phase + cp.phi
-    state = tensor(tmss(cp.N_S), thermal(cp.N_Z))  # modes: S=0, I=1, Z=2
-    state = apply_beam_splitter(state, 0, 2, eta, phi)
-    return partial_trace(state, [0, 1])
+    p = symbol.phase + cp.phi
+    n_r = _finite(eta * cp.N_S + (1.0 - eta) * cp.N_Z, "return occupancy")
+    r = _finite(math.sqrt(eta * cp.N_S * (cp.N_S + 1.0)), "return-idler correlation")
+    return n_r, cp.N_S, r * complex(math.cos(p), -math.sin(p))
+
+
+def apply_channel(cp: ChannelParams, symbol: Symbol) -> GaussianState:
+    """The joint (return, idler) state of `return_idler_moments`, return mode first.
+
+    Zero mean, diagonal blocks (n + 1/2) I and cross block
+    [[Re c, Im c], [Im c, -Re c]].
+    """
+    n_r, n_i, c = return_idler_moments(cp, symbol)
+    a, b, x, y = n_r + 0.5, n_i + 0.5, c.real, c.imag
+    cov = [[a, 0.0, x, y], [0.0, a, y, -x], [x, y, b, 0.0], [y, -x, 0.0, b]]
+    return GaussianState(2, [0.0] * 4, cov)
 
 
 def apply_channel_classical(cp: ChannelParams, symbol: Symbol) -> GaussianState:
-    """Coherent-probe counterpart of apply_channel; returns the single return mode."""
+    """Coherent-probe counterpart of apply_channel: the return mode of
+    coherent(sqrt(N_S)) through the same beam splitter, with mean
+    sqrt(2 eta N_S) (cos p, -sin p) and covariance ((1 - eta) N_Z + 1/2) I."""
     eta = symbol.eta
-    phi = symbol.phase + cp.phi
-    state = tensor(coherent(math.sqrt(cp.N_S)), thermal(cp.N_Z))  # modes: S=0, Z=1
-    state = apply_beam_splitter(state, 0, 1, eta, phi)
-    return partial_trace(state, [0])
+    p = symbol.phase + cp.phi
+    m = math.sqrt(2.0) * math.sqrt(eta * cp.N_S)
+    v = (1.0 - eta) * cp.N_Z + 0.5
+    return GaussianState(1, [m * math.cos(p), -m * math.sin(p)], [[v, 0.0], [0.0, v]])

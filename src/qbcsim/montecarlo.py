@@ -36,7 +36,8 @@ from .analytics import (
     pa_ep_upper_bound,
     sfg_ep_upper_bound,
 )
-from .link import AlphabetKind, ChannelParams, UnsupportedAlphabetError, nominal_alphabet
+from .link import (AlphabetKind, ChannelParams, Symbol, UnsupportedAlphabetError, nominal_alphabet,
+                   return_idler_moments)
 from .receivers import DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, point_decider, uniforms
 
 _MASK64 = (1 << 64) - 1
@@ -151,6 +152,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"sweep point s = {max(self.sweep):g} back-solves to eta = {eta_max:g} > 1"
             )
+        # |c| grows with eta and n_R lies between N_S and N_Z: the largest point shows an overflow
+        return_idler_moments(ChannelParams(eta_max, 0.0, self.N_Z, self.M, self.N_S),
+                             Symbol(math.sqrt(eta_max), 0.0))
 
     def eta_for(self, s: float) -> float:
         """Back-solved round-trip transmissivity for a sweep point."""

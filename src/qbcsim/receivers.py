@@ -28,11 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    mean_photon_number,
-    phase_sensitive_correlation,
-)
-from .link import Alphabet, AlphabetKind, ChannelParams, Symbol, UnsupportedAlphabetError, apply_channel
+from .link import (Alphabet, AlphabetKind, ChannelParams, Symbol, UnsupportedAlphabetError,
+                   return_idler_moments)
 
 
 class ReceiverKind(enum.Enum):
@@ -98,7 +95,8 @@ def heterodyne_envelope(samples, N_S: float) -> complex:
 
 def envelope_sd(cp: ChannelParams) -> float:
     """Per-quadrature standard deviation of the M-sample averaged envelope,
-    sqrt(((1 - eta) N_Z + 1) / (2 M N_S)); inf when the variance overflows."""
+    sqrt(((1 - eta) N_Z + 1) / (2 M N_S)); inf when the variance overflows.
+    The probe is coherent (`apply_channel_classical`): noise (1 - eta) N_Z, not n_R."""
     return math.sqrt(((1.0 - cp.eta) * cp.N_Z + 1.0) / (2.0 * cp.M * cp.N_S))
 
 
@@ -133,11 +131,11 @@ def pa_statistic_moments(
     """Per-copy mean and variance of the cross-correlation statistic.
 
     The statistic is O = a_I a_R + a_I^dag a_R^dag, whose mean under a symbol
-    (sqrt(eta), phase) is 2 sqrt(eta N_S (N_S+1)) cos(phase + cp.phi): both the
-    correlation and its conjugate contribute, which is what makes the measured
-    displacement twice the single-sided correlation.  The default variance is
-    the bright-background approximation N_Z; exact_variance computes the full
-    Gaussian fourth-moment expression from the joint state.
+    is 2 Re c = 2 sqrt(eta N_S (N_S+1)) cos(phase + cp.phi), c from
+    `return_idler_moments`: both the correlation and its conjugate contribute,
+    which is what makes the measured displacement twice the single-sided
+    correlation.  The default variance is the bright-background approximation
+    N_Z; exact_variance computes the full Gaussian fourth-moment expression.
     """
     flags = cp.validity_warnings()
     if flags:
@@ -146,29 +144,22 @@ def pa_statistic_moments(
             + "; ".join(flags),
             stacklevel=2,
         )
-    mean = _pa_mean(symbol, cp)
+    n_r, n_i, c = return_idler_moments(cp, symbol)
+    mean = 2.0 * c.real
     if not exact_variance:
         return mean, cp.N_Z
-    state = apply_channel(cp, symbol)
-    c = phase_sensitive_correlation(state, 0, 1)
-    n_r = mean_photon_number(state, 0)
-    n_i = mean_photon_number(state, 1)
     # Wick expansion of <O^2> - <O>^2 for a zero-mean Gaussian state
     var = 2.0 * (c * c).real + (n_i + 1.0) * (n_r + 1.0) + n_i * n_r
     return mean, var
 
 
-def _pa_mean(symbol: Symbol, cp: ChannelParams) -> float:
-    return 2.0 * math.sqrt(symbol.eta * cp.N_S * (cp.N_S + 1.0)) * math.cos(symbol.phase + cp.phi)
-
-
 def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
-    """Expected statistic value for each symbol of an aligned two-symbol alphabet."""
+    """Expected statistic value 2 Re c for each symbol of an aligned two-symbol alphabet."""
     if a.kind is AlphabetKind.QPSK or len(a) != 2:
         raise UnsupportedAlphabetError(
             "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
         )
-    return [_pa_mean(s, cp) for s in a.symbols]
+    return [2.0 * return_idler_moments(cp, s)[2].real for s in a.symbols]
 
 
 def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
@@ -268,19 +259,18 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
 def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]:
     """Two-mode squeeze (G, theta) that zeroes <a_R a_I> for the given hypothesis.
 
-    Solved from the post-channel moments: with c = <a_R a_I> and
+    Solved from `return_idler_moments`: with c = <a_R a_I> and
     n = n_R + n_I + 1, the gain satisfies G(G-1) = |c|^2 / (n^2 - 4|c|^2) and
     the phase is arg(c) + pi.  Because G sits on the float grid just above 1,
     the returned gain is snapped to the representable neighbor minimizing the
     analytic residual; the reachable null is limited to roughly
     eps * n^2 / (4 |c|) in double precision.
     """
-    state = apply_channel(cp, symbol)
-    c = phase_sensitive_correlation(state, 0, 1)
+    n_r, n_i, c = return_idler_moments(cp, symbol)
     cmag = abs(c)
     if cmag == 0.0:
         return 1.0, 0.0
-    n = mean_photon_number(state, 0) + mean_photon_number(state, 1) + 1.0
+    n = n_r + n_i + 1.0
     v = cmag * cmag / (n * n - 4.0 * cmag * cmag)
     w = 2.0 * v / (1.0 + math.sqrt(1.0 + 4.0 * v))  # G - 1, cancellation-free
     theta = (cmath.phase(c) + math.pi) % (2.0 * math.pi)
@@ -290,16 +280,9 @@ def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]
         return abs((G + wg) * cmag - math.sqrt(G * wg) * n)
 
     G0 = 1.0 + w
-    candidates = {G0, math.nextafter(G0, 0.0), math.nextafter(G0, 2.0)}
+    candidates = {G0, max(1.0, math.nextafter(G0, 0.0)), math.nextafter(G0, 2.0)}
     G = min(candidates, key=residual)
     return G, theta
-
-
-def _residual_context(cp: ChannelParams, true_symbol: Symbol, spec: ReceiverSpec) -> tuple[float, int]:
-    """(nbar, K) of the thermal floor under spec.sfg_cycles(N_Z)."""
-    state = apply_channel(cp, true_symbol)
-    tau, _, K = spec.sfg_cycles(cp.N_Z)
-    return mean_photon_number(state, 1) * tau * mean_photon_number(state, 0), K  # n_I tau n_R
 
 
 def sfg_no_click_probability(
@@ -309,8 +292,9 @@ def sfg_no_click_probability(
 
     exp(-sfg_count_rate) at the true-to-nulled distance, times (1 + nbar)^-K
     with include_thermal_residual, where nbar = n_I (tau n_R) is the
-    Bose-Einstein floor under each cycle's converted mode.  It is dropped by
-    default, but it is small only per cycle: over the K cycles
+    Bose-Einstein floor under each cycle's converted mode, both moments of
+    `return_idler_moments` for the true symbol.  It is dropped by default,
+    but it is small only per cycle: over the K cycles
     K nbar ~ N_S n_R ln(1/eps) / (2 (1 + N_Z)) for any tau, 0.034 at
     N_S = 0.01, N_Z = 100 and eps = 1e-3.  With it the nulled hypothesis is
     rejected with probability 1 - e^(-K nbar), so SFG-BPSK has an error floor
@@ -319,8 +303,9 @@ def sfg_no_click_probability(
     d2 = abs(true_symbol.complex_point() - null_symbol.complex_point()) ** 2
     p = math.exp(-sfg_count_rate(cp, d2, spec))
     if spec.include_thermal_residual:
-        nbar, K = _residual_context(cp, true_symbol, spec)
-        p *= math.exp(-K * math.log1p(nbar))
+        n_r, n_i, _ = return_idler_moments(cp, true_symbol)
+        tau, _, K = spec.sfg_cycles(cp.N_Z)
+        p *= math.exp(-K * math.log1p(n_i * tau * n_r))
     return p
 
 
@@ -409,8 +394,8 @@ def point_decider(
 
     Building a rule costs 2-25 us per point at N_Z = 100, the most for the
     SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each call builds
-    it; with include_thermal_residual the zero-photon rule's per-symbol
-    Gaussian states take about 0.3 ms.
+    it.  Every channel quantity a rule needs (the PA grid, the thermal
+    residual) is read from the closed-form `return_idler_moments`.
 
     The rule carries `decide.draws`, the number of leading rows of u it
     reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).

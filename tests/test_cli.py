@@ -123,6 +123,14 @@ ETA_ABOVE_ONE_CONFIG = (
     .replace("sweep = 0.25:0.75:3", "sweep = 1.0000000000001:1.0000000000001:1")
 )
 
+#: PA-BPSK whose correlation at the largest sweep point, eta N_S (N_S + 1),
+#: overflows: the PA grid would hold inf - inf
+PA_OVERFLOW_CONFIG = (
+    GOOD_CONFIG.replace("receiver = sfg", "receiver = pa")
+    .replace("N_S = 0.01", "N_S = 1e308")
+    .replace("M = 1000000", "M = 1")
+)
+
 
 def test_load_config_rejects_link_budget_section(tmp_path):
     cfgpath = _write_config(tmp_path, text=LINK_BUDGET_CONFIG)
@@ -282,6 +290,7 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_plus("include_thermal_residual = maybe"), EXPERIMENT_LINE),
         (_plus("pa_epsilon_sq = 0.005"), PLUS_LINE),
         (ETA_ABOVE_ONE_CONFIG, EXPERIMENT_LINE),
+        (PA_OVERFLOW_CONFIG, EXPERIMENT_LINE),
         (_rx("pa", "sfg_tau = 0.0005\ninclude_thermal_residual = true"), PLUS_LINE),
         (_rx("heterodyne", "sfg_capture_eps = 0.5"), PLUS_LINE),
         (_rx("pa", "include_thermal_residual = true"), PLUS_LINE),
@@ -290,7 +299,8 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
-         "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-sfg-tau",
+         "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-moments-overflow",
+         "pa-sfg-tau",
          "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
@@ -316,6 +326,15 @@ def test_simulate_rejects_unsafe_or_duplicate_name(tmp_path, capsys, text, line)
     assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "out" / "sub")]) == 2
     assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_simulate_huge_source_brightness_with_thermal_residual_runs(tmp_path):
+    """At N_S = 1e200 sqrt(N_S (N_S + 1)) overflows, but every channel moment
+    of the sweep is finite: the residual run ends and writes its curve."""
+    text = _plus("include_thermal_residual = true").replace("N_S = 0.01", "N_S = 1e200")
+    assert main(["simulate", str(_write_config(tmp_path, text=text))]) == 0
+    rows = (tmp_path / "out" / "sfg-bpsk.csv").read_text().splitlines()
+    assert len(rows) == 4 and all("nan" not in row and "inf" not in row for row in rows)
 
 
 @pytest.mark.parametrize("tau", ["1e-11", "1e-300"])

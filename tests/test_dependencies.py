@@ -1,7 +1,8 @@
 """The package needs only numpy and the standard library at run time, its
-modules import each other at module level and without a cycle, it keeps
-every function the benchmark's tracer binds by name, and it looks up numpy's
-eigensolvers on numpy.linalg at each call, where that tracer counts them."""
+modules import each other at module level and without a cycle, the channel
+has one path (receivers builds no Gaussian state), it keeps every function
+the benchmark's tracer binds by name, and it looks up numpy's eigensolvers
+on numpy.linalg at each call, where that tracer counts them."""
 
 import ast
 import importlib.util
@@ -72,6 +73,36 @@ def test_src_imports_are_module_level_and_acyclic():
     assert not nested, f"package imports inside a function or block (file: lines): {nested}"
     cycle = _import_cycle(graph)
     assert cycle is None, f"modules import each other in a cycle: {' -> '.join(cycle)}"
+
+
+def _names_from(tree: ast.Module, module: str) -> set[str]:
+    """Names a module takes from a package module by relative import; '*'
+    for a bare `from . import module`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module and node.module.split(".")[0] == module:
+                names |= {alias.name for alias in node.names}
+            elif not node.module and any(alias.name == module for alias in node.names):
+                names.add("*")
+    return names
+
+
+def test_channel_has_one_path():
+    """The channel is `link.return_idler_moments`: receivers imports nothing
+    from gaussian, and link takes only the state type it fills in."""
+    trees = {name: ast.parse((ROOT / "src" / "qbcsim" / f"{name}.py").read_text())
+             for name in ("link", "receivers")}
+    assert _names_from(trees["receivers"], "gaussian") == set()
+    assert _names_from(trees["link"], "gaussian") == {"GaussianState"}
+
+
+def test_guard_catches_names_taken_from_a_module():
+    tree = ast.parse("from .gaussian import GaussianState, tmss\nfrom . import gaussian, fock\n"
+                     "from .link import Symbol\nimport gaussian\n")
+    assert _names_from(tree, "gaussian") == {"GaussianState", "tmss", "*"}
+    assert _names_from(tree, "link") == {"Symbol"}
+    assert _names_from(tree, "fock") == {"*"}
 
 
 def test_guard_catches_a_nested_import_and_a_cycle():

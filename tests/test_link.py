@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from qbcsim.gaussian import (
+    apply_beam_splitter,
+    coherent,
     mean_photon_number,
+    partial_trace,
     phase_sensitive_correlation,
     symplectic_eigenvalues,
+    tensor,
     thermal,
+    tmss,
 )
 from qbcsim.link import (
     AlphabetKind,
@@ -24,6 +29,7 @@ from qbcsim.link import (
     make_alphabet_qpsk,
     min_squared_distance,
     mode_pairs,
+    return_idler_moments,
     rtt_from_link_budget,
     thermal_occupancy,
 )
@@ -261,31 +267,60 @@ def test_apply_channel_correlation_magnitude():
     assert abs(c) ** 2 == pytest.approx(1.01e-4, rel=1e-10)
 
 
-def test_apply_channel_moment_identities_randomized():
+def _engine_channel(cp, symbol):
+    """The channel built on the Gaussian engine, independent of the closed form:
+    tmss(N_S) (x) thermal(N_Z), a beam splitter on signal and environment,
+    and the lost port traced out."""
+    state = tensor(tmss(cp.N_S), thermal(cp.N_Z))  # modes: S=0, I=1, Z=2
+    state = apply_beam_splitter(state, 0, 2, symbol.eta, symbol.phase + cp.phi)
+    return partial_trace(state, [0, 1])
+
+
+def _engine_channel_classical(cp, symbol):
+    state = tensor(coherent(math.sqrt(cp.N_S)), thermal(cp.N_Z))  # modes: S=0, Z=1
+    state = apply_beam_splitter(state, 0, 1, symbol.eta, symbol.phase + cp.phi)
+    return partial_trace(state, [0])
+
+
+def _channel_points():
+    """Random points (eta in [0, 1], N_Z <= 1e3, N_S <= 2, any phase) plus the
+    edges eta in {0, 1}, N_Z = 0 and N_S = 0."""
     rng = np.random.default_rng(2718)
-    for _ in range(100):
-        cp = ChannelParams(
-            eta=1.0,
-            phi=rng.uniform(0, 2 * math.pi),
-            N_Z=rng.uniform(0, 200),
-            M=100,
-            N_S=rng.uniform(0, 0.5),
-        )
-        sym = Symbol(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi))
-        out = apply_channel(cp, sym)
-        eta = sym.eta
-        n_r = mean_photon_number(out, 0)
-        assert n_r == pytest.approx(
-            eta * cp.N_S + (1 - eta) * cp.N_Z, rel=1e-10, abs=1e-10
-        )
-        assert mean_photon_number(out, 1) == pytest.approx(cp.N_S, rel=1e-10, abs=1e-12)
-        c = phase_sensitive_correlation(out, 0, 1)
-        expect = (
-            math.sqrt(eta)
-            * np.exp(-1j * (sym.phase + cp.phi))
-            * math.sqrt(cp.N_S * (cp.N_S + 1))
-        )
-        assert abs(c - expect) < 1e-10
+    points = []
+    for k in range(400):
+        eta = (0.0, 1.0, rng.uniform(0, 1), rng.uniform(0, 1))[k % 4]
+        N_Z = 0.0 if k % 5 == 0 else rng.uniform(0, 1e3)
+        N_S = 0.0 if k % 7 == 0 else rng.uniform(0, 2)
+        cp = ChannelParams(eta=1.0, phi=rng.uniform(0, 2 * math.pi), N_Z=N_Z, M=100, N_S=N_S)
+        points.append((cp, Symbol(math.sqrt(eta), rng.uniform(0, 2 * math.pi))))
+    return points
+
+
+def test_apply_channel_moment_identities_randomized():
+    """The closed form against the engine: n_R and n_I within 1e-15 of the
+    covariance entry n + 1/2 they set (the engine rounds there), c within
+    1e-15 relative and exactly 0 where the engine's is, and the covariance,
+    and the coherent probe's mean, within 1e-15 of max(1, largest entry)."""
+    for cp, sym in _channel_points():
+        ref = _engine_channel(cp, sym)
+        n_r, n_i, c = return_idler_moments(cp, sym)
+        for n, mode in ((n_r, 0), (n_i, 1)):
+            expect = mean_photon_number(ref, mode)
+            assert abs(n - expect) <= 1e-15 * (expect + 0.5), (cp, sym, mode)
+        c_ref = phase_sensitive_correlation(ref, 0, 1)
+        assert abs(c - c_ref) <= 1e-15 * abs(c_ref), (cp, sym)
+        for state, engine in ((apply_channel(cp, sym), ref),
+                              (apply_channel_classical(cp, sym), _engine_channel_classical(cp, sym))):
+            for got, expect in ((state.mean, engine.mean), (state.cov, engine.cov)):
+                scale = max(1.0, float(np.max(np.abs(expect))))
+                assert np.max(np.abs(got - expect)) <= 1e-15 * scale, (cp, sym)
+
+
+def test_return_idler_moments_reject_an_overflow():
+    cp = ChannelParams(eta=1.0, phi=0.0, N_Z=100.0, M=1, N_S=1e308)
+    with pytest.raises(ValueError, match="float range"):
+        return_idler_moments(cp, Symbol(0.5, 0.0))
+    assert return_idler_moments(cp, Symbol(0.0, 0.0))[:2] == (100.0, 1e308)
 
 
 def test_apply_channel_classical_dark_symbol():

@@ -15,6 +15,7 @@ from qbcsim.link import (
     make_alphabet_bpsk,
     make_alphabet_qpsk,
     min_squared_distance,
+    return_idler_moments,
 )
 from qbcsim.gaussian import heterodyne_samples
 from qbcsim.montecarlo import (
@@ -42,7 +43,6 @@ from qbcsim.receivers import (
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
-    _residual_context,
     heterodyne_decide,
     heterodyne_envelope,
     pa_decision_grid,
@@ -175,8 +175,9 @@ def test_sfg_thermal_residual_reaches_simulation():
         cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
         amp = math.sqrt(eta)
         other, null = Symbol(amp, 0.0), Symbol(amp, math.pi)
-        nbar_null, K = _residual_context(cp, null, on)
-        nbar_other, _ = _residual_context(cp, other, on)
+        tau, _, K = on.sfg_cycles(cp.N_Z)
+        moments = [return_idler_moments(cp, sym) for sym in (null, other)]
+        nbar_null, nbar_other = (n_i * tau * n_r for n_r, n_i, _ in moments)
         p0_null = (1.0 + nbar_null) ** -K
         p0_other = math.exp(-sfg_count_rate(cp, 4.0 * eta, on)) * (1.0 + nbar_other) ** -K
         exact = 0.5 * (1.0 - p0_null) + 0.5 * p0_other

@@ -17,6 +17,7 @@ from qbcsim.link import (
     make_alphabet_pam,
     make_alphabet_qpsk,
     nominal_alphabet,
+    return_idler_moments,
 )
 from qbcsim.gaussian import apply_two_mode_squeeze, heterodyne_samples
 from qbcsim.montecarlo import wilson_interval
@@ -353,6 +354,14 @@ def test_nulling_doubles_opposite_hypothesis():
     assert abs(c) == pytest.approx(expect, rel=1e-6)
 
 
+def test_nulling_below_the_gain_grid_returns_unit_gain():
+    """When G - 1 is below the float grid above 1, the gain is 1, never the
+    float below 1, whose sqrt(G - 1) would fail."""
+    cp = ChannelParams(eta=1e-12, phi=0.0, N_Z=100.0, M=1000, N_S=0.01)
+    G, theta = sfg_nulling_params(Symbol(1e-6, 0.0), cp)
+    assert G == 1.0 and theta == pytest.approx(math.pi)
+
+
 def test_nulling_of_bare_source():
     # lossless channel with no thermal noise reduces to unsqueezing the source
     cp = ChannelParams(eta=1.0, phi=0.0, N_Z=0.0, M=100, N_S=0.25)
@@ -413,9 +422,9 @@ def test_zero_photon_thermal_residual_option():
     errors = np.count_nonzero(_decisions(cp, a, spec, np.full(n, k), rng) != k)
     # background clicks now cause false rejections of the nulled hypothesis
     assert errors > 0
-    from qbcsim.receivers import _residual_context
-
-    nbar, K = _residual_context(cp, null, spec)
+    n_r, n_i, _ = return_idler_moments(cp, null)
+    tau, _, K = spec.sfg_cycles(cp.N_Z)
+    nbar = n_i * tau * n_r
     p_expect = 1.0 - (1.0 / (1.0 + nbar)) ** K
     assert errors / n == pytest.approx(p_expect, rel=0.2)
 
