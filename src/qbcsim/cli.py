@@ -34,7 +34,7 @@ from .link import (
 )
 from .montecarlo import (
     BerCurve, BerCurvePoint, analytic_bound_value, eve_random_phase_ber, fit_error_exponent,
-    run_experiment,
+    run_experiments,
 )
 from .receivers import ReceiverKind
 
@@ -135,6 +135,9 @@ def _curve_csv(curve: BerCurve) -> str:
 
 
 def cmd_simulate(args) -> int:
+    """Run every experiment of the config (all with `--seed` when given) in one
+    `run_experiments` call, then write each experiment's file and the summary
+    in config order: no file is written until every experiment has run."""
     try:
         cfg = load_config(args.config)
     except OSError as exc:
@@ -151,11 +154,10 @@ def cmd_simulate(args) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    exps = [exp if args.seed is None else replace(exp, master_seed=args.seed)
+            for _, exp in cfg.experiments]
     texts = []
-    for name, exp in cfg.experiments:
-        if args.seed is not None:
-            exp = replace(exp, master_seed=args.seed)
-        curve = run_experiment(exp)
+    for (name, _), exp, curve in zip(cfg.experiments, exps, run_experiments(exps)):
         entry = {
             "experiment": name,
             "receiver": exp.receiver.kind.value,

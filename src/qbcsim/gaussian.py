@@ -58,7 +58,7 @@ class GaussianState:
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * max(1.0, peak):
             raise ValueError("covariance matrix is not symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", 0.5 * cov + 0.5 * cov.T)  # no overflow near the float max
 
     def check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.n_modes:

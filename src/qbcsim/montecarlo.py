@@ -8,10 +8,13 @@ uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine, `count_errors`, knows no
 receiver: it applies array-form rules decide(i, u) to numpy blocks, hashing
 each block in place and computing only the uniform rows the rules read.  Its
-rules are the per-point receiver rules of `receivers.point_decider`, all of a
-sweep's points passed at once, and the phase-hopped eavesdropper of
-`eve_random_phase_ber`, whose run lives in this module (bit from the hash,
-Box-Muller noise from u[0] and u[1], hop from u[2]).
+rules are the per-point receiver rules of `receivers.point_decider` and the
+phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives in this
+module (bit from the hash, Box-Muller noise from u[0] and u[1], hop from
+u[2]).  `run_experiments` passes all the points of every experiment that
+shares a master seed, alphabet size and trial count to one call, and that
+call hashes each distinct point index once for all of them: each of its
+rules reads the same read-only symbol and uniform columns.
 
 Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
 (128 KiB) of hash and uniform rows, so 2^14 // (draws + 1) trials.  Larger
@@ -248,16 +251,24 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     its draw k is _mix64(h + (k + 1) _GAMMA), so neither the blocks nor the
     grouping of points moves a count.  Only the uniform rows the rules read
     (the most `decide.draws`) are computed; draw k depends on h and k alone,
-    so they hold the values of the full DRAWS rows.  Points share blocks of
-    `_block_trials(draws)` trials as the module docstring says, each rule
-    reading its own contiguous columns.  No rule runs across points: a
-    sweep-wide rule needs 2-D fancy indexing, which costs more than the
-    per-point calls it saves.
+    so they hold the values of the full DRAWS rows.  Several rules may share
+    a point index: each distinct point's hash row, symbol word and uniform
+    rows are finished once, and every rule at that point reads the same
+    columns.  Those arrays are read-only, so a rule that writes into its
+    i or u raises ValueError instead of moving another rule's count.
+    Distinct points share blocks of `_block_trials(draws)` trials as the
+    module docstring says, each reading its own contiguous columns.  No rule
+    runs across points: a sweep-wide rule needs 2-D fancy indexing, which
+    costs more than the per-point calls it saves.
     """
     draws = max(decide.draws for _, decide in rules)
     steps = _DRAW_STEPS[:draws]
     mask = np.uint64(n_symbols - 1)
-    prefixes = np.array([[_prefix_hash(master_seed, p)] for p, _ in rules], dtype=np.uint64)
+    readers = {}  # point index -> its (rule position, decide) pairs, in first-seen order
+    for r, (p, decide) in enumerate(rules):
+        readers.setdefault(p, []).append((r, decide))
+    points = list(readers)
+    prefixes = np.array([[_prefix_hash(master_seed, p)] for p in points], dtype=np.uint64)
     per_block = _block_trials(draws)
     stop = start + count
     errors = [0] * len(rules)
@@ -270,10 +281,9 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
         # whole groups of hash rows, as many as fit the _BLOCK word budget,
         # are finished in one array
         rows = group * (_BLOCK // (group * n))
-        for c in range(0, len(rules), rows):
+        for c in range(0, len(points), rows):
             hashes = _finish_hash(z ^ prefixes[c : c + rows])
-            for g in range(c, min(c + rows, len(rules)), group):
-                members = rules[g : g + group]
+            for g in range(c, min(c + rows, len(points)), group):
                 hg = hashes[g - c : g - c + group].reshape(-1)
                 words = np.empty((draws + 1, len(hg)), dtype=np.uint64)
                 np.add(hg, steps, out=words[1:])
@@ -281,9 +291,11 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
                 _mix64_inplace(words)
                 i = (h & mask).astype(np.intp)
                 u = uniforms(words[1:])
-                for j, (_, decide) in enumerate(members):
+                i.flags.writeable = u.flags.writeable = False
+                for j, p in enumerate(points[g : g + group]):
                     cols = slice(j * n, (j + 1) * n)
-                    errors[g + j] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
+                    for r, decide in readers[p]:
+                        errors[r] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
     return errors
 
 
@@ -331,10 +343,8 @@ def eve_random_phase_ber(
     return count_errors([(0, decide)], 2, master, 0, trials)[0] / trials
 
 
-def run_experiment(cfg: ExperimentConfig) -> BerCurve:
-    """Run all sweep points; the empirical curve with bounds attached, fixed by master_seed."""
-    n_symbols, rules = _point_rules(cfg, range(len(cfg.sweep)))
-    counts = count_errors(rules, n_symbols, cfg.master_seed, 0, cfg.trials_per_point)
+def _curve(cfg: ExperimentConfig, counts: list[int]) -> BerCurve:
+    """The curve of `cfg` from its per-point error counts."""
     points = []
     for s, errors in zip(cfg.sweep, counts):
         trials = cfg.trials_per_point
@@ -342,18 +352,31 @@ def run_experiment(cfg: ExperimentConfig) -> BerCurve:
         bound = analytic_bound_value(
             cfg.receiver.kind, cfg.alphabet_kind, cfg.eta_for(s), cfg.N_S, cfg.M, cfg.N_Z
         )
-        points.append(
-            BerCurvePoint(
-                s=s,
-                empirical_ber=errors / trials,
-                wilson_ci_low=lo,
-                wilson_ci_high=hi,
-                analytic_bound=bound,
-                trials=trials,
-                errors=errors,
-            )
-        )
+        points.append(BerCurvePoint(s=s, empirical_ber=errors / trials, wilson_ci_low=lo,
+                                    wilson_ci_high=hi, analytic_bound=bound, trials=trials,
+                                    errors=errors))
     return BerCurve(points=tuple(points))
+
+
+def run_experiments(cfgs) -> list[BerCurve]:
+    """Each config's curve, as `run_experiment` gives it alone.  Configs that
+    share (master_seed, alphabet size, trials_per_point) draw the same trial
+    stream, so their points go to one `count_errors` call."""
+    groups = {}
+    for k, cfg in enumerate(cfgs):
+        n_symbols, rules = _point_rules(cfg, range(len(cfg.sweep)))
+        groups.setdefault((cfg.master_seed, n_symbols, cfg.trials_per_point), []).append((k, rules))
+    counts = [None] * len(cfgs)
+    for (seed, n_symbols, trials), members in groups.items():
+        flat = iter(count_errors([r for _, rs in members for r in rs], n_symbols, seed, 0, trials))
+        for k, rules in members:
+            counts[k] = [next(flat) for _ in rules]
+    return [_curve(cfg, errors) for cfg, errors in zip(cfgs, counts)]
+
+
+def run_experiment(cfg: ExperimentConfig) -> BerCurve:
+    """Run all sweep points; the empirical curve with bounds attached, fixed by master_seed."""
+    return run_experiments([cfg])[0]
 
 
 def fit_error_exponent(curve: BerCurve, s_min: float) -> float:

@@ -246,6 +246,47 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
+#: [experiment] blocks without a seed key, so each runs on the default seed;
+#: three share the binary alphabet size, one is QPSK
+_DEFAULT_SEED_EXPERIMENTS = tuple(
+    f"[experiment]\nname = {name}\nreceiver = {rx}\nalphabet = {alphabet}\n"
+    f"N_S = 0.01\nN_Z = 100\nM = {M}\nsweep = {sweep}\ntrials = 1000\n"
+    for name, rx, alphabet, M, sweep in (
+        ("het-bpsk", "heterodyne", "bpsk", 1_000_000, "0.5:1.5:3"),
+        ("sfg-qpsk", "sfg", "qpsk", 1_000_000, "0.5:2.5:3"),
+        ("pa-bpsk", "pa", "bpsk", 10_000_000, "0.5:1.5:3"),
+        ("sfg-pam", "sfg", "pam", 10_000_000, "1:3:3"),
+    )
+)
+
+
+@pytest.mark.parametrize("seed", [None, "5"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_experiments_do_not_share_counts(tmp_path, capsys, fmt, seed):
+    """Experiments on one seed are counted in one engine pass, yet each
+    writes the bytes it writes when simulated alone from a one-experiment
+    config, and the stdout lines keep the config's order."""
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "--format", fmt] + (["--seed", seed] if seed else [])
+    alone, expected_stdout = {}, []
+    for block in _DEFAULT_SEED_EXPERIMENTS:
+        name = block.split("\n")[1].removeprefix("name = ")
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(block)
+        assert main(["simulate", str(path), *argv]) == 0
+        alone[name] = (out / f"{name}.{fmt}").read_bytes()
+        expected_stdout += capsys.readouterr().out.splitlines()[:-1]  # all but the summary line
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(_DEFAULT_SEED_EXPERIMENTS))
+    for name in alone:
+        (out / f"{name}.{fmt}").unlink()
+    assert main(["simulate", str(path), *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == expected_stdout + [
+        f"summary: wrote {out / 'summary.json'}"]
+    for name, data in alone.items():
+        assert (out / f"{name}.{fmt}").read_bytes() == data, name
+
+
 def test_simulate_json_roundtrip(tmp_path):
     cfgpath = _write_config(tmp_path)
     assert main(["simulate", str(cfgpath), "--format", "json"]) == 0

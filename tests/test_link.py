@@ -323,6 +323,17 @@ def test_return_idler_moments_reject_an_overflow():
     assert return_idler_moments(cp, Symbol(0.0, 0.0))[:2] == (100.0, 1e308)
 
 
+def test_states_near_the_float_max_keep_a_finite_covariance():
+    """A state symmetrizes its covariance as 0.5 cov + 0.5 cov^T, which stays
+    finite for every finite entry where cov + cov^T overflows: a thermal
+    state of 1e308 photons and the channel at eta = 0, N_Z = 1e308."""
+    assert thermal(1e308).cov[0, 0] == 1e308
+    cp = ChannelParams(eta=0.0, phi=0.0, N_Z=1e308, M=1, N_S=0.01)
+    out = apply_channel(cp, Symbol(0.0, 0.0))
+    assert np.isfinite(out.cov).all()
+    assert out.cov[0, 0] == out.cov[1, 1] == 1e308
+
+
 def test_apply_channel_classical_dark_symbol():
     cp = ChannelParams(eta=0.5, phi=0.0, N_Z=12.0, M=100, N_S=0.4)
     out = apply_channel_classical(cp, Symbol(0.0, 0.0))

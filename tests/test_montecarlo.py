@@ -33,11 +33,14 @@ from qbcsim.montecarlo import (
     count_errors,
     analytic_bound_value,
     derive_trial_seed,
+    eve_random_phase_ber,
     fit_error_exponent,
     nominal_alphabet,
     run_experiment,
+    run_experiments,
     wilson_interval,
 )
+import qbcsim.montecarlo as montecarlo
 from qbcsim.receivers import (
     DRAWS,
     ReceiverKind,
@@ -322,6 +325,124 @@ def test_error_counts_are_pinned(receiver, alphabet, residual):
                   sweep=(0.5, 1.0, 2.0), trials_per_point=n, master_seed=20261018)
     got = tuple(pt.errors for pt in run_experiment(cfg).points)
     assert got == _GOLDEN_COUNTS[receiver, alphabet, residual]
+
+
+def _link_config(receiver, alphabet, M=1_000_000, **overrides):
+    """A config at the bench's operating point, N_S = 0.01 and N_Z = 100."""
+    return _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet, N_S=0.01,
+                   N_Z=100.0, M=M, **overrides)
+
+
+def _binary_configs(seeds, trials=2000):
+    """The four binary experiments of the mc-binary bench on the given seeds:
+    het/PA/SFG-BPSK and SFG-PAM, each with its own 3-point sweep."""
+    plans = (
+        (ReceiverKind.HETERODYNE, AlphabetKind.BPSK, 1_000_000, (0.5, 1.0, 1.5)),
+        (ReceiverKind.PA, AlphabetKind.BPSK, 10_000_000, (0.5, 1.0, 1.5)),
+        (ReceiverKind.SFG, AlphabetKind.BPSK, 10_000_000, (0.25, 0.5, 0.75)),
+        (ReceiverKind.SFG, AlphabetKind.PAM, 10_000_000, (1.0, 2.0, 3.0)),
+    )
+    return [_link_config(rx, alphabet, M, sweep=sweep, trials_per_point=trials, master_seed=seed)
+            for (rx, alphabet, M, sweep), seed in zip(plans, seeds)]
+
+
+def test_run_experiments_equals_each_experiment_alone():
+    """A mixed list, interleaved so that groups are not contiguous: the four
+    binary experiments on one seed, SFG- and het-QPSK on that seed (another
+    alphabet size), an experiment on another seed, one with another trial
+    count, and two whose 2-point sweeps span several blocks.  Each curve
+    equals the experiment run alone, point for point, and each count the
+    point counted alone."""
+    het, pa, sfg, pam = _binary_configs([11] * 4)
+    spanning = 2 * _block_trials(2) + 1234
+    cfgs = [
+        het,
+        _link_config(ReceiverKind.SFG, AlphabetKind.QPSK, sweep=(0.5, 1.5, 2.5), master_seed=11),
+        pa,
+        replace(het, master_seed=12),
+        sfg,
+        _link_config(ReceiverKind.HETERODYNE, AlphabetKind.QPSK, sweep=(0.5, 1.5), master_seed=11),
+        replace(sfg, trials_per_point=3000),
+        pam,
+        _link_config(ReceiverKind.PA, AlphabetKind.PAM, sweep=(0.5, 1.0),
+                     trials_per_point=spanning, master_seed=13),
+        _link_config(ReceiverKind.HETERODYNE, AlphabetKind.PAM, sweep=(0.25, 0.5),
+                     trials_per_point=spanning, master_seed=13),
+    ]
+    curves = run_experiments(cfgs)
+    assert curves == [run_experiment(c) for c in cfgs]
+    for cfg, curve in zip(cfgs, curves):
+        alone = [_count_point_errors(cfg, p, 0, cfg.trials_per_point) for p in range(len(cfg.sweep))]
+        assert [pt.errors for pt in curve.points] == alone, cfg
+    assert run_experiments([]) == []
+
+
+@pytest.mark.parametrize("alphabet,rx_draws", [
+    (AlphabetKind.BPSK, ((ReceiverKind.SFG, 1), (ReceiverKind.HETERODYNE, 2), (ReceiverKind.PA, 2))),
+    (AlphabetKind.QPSK, ((ReceiverKind.SFG, DRAWS), (ReceiverKind.HETERODYNE, 2))),
+])
+def test_rules_sharing_a_point_count_as_alone(alphabet, rx_draws):
+    """Rules at duplicated point indices, with different draws, read one set
+    of columns per point, over a range spanning several blocks: each rule
+    counts what it counts alone and what the unblocked reference counts."""
+    n = 2 * _block_trials(DRAWS) + 77
+    rules = []
+    for rx, draws in rx_draws:
+        cfg = _link_config(rx, alphabet, sweep=(0.5, 1.0, 1.5), trials_per_point=n)
+        n_symbols, point_rules = _point_rules(cfg, range(3))
+        assert {decide.draws for _, decide in point_rules} == {draws}
+        rules += point_rules[::-1]
+    assert len({p for p, _ in rules}) < len(rules)
+    counts = count_errors(rules, n_symbols, 99, 0, n)
+    for (p, decide), got in zip(rules, counts):
+        assert got == count_errors([(p, decide)], n_symbols, 99, 0, n)[0]
+        assert got == _reference_errors(decide, n_symbols, 99, p, n), (p, decide.draws)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_shared_seed_hashes_each_point_once(monkeypatch, shared):
+    """Four 3-point experiments at 2000 trials finish 3 x 2000 hash words
+    when they share a seed, and 12 x 2000 when their seeds differ."""
+    words = []
+    finish = montecarlo._finish_hash
+
+    def spy(z):
+        words.append(z.size)
+        return finish(z)
+
+    monkeypatch.setattr(montecarlo, "_finish_hash", spy)
+    run_experiments(_binary_configs([21] * 4 if shared else [21, 22, 23, 24]))
+    assert sum(words) == (3 if shared else 12) * 2000
+
+
+def test_rules_cannot_write_shared_inputs():
+    """The engine hands rules read-only i and u, so a rule that writes in
+    place into columns other rules read raises.  Every receiver rule and the
+    eavesdropper's rule read only, and count what the writable reference
+    arrays give."""
+
+    def scale_u(i, u):
+        u[0] *= 2.0
+        return i
+
+    def relabel(i, u):
+        i[:] = 0
+        return i
+
+    for rule in (scale_u, relabel):
+        rule.draws = 1
+        with pytest.raises(ValueError):
+            count_errors([(0, rule)], 2, 5, 0, 1000)
+    for receiver, alphabet, residual in _GOLDEN_COUNTS:
+        spec = ReceiverSpec(kind=receiver, include_thermal_residual=residual)
+        cfg = _config(receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0, M=1_000_000,
+                      sweep=(0.0, 0.5, 1.0))
+        n_symbols, rules = _point_rules(cfg, range(3))
+        for (p, decide), got in zip(rules, count_errors(rules, n_symbols, 5, 0, 1000)):
+            assert got == _reference_errors(decide, n_symbols, 5, p, 1000), (receiver, alphabet)
+    for dist in ("uniform", "binary", "none"):
+        ber = eve_random_phase_ber(0.01, 0.01, 10_000, 100.0, 10_000, np.random.default_rng(1), dist)
+        assert 0.0 <= ber <= 1.0
 
 
 def _q(x):
