@@ -38,10 +38,6 @@ from .receivers import (
     ReceiverKind,
     ReceiverSpec,
     SfgBookkeeping,
-    heterodyne_decide,
-    heterodyne_envelope,
-    pa_decide,
-    pa_statistic_moments,
     sfg_bookkeeping,
     sfg_count_rate,
     sfg_nulling_params,

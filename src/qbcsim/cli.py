@@ -89,7 +89,7 @@ def _write_text(out: str | Path | None, text: str) -> None:
 
 def cmd_bounds(args) -> int:
     columns = args.columns.split(",") if args.columns else list(BOUND_COLUMNS)
-    for col in columns:
+    for k, col in enumerate(columns):
         if col == "pa_qpsk":
             print(
                 "pa_qpsk is unsupported: the PA statistic projects onto a single "
@@ -99,6 +99,9 @@ def cmd_bounds(args) -> int:
             return EXIT_UNSUPPORTED
         if col not in BOUND_COLUMNS:
             print(f"unknown bounds column {col!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if col in columns[:k]:
+            print(f"repeated bounds column {col!r}", file=sys.stderr)
             return EXIT_USAGE
     try:
         sweep = parse_sweep(args.sweep)

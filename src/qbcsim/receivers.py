@@ -9,12 +9,12 @@ cycle into a coherent amplitude read out by photon counting, after a two-mode
 squeeze nulls one hypothesis.
 
 Each decision rule exists once, in `point_decider`: the array-form rule
-decide(true_index[n], u[DRAWS, n]) -> index[n] that the Monte Carlo harness
-runs on blocks of trials.  A rule reads only its first `decide.draws` rows
-of u, so the harness computes only those; the rows it reads hold the same
-values either way.  Nearest point (ties to the lowest index) is shared with
-`heterodyne_decide` and `pa_decide`.  The all-zero constellation of
-eta = 0 needs no special case: every distance ties and no photon ever arrives.
+decide(true_index[n], u[DRAWS, n]) -> index[n], the only decision path, which
+the Monte Carlo harness runs on blocks of trials and the tests check.  A rule
+reads only its first `decide.draws` rows of u, so the harness computes only
+those; the rows it reads hold the same values either way.  The all-zero
+constellation of eta = 0 needs no special case: every distance ties (ties go
+to the lowest index) and no photon ever arrives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -79,20 +78,6 @@ class ReceiverSpec:
 # ---------------------------------------------------------------------------
 
 
-def heterodyne_envelope(samples, N_S: float) -> complex:
-    """Normalized envelope estimate: (sum of samples) / (M sqrt(N_S)).
-
-    With samples drawn from the received mode, the mean of the result is
-    sqrt(eta) e^{-i phi}.
-    """
-    if not (math.isfinite(N_S) and N_S > 0):
-        raise ValueError(f"N_S must be finite and positive, got {N_S}")
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    return complex(np.sum(samples) / (samples.size * math.sqrt(N_S)))
-
-
 def envelope_sd(cp: ChannelParams) -> float:
     """Per-quadrature standard deviation of the M-sample averaged envelope,
     sqrt(((1 - eta) N_Z + 1) / (2 M N_S)); inf when the variance overflows.
@@ -115,42 +100,9 @@ def _nearest_index(x, points):
     return index
 
 
-def heterodyne_decide(envelope: complex, a: Alphabet) -> Symbol:
-    """Nearest constellation point; ties resolve to the lowest symbol index."""
-    return a.symbols[int(_nearest_index(envelope, [s.complex_point() for s in a.symbols]))]
-
-
 # ---------------------------------------------------------------------------
 # parametric-amplifier receiver
 # ---------------------------------------------------------------------------
-
-
-def pa_statistic_moments(
-    cp: ChannelParams, symbol: Symbol, exact_variance: bool = False
-) -> tuple[float, float]:
-    """Per-copy mean and variance of the cross-correlation statistic.
-
-    The statistic is O = a_I a_R + a_I^dag a_R^dag, whose mean under a symbol
-    is 2 Re c = 2 sqrt(eta N_S (N_S+1)) cos(phase + cp.phi), c from
-    `return_idler_moments`: both the correlation and its conjugate contribute,
-    which is what makes the measured displacement twice the single-sided
-    correlation.  The default variance is the bright-background approximation
-    N_Z; exact_variance computes the full Gaussian fourth-moment expression.
-    """
-    flags = cp.validity_warnings()
-    if flags:
-        warnings.warn(
-            "PA statistic approximations assume "
-            + "; ".join(flags),
-            stacklevel=2,
-        )
-    n_r, n_i, c = return_idler_moments(cp, symbol)
-    mean = 2.0 * c.real
-    if not exact_variance:
-        return mean, cp.N_Z
-    # Wick expansion of <O^2> - <O>^2 for a zero-mean Gaussian state
-    var = 2.0 * (c * c).real + (n_i + 1.0) * (n_r + 1.0) + n_i * n_r
-    return mean, var
 
 
 def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
@@ -160,15 +112,6 @@ def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
             "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
         )
     return [2.0 * return_idler_moments(cp, s)[2].real for s in a.symbols]
-
-
-def pa_decide(statistic: float, a: Alphabet, cp: ChannelParams) -> Symbol:
-    """Nearest symbol along the statistic's real axis; PAM and BPSK only.
-
-    QPSK is rejected: the statistic projects onto one axis, so orthogonal-phase
-    symbols are indistinguishable and the receiver offers no gain there.
-    """
-    return a.symbols[int(_nearest_index(statistic, pa_decision_grid(a, cp)))]
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +140,14 @@ def _c0_sq(cp: ChannelParams, symbol_distance_sq: float) -> float:
     return symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
 
 
-def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec, infinite=False) -> float:
-    """Sum of n_b + n_E over the K cycles of spec.sfg_cycles(N_Z) (over all
-    of them if `infinite`), 2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
+def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
+    """Sum of n_b + n_E over the K cycles of spec.sfg_cycles(N_Z),
+    2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
     With 1 - x^2K = -expm1(2K ln x) and 1 - x^2 = tau (1 + N_Z) (1 + x), whose
     tau cancels, it costs the same and stays accurate for any tau and K."""
     _, log_x, K = spec.sfg_cycles(cp.N_Z)
     x = math.exp(log_x)
-    captured = 1.0 if infinite else -math.expm1(2.0 * K * log_x)
+    captured = -math.expm1(2.0 * K * log_x)
     return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
 
 
@@ -230,11 +173,6 @@ def sfg_bookkeeping(
         raise ValueError(f"K = {K} cycles is too many to list; sfg_count_rate is the closed form")
     n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
     return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
-
-
-def sfg_infinite_total(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
-    """Closed form of the infinite cycle series, 2 tau M C0_sq x^2 / (1 - x^2)."""
-    return _cycle_sum(cp, symbol_distance_sq, spec, infinite=True)
 
 
 def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
@@ -377,12 +315,14 @@ def point_decider(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The receiver's rule at one operating point: decide(true_index[n], u[DRAWS, n]) -> index[n].
 
-    Everything that depends only on the point is computed here once; each
-    call then draws every trial's decision statistic for its true symbol
-    from the exact law, using that trial's column of uniforms, and applies
-    the rule.  The heterodyne envelope is the M-sample average, complex
-    Gaussian with per-quadrature deviation `envelope_sd`; the PA statistic
-    is Normal(mean, N_Z / M), the real part of the same Box-Muller draw.
+    The receiver's only decision path, run by the Monte Carlo harness and
+    checked by the tests.  Everything that depends only on the point is
+    computed here once; each call then draws every trial's decision statistic
+    for its true symbol from its law, using that trial's column of uniforms,
+    and applies the rule.  The heterodyne envelope is the M-sample average,
+    complex Gaussian with per-quadrature deviation `envelope_sd`; the PA
+    statistic is Normal(mean, N_Z / M) (bright-background per-copy variance
+    N_Z), the real part of the same Box-Muller draw.
     The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
     it iff u[0] < sfg_no_click_probability.  The QPSK test enters the cyclic
     hypothesis order at offset v = floor(4 u[0]), which keeps the error rate

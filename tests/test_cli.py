@@ -213,6 +213,17 @@ def test_bounds_pa_qpsk_refused(capsys):
     assert "no gain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_repeated_column_usage_error(tmp_path, capsys, fmt):
+    """A repeated column would print twice in csv and once in json, whose
+    row keys merge: both formats refuse it before writing anything."""
+    out = tmp_path / f"bounds.{fmt}"
+    code = main(["bounds", "--columns", "het_pam,sfg_bpsk,het_pam", "--format", fmt, "--out", str(out)])
+    assert code == 2
+    assert "repeated bounds column 'het_pam'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_bad_sweep_usage_error(capsys):
     for sweep in ("bogus", "-1:1:3", "nan:1:3"):
         assert main(["bounds", f"--sweep={sweep}"]) == 2

@@ -1,8 +1,9 @@
 """The package needs only numpy and the standard library at run time, its
 modules import each other at module level and without a cycle, the channel
 has one path (receivers builds no Gaussian state), it keeps every function
-the benchmark's tracer binds by name, and it looks up numpy's eigensolvers
-on numpy.linalg at each call, where that tracer counts them."""
+the benchmark's tracer binds by name, it looks up numpy's eigensolvers on
+numpy.linalg at each call, where that tracer counts them, and every
+definition no package code uses is one of a listed few, each with a reason."""
 
 import ast
 import importlib.util
@@ -188,3 +189,68 @@ def test_bench_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"qbcsim.{module}"), name, None))
     ]
     assert not missing, f"functions the bench tracer binds are gone: {missing}"
+
+
+#: module-level functions and classes of qbcsim that no package code uses,
+#: grouped by why they stay
+UNUSED_IN_PACKAGE = {
+    "Gaussian engine and Fock oracles, the state-level model that the Chernoff "
+    "ceiling, idler-loss and two-tap eavesdropper work builds on": {
+        "gaussian.apply_beam_splitter", "gaussian.apply_two_mode_squeeze", "gaussian.coherent",
+        "gaussian.mean_photon_number", "gaussian.partial_trace", "gaussian.symplectic_eigenvalues",
+        "gaussian.tensor", "gaussian.tmss", "gaussian.vacuum",
+        "fock.gaussian_to_fock", "fock.helstrom_oracle", "fock.chernoff_exponent_oracle",
+    },
+    "bound by the bench's tracer or gates": {
+        "link.apply_channel", "link.make_alphabet_bpsk", "link.make_alphabet_qpsk",
+        "montecarlo.derive_trial_seed", "montecarlo.run_experiment", "receivers.sfg_nulling_params",
+    },
+    "pinned by an acceptance criterion": {
+        "analytics.exponent_gain_db", "link.make_alphabet_pam", "receivers.sfg_bookkeeping",
+    },
+    "test reference": {
+        "montecarlo._count_point_errors", "gaussian.heterodyne_samples", "link.apply_channel_classical",
+    },
+}
+
+
+def _unused_definitions(sources: dict[str, str]) -> set[str]:
+    """`module.name` of each module-level function or class that no module
+    refers to, by name or attribute, outside the name's own definition.  The
+    re-exports of `__init__` are not uses."""
+    defined, used = set(), set()
+    for module, text in sources.items():
+        if module == "__init__":
+            continue
+        for node in ast.parse(text).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.add((module, own))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return {f"{module}.{name}" for module, name in defined if name not in used}
+
+
+def test_unused_definitions_are_listed():
+    """A function or class that no package code calls is either listed with
+    its reason or deleted; a listed name that gains a caller or goes leaves
+    the list too."""
+    found = _unused_definitions({path.stem: path.read_text() for path in SOURCES})
+    listed = set().union(*UNUSED_IN_PACKAGE.values())
+    assert sum(map(len, UNUSED_IN_PACKAGE.values())) == len(listed), "a name is listed twice"
+    assert not found - listed, f"unused in the package and not listed: {sorted(found - listed)}"
+    assert not listed - found, f"listed but used in the package or gone: {sorted(listed - found)}"
+
+
+def test_guard_catches_an_unused_definition():
+    sources = {
+        "__init__": "from .a import dead, live, Kept\n",
+        "a": "def live():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+             "def dead(n):\n    return dead(n - 1) if n else 0\n\n\nclass Kept:\n    pass\n\n\n"
+             "class Gone:\n    def make(self):\n        return Gone()\n",
+        "b": "from . import a\n\n\ndef run():\n    return a.live(), a.Kept\n",
+    }
+    assert _unused_definitions(sources) == {"a.dead", "a.Gone", "b.run"}

@@ -46,9 +46,9 @@ from qbcsim.receivers import (
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
-    heterodyne_decide,
-    heterodyne_envelope,
+    _nearest_index,
     pa_decision_grid,
+    point_decider,
     sfg_count_rate,
     sfg_null_symbol,
     uniforms,
@@ -533,17 +533,37 @@ def test_bound_at_zero_eta(receiver, alphabet, value):
 
 
 def test_degenerate_alphabets():
-    """Coincident symbols, as at eta = 0: distance 0, ties to the first
-    symbol, and the zero-photon test nulls PAM's first symbol and BPSK's
-    phase-pi one.  The PA grid still rejects QPSK."""
+    """Coincident symbols, as at eta = 0: distance 0, and the zero-photon
+    test nulls PAM's first symbol and BPSK's phase-pi one.  The PA grid
+    still rejects QPSK."""
     a = Alphabet((Symbol(0.0, 0.0), Symbol(0.0, 0.0)), AlphabetKind.PAM)
     assert min_squared_distance(a) == 0.0
-    assert heterodyne_decide(0.3, a) is a.symbols[0]
     for kind, index in ((AlphabetKind.PAM, 0), (AlphabetKind.BPSK, 1)):
         a0 = nominal_alphabet(kind, 0.0)
         assert sfg_null_symbol(a0) is a0.symbols[index]
     with pytest.raises(UnsupportedAlphabetError):
         pa_decision_grid(make_alphabet_qpsk(0.01), ChannelParams(0.01, 0.0, 100.0, 10_000, 0.01))
+
+
+@pytest.mark.parametrize("receiver, alphabet", [
+    (ReceiverKind.HETERODYNE, AlphabetKind.PAM),
+    (ReceiverKind.HETERODYNE, AlphabetKind.BPSK),
+    (ReceiverKind.HETERODYNE, AlphabetKind.QPSK),
+    (ReceiverKind.PA, AlphabetKind.PAM),
+    (ReceiverKind.PA, AlphabetKind.BPSK),
+])
+def test_rules_declare_first_symbol_at_zero_eta(receiver, alphabet):
+    """At eta = 0 every symbol sits at 0, so every distance the heterodyne and
+    PA rules compare ties and each trial declares symbol 0, with no special
+    case in the rule."""
+    cp = ChannelParams(0.0, 0.0, 100.0, 10_000, 0.01)
+    a = nominal_alphabet(alphabet, 0.0)
+    decide = point_decider(cp, a, ReceiverSpec(kind=receiver))
+    rng = np.random.default_rng(22)
+    n = 4096
+    true = rng.integers(len(a), size=n)
+    u = uniforms(rng.integers(0, 2**64, size=(decide.draws, n), dtype=np.uint64))
+    assert not decide(true, u).any()
 
 
 def test_pa_qpsk_rejected():
@@ -585,11 +605,12 @@ def test_heterodyne_fast_path_matches_literal_sampling():
     trials = 20_000
     errors = 0
     states = [apply_channel_classical(cp, sym) for sym in a.symbols]
+    points = np.array([sym.complex_point() for sym in a.symbols])
     for _ in range(trials):
         i = int(rng.integers(2))
         samples = heterodyne_samples(states[i], 0, M, rng)
-        env = heterodyne_envelope(samples, N_S)
-        errors += heterodyne_decide(env, a) != a.symbols[i]
+        env = samples.mean() / math.sqrt(N_S)
+        errors += _nearest_index(env, points) != i
     literal = errors / trials
     se = math.sqrt(2 * max(fast, literal) * (1 - min(fast, literal)) / trials)
     assert abs(fast - literal) < 4 * se

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from qbcsim.gaussian import phase_sensitive_correlation
+from qbcsim.gaussian import mean_photon_number, phase_sensitive_correlation
 from qbcsim.link import (
     AlphabetKind,
     ChannelParams,
@@ -27,15 +27,12 @@ from qbcsim.receivers import (
     ReceiverSpec,
     UnsupportedAlphabetError,
     _nearest_index,
-    heterodyne_decide,
-    heterodyne_envelope,
-    pa_decide,
-    pa_statistic_moments,
+    envelope_sd,
+    pa_decision_grid,
     point_decider,
     sequential_click_test,
     sfg_bookkeeping,
     sfg_count_rate,
-    sfg_infinite_total,
     sfg_no_click_probability,
     sfg_null_symbol,
     sfg_nulling_params,
@@ -52,50 +49,29 @@ def _cp(eta=0.01, phi=0.0, N_Z=100.0, M=10_000, N_S=0.01):
 # ---------------------------------------------------------------------------
 
 
-def test_envelope_noise_free():
-    eta, phi, N_S = 0.04, 0.6, 0.3
-    sample = math.sqrt(eta * N_S) * np.exp(-1j * phi)
-    env = heterodyne_envelope([sample] * 10, N_S)
-    assert env == pytest.approx(math.sqrt(eta) * np.exp(-1j * phi), rel=1e-12)
+def _points(a):
+    return np.array([s.complex_point() for s in a.symbols])
 
 
 def test_envelope_monte_carlo_mean():
+    """The mean of M literal heterodyne samples, over sqrt(N_S), sits at the
+    symbol's point within the deviation `envelope_sd` gives the rule."""
     eta, N_S, N_Z = 0.01, 0.01, 1.0
-    cp = _cp(eta=eta, N_Z=N_Z, N_S=N_S)
+    M = 10**5
+    cp = _cp(eta=eta, N_Z=N_Z, N_S=N_S, M=M)
     state = apply_channel_classical(cp, Symbol(math.sqrt(eta), 0.0))
     rng = np.random.default_rng(314)
-    M = 10**5
-    env = heterodyne_envelope(heterodyne_samples(state, 0, M, rng), N_S)
+    env = heterodyne_samples(state, 0, M, rng).mean() / math.sqrt(N_S)
     se = math.sqrt(((1 - eta) * N_Z + 1.0) / (2.0 * M * N_S))
+    assert envelope_sd(cp) == pytest.approx(se, rel=1e-12)
     assert abs(env.real - math.sqrt(eta)) < 4 * se
     assert abs(env.imag) < 4 * se
 
 
-def test_envelope_phase_flip():
-    sample = math.sqrt(0.09 * 0.5) * np.exp(-1j * math.pi)
-    env = heterodyne_envelope([sample] * 3, 0.5)
-    assert env.real == pytest.approx(-0.3, rel=1e-12)
-
-
-def test_envelope_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        heterodyne_envelope([], 0.1)
-    with pytest.raises(ValueError):
-        heterodyne_envelope([1.0], 0.0)
-    for N_S in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            heterodyne_envelope([1 + 1j], N_S)
-
-
 def test_decide_exact_point():
-    a = make_alphabet_qpsk(0.25)
-    for sym in a.symbols:
-        assert heterodyne_decide(sym.complex_point(), a) == sym
-
-
-def test_decide_tie_breaks_to_lowest_index():
-    a = make_alphabet_bpsk(0.16)
-    assert heterodyne_decide(0.0, a) == a.symbols[0]
+    points = _points(make_alphabet_qpsk(0.25))
+    for k, point in enumerate(points):
+        assert _nearest_index(point, points) == k
 
 
 def test_nearest_index_matches_argmin_reference():
@@ -116,7 +92,7 @@ def test_decide_qpsk_nearest_neighbor():
     eta = 0.09
     a = make_alphabet_qpsk(eta)
     env = math.sqrt(eta) * np.exp(-1j * math.pi / 2) * 1.05
-    assert heterodyne_decide(env, a) == a.symbols[1]
+    assert _nearest_index(env, _points(a)) == 1
 
 
 def test_decide_rotation_invariance():
@@ -131,8 +107,8 @@ def test_decide_rotation_invariance():
             tuple(Symbol(s.amplitude, s.phase + shift) for s in a.symbols),
             AlphabetKind.CUSTOM,
         )
-        picked = heterodyne_decide(env, a)
-        picked_rot = heterodyne_decide(env * np.exp(-1j * shift), rotated)
+        picked = a.symbols[_nearest_index(env, _points(a))]
+        picked_rot = rotated.symbols[_nearest_index(env * np.exp(-1j * shift), _points(rotated))]
         assert picked_rot.phase == pytest.approx((picked.phase + shift) % (2 * math.pi))
 
 
@@ -141,73 +117,83 @@ def test_decide_rotation_invariance():
 # ---------------------------------------------------------------------------
 
 
+def _pa_mean(cp, symbol):
+    """Per-copy mean 2 Re c of the PA statistic O = a_I a_R + a_I^dag a_R^dag."""
+    return 2.0 * return_idler_moments(cp, symbol)[2].real
+
+
+def _pa_rule_copy_variance(cp):
+    """Per-copy variance M sd^2 of the statistic the BPSK PA rule draws, read
+    off its decisions: at u[1] = 1/2 the draw is g - sd r with r =
+    sqrt(-2 ln u[0]), so symbol 0 flips to 1 once r > g / sd.  Bisection on
+    u[0] finds that flip."""
+    a = make_alphabet_bpsk(cp.eta)
+    decide = point_decider(cp, a, ReceiverSpec(kind=ReceiverKind.PA))
+    g = pa_decision_grid(a, cp)[0]
+    flips, holds = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (flips + holds)
+        if decide(np.zeros(1, dtype=np.intp), np.array([[mid], [0.5]]))[0]:
+            flips = mid
+        else:
+            holds = mid
+    return cp.M * (g / math.sqrt(-2.0 * math.log(holds))) ** 2
+
+
 def test_pa_mean_zero_at_quarter_phase():
-    mean, _ = pa_statistic_moments(_cp(), Symbol(0.1, math.pi / 2))
+    mean = _pa_mean(_cp(), Symbol(0.1, math.pi / 2))
     assert mean == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pa_moments_values():
     # amplitude 0.1 -> eta 0.01; the statistic carries both the correlation and
     # its conjugate, so the displacement is twice the one-sided correlation
-    mean, var = pa_statistic_moments(_cp(), Symbol(0.1, 0.0))
+    cp = _cp()
+    mean = pa_decision_grid(make_alphabet_bpsk(0.01), cp)[0]
+    var = _pa_rule_copy_variance(cp)
     assert mean == pytest.approx(2.0 * math.sqrt(1.01e-4), rel=1e-12)
     assert var == pytest.approx(100.0)
 
 
 def test_pa_mean_dark_symbol():
-    mean, _ = pa_statistic_moments(_cp(), Symbol(0.0, 0.0))
+    mean = _pa_mean(_cp(), Symbol(0.0, 0.0))
     assert mean == 0.0
 
 
 def test_pa_mean_is_even_in_phase():
     cp = _cp()
     for phi in (0.3, 1.2, 2.9):
-        m_plus, _ = pa_statistic_moments(cp, Symbol(0.1, phi))
-        m_minus, _ = pa_statistic_moments(cp, Symbol(0.1, -phi))
+        m_plus = _pa_mean(cp, Symbol(0.1, phi))
+        m_minus = _pa_mean(cp, Symbol(0.1, -phi))
         assert m_plus == pytest.approx(m_minus, rel=1e-12)
 
 
-def test_pa_exact_variance_close_to_approximation():
-    cp = _cp()
-    mean_a, var_a = pa_statistic_moments(cp, Symbol(0.1, 0.0))
-    mean_e, var_e = pa_statistic_moments(cp, Symbol(0.1, 0.0), exact_variance=True)
-    assert mean_e == mean_a
-    # exact Wick variance is N_Z + O(1) in this regime
-    assert var_e == pytest.approx(var_a, rel=0.05)
-
-
-def test_pa_exact_variance_wick_value():
-    cp = _cp(eta=0.3, N_Z=5.0, N_S=0.4)
-    sym = Symbol(math.sqrt(0.3), 0.9)
-    with pytest.warns(UserWarning, match="low-reflectivity"):
-        _, var = pa_statistic_moments(cp, sym, exact_variance=True)
-    state = apply_channel(cp, sym)
-    c = phase_sensitive_correlation(state, 0, 1)
-    from qbcsim.gaussian import mean_photon_number
-
-    n_r = mean_photon_number(state, 0)
-    n_i = mean_photon_number(state, 1)
-    expect = 2 * (c * c).real + (n_i + 1) * (n_r + 1) + n_i * n_r
-    assert var == pytest.approx(expect, rel=1e-12)
+def test_pa_rule_variance_close_to_wick():
+    """The rule's bright-background per-copy variance N_Z lies within 5 % of
+    the Wick expansion of <O^2> - <O>^2 for the zero-mean Gaussian state the
+    engine's channel leaves, 2 Re(c^2) + (n_I + 1)(n_R + 1) + n_I n_R."""
+    cp = _cp(eta=0.01, N_Z=100.0, N_S=0.01)
+    for sym in make_alphabet_bpsk(cp.eta).symbols:
+        state = apply_channel(cp, sym)
+        c = phase_sensitive_correlation(state, 0, 1)
+        n_r = mean_photon_number(state, 0)
+        n_i = mean_photon_number(state, 1)
+        wick = 2 * (c * c).real + (n_i + 1) * (n_r + 1) + n_i * n_r
+        assert _pa_rule_copy_variance(cp) == pytest.approx(wick, rel=0.05)
 
 
 def test_pa_decide_bpsk_threshold():
     cp = _cp()
-    a = make_alphabet_bpsk(0.01)
-    assert pa_decide(0.3, a, cp) == a.symbols[0]
-    assert pa_decide(-0.3, a, cp) == a.symbols[1]
+    grid = pa_decision_grid(make_alphabet_bpsk(0.01), cp)
+    assert _nearest_index(0.3, grid) == 0
+    assert _nearest_index(-0.3, grid) == 1
 
 
 def test_pa_decide_ook_midpoint_tie():
     cp = _cp()
     a = make_alphabet_pam(0.0, 0.01)
     mid = 0.5 * 2.0 * math.sqrt(0.01 * cp.N_S * (cp.N_S + 1))
-    assert pa_decide(mid, a, cp) == a.symbols[0]
-
-
-def test_pa_decide_rejects_qpsk():
-    with pytest.raises(UnsupportedAlphabetError):
-        pa_decide(0.1, make_alphabet_qpsk(0.01), _cp())
+    assert _nearest_index(mid, pa_decision_grid(a, cp)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +203,16 @@ def test_pa_decide_rejects_qpsk():
 
 def _sfg_spec(**kw):
     return ReceiverSpec(kind=ReceiverKind.SFG, **kw)
+
+
+def _infinite_total(cp, d2, spec):
+    """The whole cycle series in its tap-free closed form,
+    2 M C0^2 x^2 / ((1 + N_Z)(1 + x)), with x = 1 - tau (1 + N_Z) taken
+    through log1p so that it stays exact at tau = 1e-300."""
+    tau = spec.sfg_cycles(cp.N_Z)[0]
+    x = math.exp(math.log1p(-tau * (1.0 + cp.N_Z)))
+    c0_sq = d2 * cp.N_S * (cp.N_S + 1.0) / 4.0
+    return 2.0 * cp.M * c0_sq * x * x / ((1.0 + cp.N_Z) * (1.0 + x))
 
 
 def test_bookkeeping_matches_brute_force_series():
@@ -239,7 +235,7 @@ def test_bookkeeping_captures_series_within_eps():
     spec = _sfg_spec(sfg_capture_eps=1e-3)
     d2 = 4 * cp.eta
     bk = sfg_bookkeeping(cp, d2, spec)
-    infinite = sfg_infinite_total(cp, d2, spec)
+    infinite = _infinite_total(cp, d2, spec)
     assert bk.total <= infinite
     assert bk.total >= (1 - 1e-3) * infinite
 
@@ -249,7 +245,7 @@ def test_bookkeeping_small_tau_limit():
     for tau_nz in (0.01, 0.003):
         spec = _sfg_spec(sfg_tau=tau_nz / cp.N_Z)
         d2 = 4 * cp.eta
-        total_inf = sfg_infinite_total(cp, d2, spec)
+        total_inf = _infinite_total(cp, d2, spec)
         limit = cp.M * (d2 * cp.N_S * (cp.N_S + 1) / 4.0) / (1.0 + cp.N_Z)
         assert total_inf == pytest.approx(limit, rel=0.02)
 
@@ -591,7 +587,7 @@ def test_count_rate_at_tiny_tau_is_closed_form():
         rate = sfg_count_rate(cp, d2, spec)
         assert time.perf_counter() - start < 1.0
         assert spec.sfg_cycles(cp.N_Z)[2] > 3e9
-        infinite = 4.0 * sfg_infinite_total(cp, d2, spec)
+        infinite = 4.0 * _infinite_total(cp, d2, spec)
         assert (1.0 - spec.sfg_capture_eps) * infinite <= rate <= infinite
         floors.append(sfg_no_click_probability(cp, null, null, spec))
     assert floors[0] < 0.99
