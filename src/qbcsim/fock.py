@@ -7,21 +7,25 @@ direct eigendecomposition.  It is intentionally limited to at most two modes
 and modest cutoffs; the asymptotic claims of the analytic bounds are checked
 elsewhere.
 
+A `FockOperator` is a spectrum (lam, V), V unitary per block, and the stack
+of blocks V diag(lam) V^dag derived from it.  A conversion produces the
+spectrum: a Gaussian state is a unitary V acting on a thermal diagonal lam,
+and `gaussian_to_fock` forms every stack from (lam, V) in one expression.  An
+operator given as a matrix is solved once, when it is built.  Both oracles
+read the kept spectrum, so a converted pair costs one `eigvalsh`, of
+Helstrom's difference.
+
 A two-mode state accepted here has phase-insensitive marginals and one
 cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
 cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
 fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
 form one (2 dim - 1, dim, dim) stack, and that stack is what a two-mode
-`FockOperator` stores: the conversion builds every block with batched matrix
-products from one squeeze spectrum per cutoff and never forms the dim**2 x
-dim**2 matrix, which `.matrix` builds only when it is read.  The conversion
-builds each state as a unitary acting on a thermal diagonal, and the operator
-keeps that spectrum, so both oracles read it and a converted pair costs one
-`eigvalsh`, of Helstrom's difference.  An operator built from a matrix solves
-its stack once, on first use, and keeps that spectrum instead.  A one-mode
-operator, or a two-mode one given as a matrix with an entry between sectors,
-is one whole block; a pair with such an operator is solved as one whole
-block.  Padded slots have eigenvalue 0, so the spectra are unchanged.
+`FockOperator` stores: its spectrum comes from one squeeze spectrum per
+cutoff, its stack from batched matrix products, and the dim**2 x dim**2
+matrix is built only when `.matrix` is read.  A one-mode operator, or a
+two-mode one given as a matrix with an entry between sectors, is one whole
+block; a pair with such an operator is solved as one whole block.  Padded
+slots have eigenvalue 0, so the spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -101,6 +105,14 @@ def _checked_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
+def _require_finite(stack: np.ndarray, trace_deficit: float) -> None:
+    if not math.isfinite(trace_deficit):
+        raise ValueError(f"trace_deficit must be finite, got {trace_deficit}")
+    # the stack holds every set bit, so checking it checks every entry
+    if not np.isfinite(stack).all():
+        raise ValueError("density matrix must be finite")
+
+
 class FockOperator:
     """Density operator in a truncated number basis.
 
@@ -109,14 +121,13 @@ class FockOperator:
     truncation.  The operator owns its data: the constructor copies `matrix`,
     and every array it keeps or hands out is read-only.
 
-    It stores a stack of blocks: the (2 dim - 1, dim, dim) sector stack of the
+    It keeps a stack of blocks, the (2 dim - 1, dim, dim) sector stack of the
     module docstring for a two-mode operator whose every set bit lies inside a
-    sector, else the whole matrix as one block.  A given matrix is classified
-    once, here; `gaussian_to_fock` hands a state's stack over directly.
-    `.matrix` is built from the stack on first read and kept.  The stack's
-    eigendecomposition is kept too: `gaussian_to_fock` hands over the one the
-    state is built from, and an operator built from a matrix solves it on
-    first use.
+    sector, else the whole matrix as one block, and the PSD-checked spectrum
+    of that stack.  `gaussian_to_fock` hands over the spectrum it converts and
+    the stack formed from it.  A given matrix is classified, checked to be
+    Hermitian and solved here, once.  `.matrix` is built from the stack on
+    first read and kept.
     """
 
     __slots__ = ("n_modes", "dimension", "trace_deficit", "_stack", "_matrix", "_eigh")
@@ -138,36 +149,22 @@ class FockOperator:
             if np.count_nonzero(m.view(np.uint64)) == np.count_nonzero(inside.view(np.uint64)):
                 stack = np.zeros((2 * dimension - 1, dimension, dimension), dtype=complex)
                 stack.ravel()[sec.stacked] = inside
-        self._fill(n_modes, dimension, stack, m, trace_deficit)
-
-    @classmethod
-    def _from_stack(cls, n_modes: int, dimension: int, stack: np.ndarray, lam: np.ndarray,
-                    vecs: np.ndarray, trace_deficit: float) -> FockOperator:
-        """An operator from its stack of blocks and the spectrum it is built
-        from, stack = vecs diag(lam) vecs^dag per block, all taken over without
-        a copy.  A one-mode stack is its one whole block, a two-mode one the
-        sector stack."""
-        rho = cls.__new__(cls)
-        rho._fill(n_modes, dimension, stack, stack[0] if n_modes == 1 else None, trace_deficit)
-        _require_psd(lam)
-        rho._keep_spectrum(lam, vecs)
-        return rho
-
-    def _fill(self, n_modes, dimension, stack, matrix, trace_deficit) -> None:
-        if not math.isfinite(trace_deficit):
-            raise ValueError(f"trace_deficit must be finite, got {trace_deficit}")
-        # the stack holds every set bit, so checking it checks every entry
-        if not np.isfinite(stack).all():
-            raise ValueError("density matrix must be finite")
+        _require_finite(stack, trace_deficit)
         asym = stack.conj()
         asym -= stack.transpose(0, 2, 1)
         if np.max(np.abs(asym)) > HERMITICITY_ATOL:
             raise ValueError("density matrix must be Hermitian")
-        for a in (stack, matrix):
+        self._fill(n_modes, dimension, stack, m, trace_deficit, *np.linalg.eigh(stack))
+
+    def _fill(self, n_modes, dimension, stack, matrix, trace_deficit, lam, vecs) -> None:
+        """Keeps the stack, its matrix (None to build it on first read) and
+        the PSD-checked spectrum stack = vecs diag(lam) vecs^dag, read-only."""
+        _require_psd(lam)
+        for a in (stack, matrix, lam, vecs):
             if a is not None:
                 a.setflags(write=False)
         fields = dict(n_modes=n_modes, dimension=dimension, trace_deficit=float(trace_deficit),
-                      _stack=stack, _matrix=matrix, _eigh=None)
+                      _stack=stack, _matrix=matrix, _eigh=(lam, vecs))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -185,19 +182,6 @@ class FockOperator:
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return self._matrix
-
-    def _keep_spectrum(self, lam: np.ndarray, vecs: np.ndarray) -> None:
-        lam.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "_eigh", (lam, vecs))
-
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """PSD-checked (lam, V) of the stored stack, V unitary per block: the
-        one handed over by the conversion, or else solved on first use and
-        kept."""
-        if self._eigh is None:
-            self._keep_spectrum(*_checked_eigh(self._stack))
-        return self._eigh
 
 
 def _blocks(rho0: FockOperator, rho1: FockOperator):
@@ -240,9 +224,8 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
 
 
 def _single_mode_fock(state: GaussianState, dim: int):
-    """The matrix of a one-mode state and the spectrum it is built from: the
-    thermal diagonal and the unitary D Ph S (displacement, phase rotation,
-    squeeze) that carries it."""
+    """The spectrum of a one-mode state: the thermal diagonal and the unitary
+    D Ph S (displacement, phase rotation, squeeze) that carries it."""
     cov = state.cov
     nu = math.sqrt(max(np.linalg.det(cov), 0.25))
     evals, evecs = np.linalg.eigh(cov)
@@ -250,31 +233,22 @@ def _single_mode_fock(state: GaussianState, dim: int):
     r = 0.25 * math.log(evals[1] / evals[0]) if evals[0] > 0 else 0.0
     psi = math.atan2(evecs[1, 1], evecs[0, 1])  # orientation of the major axis
 
-    lam = _thermal_diag(nu - 0.5, dim)
-    rho = np.diag(lam).astype(complex)
     vecs = np.eye(dim, dtype=complex)
     a = _ladder(dim)
     if abs(r) > 1e-14:
         # anti-squeeze x by r, then rotate the major axis up to angle psi
-        K = 0.5 * r * (a.conj().T @ a.conj().T - a @ a)
-        S = _unitary_from_antihermitian(K)
-        rho = S @ rho @ S.conj().T
-        phases = np.exp(1j * psi * np.arange(dim))
-        rho = (phases[:, None] * rho) * np.conj(phases)[None, :]
-        vecs = phases[:, None] * S
+        S = _unitary_from_antihermitian(0.5 * r * (a.conj().T @ a.conj().T - a @ a))
+        vecs = np.exp(1j * psi * np.arange(dim))[:, None] * S
     alpha = (state.mean[0] + 1j * state.mean[1]) / math.sqrt(2.0)
     if abs(alpha) > 1e-14:
-        K = alpha * a.conj().T - np.conj(alpha) * a
-        D = _unitary_from_antihermitian(K)
-        rho = D @ rho @ D.conj().T
-        vecs = D @ vecs
-    return 0.5 * (rho + rho.conj().T), lam, vecs
+        vecs = _unitary_from_antihermitian(alpha * a.conj().T - np.conj(alpha) * a) @ vecs
+    return _thermal_diag(nu - 0.5, dim), vecs
 
 
 def _two_mode_fock(state: GaussianState, dim: int):
-    """The zero-padded sector stack of a two-mode pipeline state and the
-    spectrum it is built from: the thermal product, 0 in padded slots, and
-    per sector the mode-0 phase times the squeeze unitary."""
+    """The sector-stack spectrum of a two-mode pipeline state: the thermal
+    product, 0 in padded slots, and per sector the mode-0 phase times the
+    squeeze unitary."""
     if np.max(np.abs(state.mean)) > 1e-10:
         raise ValueError("two-mode conversion supports zero-mean states only")
     cov = state.cov
@@ -307,23 +281,12 @@ def _two_mode_fock(state: GaussianState, dim: int):
     d1 = _thermal_diag(max(nu1 - 0.5, 0.0), dim)
     d2 = _thermal_diag(max(nu2 - 0.5, 0.0), dim)
     sec = _sectors(dim)
-    thermal = d1[sec.n0] * d2[sec.n1]  # padded slots are zeroed below
+    U = np.eye(dim)  # unsqueezed: each block stays exactly diagonal
     if r > 1e-14:
         U = (sec.V * np.exp(-1j * r * sec.lam)[:, None, :]) @ sec.V.conj().transpose(0, 2, 1)
-        blocks = (U * thermal[:, None, :]) @ U.conj().transpose(0, 2, 1)
-    else:
-        # unsqueezed: each block stays exactly diagonal
-        U = np.eye(dim)
-        blocks = np.zeros((2 * dim - 1, dim, dim), dtype=complex)
-        blocks[:, np.arange(dim), np.arange(dim)] = thermal
-    # restore the cross-correlation phase on mode 0: <a0 a1> -> e^{i gamma} |c|
-    phases = np.exp(1j * gamma * sec.n0)
-    blocks = (phases[:, :, None] * blocks) * np.conj(phases)[:, None, :]
-    # symmetrized per sector: the entries between sectors are exact zeros
-    blocks += blocks.conj().transpose(0, 2, 1)
-    blocks *= 0.5
-    blocks[sec.padded] = 0.0
-    return blocks, np.where(sec.valid, thermal, 0.0), phases[:, :, None] * U
+    # the mode-0 phase restores the cross-correlation: <a0 a1> -> e^{i gamma} |c|
+    vecs = np.exp(1j * gamma * sec.n0)[:, :, None] * U
+    return np.where(sec.valid, d1[sec.n0] * d2[sec.n1], 0.0), vecs
 
 
 def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
@@ -331,10 +294,11 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
 
     Supports single-mode states (with displacement and squeezing) and the
     zero-mean two-mode family produced by the channel and receiver pipeline.
-    Both conversions return the operator Hermitian-symmetrized, the two-mode
-    one sector by sector as its sector stack, with no dense matrix.  Each
-    builds the state as a unitary acting on a thermal diagonal and hands that
-    spectrum over to the operator, so no oracle solves it again.  A
+    Each state is a unitary acting on a thermal diagonal: its conversion gives
+    that spectrum (lam, V), the two-mode one per sector of the sector stack,
+    and the stack is formed here from it as V diag(lam) V^dag,
+    Hermitian-symmetrized, with padded slots zeroed, with no dense matrix.
+    The operator keeps the spectrum, so no oracle solves it again.  A
     single-mode state solves its squeeze and displacement generators each
     time; a two-mode state solves nothing, as every sector's squeeze spectrum
     is solved once per cutoff.  The reported trace deficit is the probability
@@ -347,26 +311,31 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
         raise ValueError(f"n_max must lie in [1, {MAX_CUTOFF}], got {n_max}")
     dim = n_max + 1
     if state.n_modes == 1:
-        rho, lam, vecs = _single_mode_fock(state, dim)
-        deficit = float(1.0 - np.trace(rho).real)
-        return FockOperator._from_stack(1, dim, rho[None], lam[None], vecs[None], deficit)
-    stack, lam, vecs = _two_mode_fock(state, dim)
-    sector, slot = _sectors(dim).diagonal
+        lam, vecs = (a[None] for a in _single_mode_fock(state, dim))
+        sector, slot = 0, np.arange(dim)
+    else:
+        lam, vecs = _two_mode_fock(state, dim)
+        sector, slot = _sectors(dim).diagonal
+    stack = (vecs * lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    stack += stack.conj().transpose(0, 2, 1)
+    stack *= 0.5
+    if state.n_modes == 2:
+        stack[_sectors(dim).padded] = 0.0
     deficit = float(1.0 - stack[sector, slot, slot].sum().real)
-    return FockOperator._from_stack(2, dim, stack, lam, vecs, deficit)
+    _require_finite(stack, deficit)
+    rho = FockOperator.__new__(FockOperator)
+    rho._fill(state.n_modes, dim, stack, stack[0] if state.n_modes == 1 else None, deficit, lam, vecs)
+    return rho
 
 
 def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
     """One-shot optimal error probability for equal priors.
 
     P = (1 - D)/2 where D is the trace distance, half the sum of the absolute
-    eigenvalues of the difference.
+    eigenvalues of the difference.  Each operator's PSD check was made when
+    it was built.
     """
     b0, b1 = _blocks(rho0, rho1)
-    # PSD checks: a converted operator's spectrum was checked when handed
-    # over; one built from a matrix is solved here and kept for the overlap
-    rho0._spectrum()
-    rho1._spectrum()
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(b0 - b1))))
     return max(0.0, 0.5 * (1.0 - distance))
 
@@ -379,8 +348,7 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     0 for every s, s = 0 included."""
     b0, b1 = _blocks(rho0, rho1)
     (lam0, v0), (lam1, v1) = (
-        rho._spectrum() if b is rho._stack else _checked_eigh(b)
-        for rho, b in ((rho0, b0), (rho1, b1))
+        rho._eigh if b is rho._stack else _checked_eigh(b) for rho, b in ((rho0, b0), (rho1, b1))
     )
     keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
     w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2

@@ -39,8 +39,7 @@ from .analytics import (
     pa_ep_upper_bound,
     sfg_ep_upper_bound,
 )
-from .link import (AlphabetKind, ChannelParams, Symbol, UnsupportedAlphabetError, nominal_alphabet,
-                   return_idler_moments)
+from .link import AlphabetKind, ChannelParams, nominal_alphabet
 from .receivers import DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, point_decider, uniforms
 
 _MASK64 = (1 << 64) - 1
@@ -144,20 +143,16 @@ class ExperimentConfig:
             raise ValueError("sweep values must be >= 0")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep must be strictly increasing")
-        if self.receiver.kind is ReceiverKind.PA and self.alphabet_kind is AlphabetKind.QPSK:
-            raise UnsupportedAlphabetError("PA receiver does not support QPSK")
-        if self.alphabet_kind is AlphabetKind.CUSTOM:
-            raise UnsupportedAlphabetError("experiments need a PAM, BPSK, or QPSK alphabet")
-        if self.receiver.kind is ReceiverKind.SFG:
-            self.receiver.sfg_cycles(self.N_Z)  # rejects a tap outside its window
         eta_max = self.eta_for(max(self.sweep))
         if eta_max > 1.0:
             raise ValueError(
                 f"sweep point s = {max(self.sweep):g} back-solves to eta = {eta_max:g} > 1"
             )
-        # |c| grows with eta and n_R lies between N_S and N_Z: the largest point shows an overflow
-        return_idler_moments(ChannelParams(eta_max, 0.0, self.N_Z, self.M, self.N_S),
-                             Symbol(math.sqrt(eta_max), 0.0))
+        # the largest point's rule and bound check the whole sweep: building them refuses a
+        # pair the receiver cannot run, and |c| grows with eta while n_R lies between N_S and N_Z
+        _point_rules(self, [len(self.sweep) - 1])
+        analytic_bound_value(self.receiver.kind, self.alphabet_kind, eta_max, self.N_S, self.M,
+                             self.N_Z)
 
     def eta_for(self, s: float) -> float:
         """Back-solved round-trip transmissivity for a sweep point."""

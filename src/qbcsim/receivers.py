@@ -109,7 +109,7 @@ def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
     """Expected statistic value 2 Re c for each symbol of an aligned two-symbol alphabet."""
     if a.kind is AlphabetKind.QPSK or len(a) != 2:
         raise UnsupportedAlphabetError(
-            "PA receiver supports only two-symbol aligned alphabets (PAM, BPSK)"
+            f"PA receiver supports only two-symbol aligned alphabets (PAM, BPSK), not {a.kind.name}"
         )
     return [2.0 * return_idler_moments(cp, s)[2].real for s in a.symbols]
 

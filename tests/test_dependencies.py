@@ -191,14 +191,14 @@ def test_bench_traced_functions_exist():
     assert not missing, f"functions the bench tracer binds are gone: {missing}"
 
 
-#: module-level functions and classes of qbcsim that no package code uses,
-#: grouped by why they stay
+#: module-level functions and classes of qbcsim, and methods and properties
+#: of its classes, that no package code uses, grouped by why they stay
 UNUSED_IN_PACKAGE = {
     "Gaussian engine and Fock oracles, the state-level model that the Chernoff "
     "ceiling, idler-loss and two-tap eavesdropper work builds on": {
         "gaussian.apply_beam_splitter", "gaussian.apply_two_mode_squeeze", "gaussian.coherent",
         "gaussian.mean_photon_number", "gaussian.partial_trace", "gaussian.symplectic_eigenvalues",
-        "gaussian.tensor", "gaussian.tmss", "gaussian.vacuum",
+        "gaussian.tensor", "gaussian.thermal", "gaussian.tmss", "gaussian.vacuum",
         "fock.gaussian_to_fock", "fock.helstrom_oracle", "fock.chernoff_exponent_oracle",
     },
     "bound by the bench's tracer or gates": {
@@ -211,33 +211,86 @@ UNUSED_IN_PACKAGE = {
     "test reference": {
         "montecarlo._count_point_errors", "gaussian.heterodyne_samples", "link.apply_channel_classical",
     },
+    "the per-point model-validity flags, which the planned run manifest records": {
+        "link.ChannelParams.validity_warnings",
+    },
 }
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _bound_names(function: ast.AST) -> set[str]:
+    """The names a function binds itself: its arguments, and the assignment
+    targets and nested definitions of its body outside nested functions."""
+    args = function.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+             if a is not None}
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if isinstance(node, _DEFINITIONS):
+            bound.add(node.name)
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            todo += ast.iter_child_nodes(node)
+    return bound
+
+
+def _reads(node: ast.AST, local: frozenset, owners: tuple, found: list) -> None:
+    """Appends (name, owners) for each name or attribute read under `node`
+    that is not a function-local name; owners are the definitions the read
+    sits in."""
+    if isinstance(node, _FUNCTIONS):
+        local = local | _bound_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        found.append((node.id, owners))
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        found.append((node.attr, owners))
+    for child in ast.iter_child_nodes(node):
+        _reads(child, local, owners, found)
 
 
 def _unused_definitions(sources: dict[str, str]) -> set[str]:
-    """`module.name` of each module-level function or class that no module
-    refers to, by name or attribute, outside the name's own definition.  The
-    re-exports of `__init__` are not uses."""
-    defined, used = set(), set()
+    """`module.name` of each module-level function or class, and
+    `module.Class.name` of each method or property of such a class, that no
+    module reads outside the definition itself: a function or class by name
+    or attribute, a method by attribute.  A name a function binds itself (an
+    argument or an assignment target) is not a read of a module-level name.
+    The re-exports of `__init__` are not uses, and dunder methods, which
+    Python calls, are not listed."""
+    defined, found = {}, []
     for module, text in sources.items():
         if module == "__init__":
             continue
         for node in ast.parse(text).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                defined.add((module, own))
-            for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name is not None and name != own:
-                    used.add(name)
-    return {f"{module}.{name}" for module, name in defined if name not in used}
+            if not isinstance(node, _DEFINITIONS):
+                _reads(node, frozenset(), (), found)
+                continue
+            own = f"{module}.{node.name}"
+            defined[own] = node.name
+            if not isinstance(node, ast.ClassDef):
+                _reads(node, frozenset(), (own,), found)
+                continue
+            for sub in ast.iter_child_nodes(node):
+                owners = (own,)
+                if isinstance(sub, _DEFINITIONS):
+                    owners += (f"{own}.{sub.name}",)
+                    if not (sub.name.startswith("__") and sub.name.endswith("__")):
+                        defined[owners[1]] = sub.name
+                _reads(sub, frozenset(), owners, found)
+    readers = {}  # name -> the owners of each read of it
+    for name, owners in found:
+        readers.setdefault(name, []).append(owners)
+    return {qual for qual, name in defined.items()
+            if not any(qual not in owners for owners in readers.get(name, ()))}
 
 
 def test_unused_definitions_are_listed():
-    """A function or class that no package code calls is either listed with
-    its reason or deleted; a listed name that gains a caller or goes leaves
-    the list too."""
+    """A function, class, method or property that no package code uses is
+    either listed with its reason or deleted; a listed name that gains a
+    caller or goes leaves the list too."""
     found = _unused_definitions({path.stem: path.read_text() for path in SOURCES})
     listed = set().union(*UNUSED_IN_PACKAGE.values())
     assert sum(map(len, UNUSED_IN_PACKAGE.values())) == len(listed), "a name is listed twice"
@@ -246,11 +299,22 @@ def test_unused_definitions_are_listed():
 
 
 def test_guard_catches_an_unused_definition():
+    """Recursion is no use; an argument or local that shares a module-level
+    name is no use of it; a method is used by an attribute read outside its
+    own body, and dunder methods are exempt."""
     sources = {
         "__init__": "from .a import dead, live, Kept\n",
         "a": "def live():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
-             "def dead(n):\n    return dead(n - 1) if n else 0\n\n\nclass Kept:\n    pass\n\n\n"
-             "class Gone:\n    def make(self):\n        return Gone()\n",
-        "b": "from . import a\n\n\ndef run():\n    return a.live(), a.Kept\n",
+             "def dead(n):\n    return dead(n - 1) if n else 0\n\n\nclass Kept:\n"
+             "    def __init__(self):\n        self.kept = 1\n\n"
+             "    @property\n    def size(self):\n        return self.count()\n\n"
+             "    def count(self):\n        return 2\n\n"
+             "    def loop(self):\n        return self.loop()\n\n\n"
+             "class Gone:\n    def make(self):\n        return Gone()\n\n\n"
+             "def shadowed():\n    return 3\n\n\ndef hidden():\n    return 4\n",
+        "b": "from . import a\n\n\ndef run(hidden):\n    shadowed = hidden\n"
+             "    return a.live(), a.Kept().size, shadowed, [hidden for hidden in range(2)]\n",
     }
-    assert _unused_definitions(sources) == {"a.dead", "a.Gone", "b.run"}
+    assert _unused_definitions(sources) == {
+        "a.dead", "a.Kept.loop", "a.Gone", "a.Gone.make", "a.shadowed", "a.hidden", "b.run",
+    }

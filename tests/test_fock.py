@@ -332,16 +332,18 @@ def test_non_hermitian_input_rejected():
 
 
 def test_non_psd_input_rejected():
+    """A matrix with a negative eigenvalue is refused when it is built, as one
+    whole block on one mode and as a sector stack on two."""
     dim = 6
     m = np.zeros((dim, dim), dtype=complex)
     m[0, 0] = 1.5
     m[1, 1] = -0.5
-    bad = FockOperator(1, dim, m, 0.0)
-    good = gaussian_to_fock(vacuum(1), dim - 1)
-    with pytest.raises(ValueError):
-        helstrom_oracle(bad, good)
-    with pytest.raises(ValueError):
-        chernoff_exponent_oracle(bad, good)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        FockOperator(1, dim, m, 0.0)
+    m2 = np.zeros((dim * dim, dim * dim), dtype=complex)
+    m2[0, 0], m2[dim + 1, dim + 1] = 1.5, -0.5  # |0,0> and |1,1>, both in sector 0
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        FockOperator(2, dim, m2, 0.0)
 
 
 def _random_pipeline_state(rng):
@@ -484,7 +486,8 @@ def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
     hands its spectrum to the operator, so both oracles together, in either
     order, make no eigh and one eigvalsh, of Helstrom's difference, and the
     Chernoff oracle alone solves nothing.  The same pair built from its
-    matrices makes one batched eigh per operator, kept on it."""
+    matrices makes one batched eigh per operator when it is built, and the
+    oracles then make only Helstrom's eigvalsh."""
     cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
     s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
     gaussian_to_fock(apply_channel(cp, s0), 17)
@@ -504,8 +507,9 @@ def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
         assert calls == expect, ([o.__name__ for o in order], calls)
         monkeypatch.undo()
     for order in (oracles, oracles[::-1]):
-        m0, m1 = (FockOperator(2, 18, f.matrix, f.trace_deficit) for f in (f0, f1))
         calls = _count_eig_calls(monkeypatch)
+        m0, m1 = (FockOperator(2, 18, f.matrix, f.trace_deficit) for f in (f0, f1))
+        assert calls == {"eigh": 2, "eigvalsh": 0}
         for oracle in order:
             oracle(m0, m1)
         assert calls == {"eigh": 2, "eigvalsh": 1}, (order[0].__name__, calls)
@@ -575,8 +579,8 @@ def test_oracles_reject_operators_of_different_modes_or_cutoffs(oracle):
 
 def test_operator_owns_its_data():
     """The constructor copies its matrix, so writing to the source afterwards
-    moves no oracle value; the matrix, the stack and the kept spectrum it
-    hands out, solved or handed over by a one- or two-mode conversion, are
+    moves no oracle value; the matrix, the stack and the kept spectrum, solved
+    at construction or handed over by a one- or two-mode conversion, are
     read-only, and its attributes cannot be rebound."""
     dim = 4
     m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -593,7 +597,7 @@ def test_operator_owns_its_data():
     source[:] = 0.0
     assert (helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)) == before
     for op in (rho, pair, copied, other, partner):
-        arrays = [op.matrix, _blocks(op, op)[0], *op._spectrum()]
+        arrays = [op.matrix, _blocks(op, op)[0], *op._eigh]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.ravel()[0] = 1.0
@@ -622,35 +626,41 @@ def _wide_pipeline_states(rng, count):
     return states
 
 
-def test_kept_spectrum_is_the_eigendecomposition_of_the_stack(monkeypatch):
-    """The spectrum a conversion hands over, which no oracle solves again, is
-    an eigendecomposition of the stored stack: sorted, its eigenvalues are
-    eigvalsh's, padded slots hold exactly 0, every block's vectors are
-    unitary and V diag(lam) V^dag rebuilds the block.  Covered: random
-    pipeline states at cutoffs 1-40, a zero cross-correlation phase (TMSS,
-    channel phase 0), the unsqueezed branch (an absent tag), and one-mode
-    thermal, coherent, squeezed and squeezed-displaced states."""
+def test_kept_spectrum_is_the_eigendecomposition_of_the_stack():
+    """Every operator's kept spectrum, handed over by a conversion or solved
+    when built from a matrix, is an eigendecomposition of the stored stack:
+    sorted, its eigenvalues are eigvalsh's, a conversion's padded slots hold
+    exactly 0, every block's vectors are unitary and V diag(lam) V^dag
+    rebuilds the block.  Covered: random pipeline states at cutoffs 1-40, a
+    zero cross-correlation phase (TMSS, channel phase 0), the unsqueezed
+    branch (an absent tag), one-mode thermal, coherent, squeezed and
+    squeezed-displaced states, and operators built from a one-mode matrix, a
+    two-mode sector matrix and a two-mode matrix linking every sector (one
+    whole block)."""
     rng = np.random.default_rng(1919)
     cp = ChannelParams(eta=0.4, phi=0.0, N_Z=0.7, M=100, N_S=0.5)
     squeezed = partial_trace(apply_beam_splitter(tmss(0.3), 0, 1, 0.5, 0.7), [0])
+    displaced = GaussianState(1, np.array([0.2, -0.1]), squeezed.cov)
     cases = [(st, int(n)) for st, n in zip(_wide_pipeline_states(rng, 24), rng.integers(1, 41, 24))]
     cases += [(tmss(1.5), 20), (apply_channel(cp, Symbol(0.5, 0.0)), 17), (tmss(0.2), 40),
               (apply_channel(cp, Symbol(0.0, 0.0)), 17), (apply_channel(cp, Symbol(0.0, 0.0)), 1)]
-    cases += [(thermal(0.8), 25), (coherent(0.6 - 0.2j), 22), (squeezed, 30),
-              (GaussianState(1, np.array([0.2, -0.1]), squeezed.cov), 30)]
-    for st, n_max in cases:
-        rho = gaussian_to_fock(st, n_max)
-        calls = _count_eig_calls(monkeypatch)
-        lam, vecs = rho._spectrum()
-        monkeypatch.undo()
-        assert calls == {"eigh": 0, "eigvalsh": 0}
+    cases += [(thermal(0.8), 25), (coherent(0.6 - 0.2j), 22), (squeezed, 30), (displaced, 30)]
+    operators = [gaussian_to_fock(st, n_max) for st, n_max in cases]
+    coh = gaussian_to_fock(coherent(0.4 - 0.3j), 11).matrix
+    pipeline = gaussian_to_fock(_random_pipeline_state(rng), 17)
+    operators += [FockOperator(1, 31, gaussian_to_fock(displaced, 30).matrix, 0.0),
+                  FockOperator(2, 18, pipeline.matrix, pipeline.trace_deficit),
+                  FockOperator(2, 12, np.kron(coh, coh), 0.0)]
+    assert [len(op._stack) for op in operators[-3:]] == [1, 35, 1]
+    for k, rho in enumerate(operators):
+        lam, vecs = rho._eigh
         stack = _blocks(rho, rho)[0]
-        dim = n_max + 1
+        dim = rho.dimension
         assert lam.shape == stack.shape[:2] and vecs.shape == stack.shape
         for a in (lam, vecs):
             with pytest.raises(ValueError, match="read-only"):
                 a.ravel()[0] = 1.0
-        if st.n_modes == 2:
+        if k < len(cases) and rho.n_modes == 2:
             size = dim - np.abs(np.arange(1 - dim, dim))  # states per sector n0 - n1
             padded = np.arange(dim)[None, :] >= size[:, None]
             assert np.all(lam[padded] == 0.0)
