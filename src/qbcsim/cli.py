@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import textwrap
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +138,11 @@ def _curve_csv(curve: BerCurve) -> str:
 
 
 def cmd_simulate(args) -> int:
-    """Run every experiment of the config (all with `--seed` when given) in one
-    `run_experiments` call, then write each experiment's file and the summary
-    in config order: no file is written until every experiment has run."""
+    """Run every experiment of the config (`load_config` gives each the `--seed`
+    when given) in one `run_experiments` call, then write each experiment's file
+    and the summary in config order: no file is written until all have run."""
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -157,10 +157,9 @@ def cmd_simulate(args) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    exps = [exp if args.seed is None else replace(exp, master_seed=args.seed)
-            for _, exp in cfg.experiments]
     texts = []
-    for (name, _), exp, curve in zip(cfg.experiments, exps, run_experiments(exps)):
+    curves = run_experiments([exp for _, exp in cfg.experiments])
+    for (name, exp), curve in zip(cfg.experiments, curves):
         entry = {
             "experiment": name,
             "receiver": exp.receiver.kind.value,

@@ -4,7 +4,7 @@ The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments.  An [experiment] section may repeat, once per
 experiment block, and at least one is required; [output] is optional.  Unknown
 sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
-N_Z finite and > 0, with finite channel moments at the largest sweep point;
+N_Z finite and > 0, with finite channel moments at every sweep point;
 M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z)
 < 1; sfg_capture_eps in (0, 1); a boolean include_thermal_residual), SFG
 tunables outside an SFG experiment, include_thermal_residual in an SFG-QPSK
@@ -119,7 +119,7 @@ _ALPHABETS = {
 }
 
 
-def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentConfig]:
+def _build_experiment(path: str, line: int, raw: dict, seed: int | None) -> tuple[str, ExperimentConfig]:
     for key in ("receiver", "alphabet", "N_S", "N_Z", "M", "sweep", "trials"):
         if key not in raw:
             raise ConfigError(path, line, f"experiment is missing required key '{key}'")
@@ -143,6 +143,7 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
     try:
         tunables = {key: parse(raw[key]) for key, parse in _SFG_KEYS.items() if key in raw}
         spec = ReceiverSpec(receiver_kind, **tunables)
+        file_seed = int(raw.get("seed", DEFAULT_SEED))  # checked even when `seed` replaces it
         cfg = ExperimentConfig(
             alphabet_kind=alphabet,
             receiver=spec,
@@ -151,7 +152,7 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
             M=int(raw["M"]),
             sweep=parse_sweep(raw["sweep"]),
             trials_per_point=int(raw["trials"]),
-            master_seed=int(raw.get("seed", DEFAULT_SEED)),
+            master_seed=file_seed if seed is None else seed,
         )
     except (ValueError, ArithmeticError) as exc:  # a huge integer M overflows a float
         raise ConfigError(path, line, str(exc)) from None
@@ -162,8 +163,8 @@ def _build_experiment(path: str, line: int, raw: dict) -> tuple[str, ExperimentC
     return name, cfg
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
+    """Parse and validate a run configuration file; a `seed` replaces every experiment's seed."""
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -180,7 +181,7 @@ def load_config(path: str | Path) -> RunConfig:
     def close_section():
         nonlocal raw
         if section == "experiment":
-            name, exp = _build_experiment(str(path), section_line, raw)
+            name, exp = _build_experiment(str(path), section_line, raw, seed)
             if any(name == other for other, _ in cfg.experiments):
                 raise ConfigError(str(path), section_line, f"duplicate experiment name {name!r}")
             cfg.experiments.append((name, exp))

@@ -8,10 +8,10 @@ uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine, `count_errors`, knows no
 receiver: it applies array-form rules decide(i, u) to numpy blocks, hashing
 each block in place and computing only the uniform rows the rules read.  Its
-rules are the per-point receiver rules of `receivers.point_decider` and the
-phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives in this
-module (bit from the hash, Box-Muller noise from u[0] and u[1], hop from
-u[2]).  `run_experiments` passes all the points of every experiment that
+rules are the per-point `point_decider` rules each `ExperimentConfig` keeps
+and the phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives
+in this module (bit from the hash, Box-Muller noise from u[0] and u[1], hop
+from u[2]).  `run_experiments` passes all the points of every experiment that
 shares a master seed, alphabet size and trial count to one call, and that
 call hashes each distinct point index once for all of them: each of its
 rules reads the same read-only symbol and uniform columns.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,9 @@ class ExperimentConfig:
     sweep: tuple[float, ...]
     trials_per_point: int
     master_seed: int
+    #: each sweep point's receiver rule and analytic bound, built once by __post_init__
+    rules: tuple = field(init=False, repr=False, compare=False)
+    bounds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sweep", tuple(float(s) for s in self.sweep))
@@ -139,8 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 1000 trials per point, got {self.trials_per_point}")
         if len(self.sweep) == 0:
             raise ValueError("sweep must not be empty")
-        if any(s < 0 for s in self.sweep):
-            raise ValueError("sweep values must be >= 0")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sweep):
+            raise ValueError("sweep values must be finite and >= 0")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep must be strictly increasing")
         eta_max = self.eta_for(max(self.sweep))
@@ -148,11 +151,21 @@ class ExperimentConfig:
             raise ValueError(
                 f"sweep point s = {max(self.sweep):g} back-solves to eta = {eta_max:g} > 1"
             )
-        # the largest point's rule and bound check the whole sweep: building them refuses a
-        # pair the receiver cannot run, and |c| grows with eta while n_R lies between N_S and N_Z
-        _point_rules(self, [len(self.sweep) - 1])
-        analytic_bound_value(self.receiver.kind, self.alphabet_kind, eta_max, self.N_S, self.M,
-                             self.N_Z)
+        # building each point's rule and bound is the check (unsupported pair, moment overflow)
+        rules, bounds = [], []
+        for s in self.sweep:
+            eta = self.eta_for(s)
+            cp = ChannelParams(eta=eta, phi=0.0, N_Z=self.N_Z, M=self.M, N_S=self.N_S)
+            rules.append(point_decider(cp, nominal_alphabet(self.alphabet_kind, eta), self.receiver))
+            bounds.append(analytic_bound_value(self.receiver.kind, self.alphabet_kind, eta,
+                                               self.N_S, self.M, self.N_Z))
+        object.__setattr__(self, "rules", tuple(rules))
+        object.__setattr__(self, "bounds", tuple(bounds))
+
+    @property
+    def n_symbols(self) -> int:
+        """Alphabet size, 2 or 4: the symbol indices the engine draws."""
+        return 4 if self.alphabet_kind is AlphabetKind.QPSK else 2
 
     def eta_for(self, s: float) -> float:
         """Back-solved round-trip transmissivity for a sweep point."""
@@ -221,21 +234,10 @@ def _block_trials(draws: int) -> int:
     return _BLOCK // (draws + 1)
 
 
-def _point_rules(cfg: ExperimentConfig, points) -> tuple[int, list]:
-    """The alphabet size and the (point_index, rule) pairs of the given sweep points."""
-    rules = []
-    for p in points:
-        eta = cfg.eta_for(cfg.sweep[p])
-        a = nominal_alphabet(cfg.alphabet_kind, eta)
-        cp = ChannelParams(eta=eta, phi=0.0, N_Z=cfg.N_Z, M=cfg.M, N_S=cfg.N_S)
-        rules.append((p, point_decider(cp, a, cfg.receiver)))
-    return len(a), rules
-
-
 def _count_point_errors(cfg: ExperimentConfig, point_index: int, start: int, count: int) -> int:
-    """Symbol errors of one sweep point's receiver rule over trials [start, start+count)."""
-    n_symbols, rules = _point_rules(cfg, [point_index])
-    return count_errors(rules, n_symbols, cfg.master_seed, start, count)[0]
+    """Symbol errors of one sweep point's kept rule over trials [start, start+count)."""
+    rule = (point_index, cfg.rules[point_index])
+    return count_errors([rule], cfg.n_symbols, cfg.master_seed, start, count)[0]
 
 
 def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int) -> list[int]:
@@ -339,14 +341,11 @@ def eve_random_phase_ber(
 
 
 def _curve(cfg: ExperimentConfig, counts: list[int]) -> BerCurve:
-    """The curve of `cfg` from its per-point error counts."""
+    """The curve of `cfg` from its per-point error counts and kept bounds."""
     points = []
-    for s, errors in zip(cfg.sweep, counts):
+    for s, bound, errors in zip(cfg.sweep, cfg.bounds, counts):
         trials = cfg.trials_per_point
         lo, hi = wilson_interval(errors, trials)
-        bound = analytic_bound_value(
-            cfg.receiver.kind, cfg.alphabet_kind, cfg.eta_for(s), cfg.N_S, cfg.M, cfg.N_Z
-        )
         points.append(BerCurvePoint(s=s, empirical_ber=errors / trials, wilson_ci_low=lo,
                                     wilson_ci_high=hi, analytic_bound=bound, trials=trials,
                                     errors=errors))
@@ -359,8 +358,8 @@ def run_experiments(cfgs) -> list[BerCurve]:
     stream, so their points go to one `count_errors` call."""
     groups = {}
     for k, cfg in enumerate(cfgs):
-        n_symbols, rules = _point_rules(cfg, range(len(cfg.sweep)))
-        groups.setdefault((cfg.master_seed, n_symbols, cfg.trials_per_point), []).append((k, rules))
+        key = (cfg.master_seed, cfg.n_symbols, cfg.trials_per_point)
+        groups.setdefault(key, []).append((k, list(enumerate(cfg.rules))))
     counts = [None] * len(cfgs)
     for (seed, n_symbols, trials), members in groups.items():
         flat = iter(count_errors([r for _, rs in members for r in rs], n_symbols, seed, 0, trials))

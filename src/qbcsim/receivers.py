@@ -333,9 +333,10 @@ def point_decider(
     (v + held) % 4, held being the index the click test returns.
 
     Building a rule costs 2-25 us per point at N_Z = 100, the most for the
-    SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each call builds
-    it.  Every channel quantity a rule needs (the PA grid, the thermal
-    residual) is read from the closed-form `return_idler_moments`.
+    SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each
+    `ExperimentConfig` builds a point's rule once and its runs reuse it.  Every
+    channel quantity a rule needs (the PA grid, the thermal residual) is read
+    from the closed-form `return_idler_moments`.
 
     The rule carries `decide.draws`, the number of leading rows of u it
     reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).

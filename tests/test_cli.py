@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import qbcsim.montecarlo as montecarlo
 from qbcsim.cli import build_parser, main
 from qbcsim.config import ConfigError, load_config, parse_sweep
 
@@ -296,6 +297,41 @@ def test_simulate_experiments_do_not_share_counts(tmp_path, capsys, fmt, seed):
         f"summary: wrote {out / 'summary.json'}"]
     for name, data in alone.items():
         assert (out / f"{name}.{fmt}").read_bytes() == data, name
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
+def test_simulate_builds_each_sweep_point_once(tmp_path, monkeypatch, seed):
+    """Reading a config builds each sweep point's rule and bound once, and
+    the run reuses them: `--seed` is applied as the config is read, so it
+    builds nothing again."""
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(montecarlo, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("point_decider", "analytic_bound_value"):
+        monkeypatch.setattr(montecarlo, name, counting(name))
+    path = tmp_path / "two.cfg"
+    path.write_text("\n".join(_DEFAULT_SEED_EXPERIMENTS[:2]))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out"), *seed]) == 0
+    points = 2 * 3
+    assert calls == {"point_decider": points, "analytic_bound_value": points}
+
+
+def test_simulate_seed_override_still_checks_the_file_seed(tmp_path, capsys):
+    """`--seed` replaces every experiment's seed, but a malformed seed in the
+    file is still a config error at its experiment."""
+    cfgpath = _write_config(tmp_path, text=GOOD_CONFIG.replace("seed = 7", "seed = abc"))
+    assert main(["simulate", str(cfgpath), "--seed", "5"]) == 2
+    assert f"{cfgpath}:{EXPERIMENT_LINE}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert load_config(_write_config(tmp_path), seed=5).experiments[0][1].master_seed == 5
 
 
 def test_simulate_json_roundtrip(tmp_path):

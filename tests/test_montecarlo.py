@@ -29,7 +29,6 @@ from qbcsim.montecarlo import (
     _count_point_errors,
     _counter_hash,
     _mix64_inplace,
-    _point_rules,
     count_errors,
     analytic_bound_value,
     derive_trial_seed,
@@ -207,6 +206,26 @@ def test_run_experiment_deterministic():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
+@pytest.mark.parametrize("receiver,alphabet", [
+    (ReceiverKind.HETERODYNE, AlphabetKind.BPSK),
+    (ReceiverKind.PA, AlphabetKind.PAM),
+    (ReceiverKind.SFG, AlphabetKind.BPSK),
+    (ReceiverKind.SFG, AlphabetKind.QPSK),
+])
+def test_kept_rules_are_reusable(receiver, alphabet):
+    """A config builds its points' rules and bounds once: running it twice,
+    or twice in one run_experiments call, gives the curves of a freshly
+    built equal config, whose rules are its own."""
+    cfg = _link_config(receiver, alphabet, sweep=(0.5, 1.0, 1.5), trials_per_point=1000)
+    first = run_experiment(cfg)
+    assert run_experiment(cfg) == first
+    assert run_experiments([cfg, cfg]) == [first, first]
+    fresh = replace(cfg)
+    assert fresh == cfg and fresh.rules is not cfg.rules and len(fresh.rules) == len(cfg.sweep)
+    assert run_experiment(fresh) == first
+    assert [pt.analytic_bound for pt in first.points] == list(cfg.bounds)
+
+
 def test_run_experiment_parallel_invariance():
     """Each trial is a pure function of (master_seed, point, trial): counts
     over [0, n) equal the sum over an uneven split whose pieces cross block
@@ -263,7 +282,7 @@ def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape)
         cuts = [0, 777, per_block + 5, n - 3, n]
     cfg = _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet, N_S=0.01,
                   N_Z=100.0, M=1_000_000, sweep=sweep, trials_per_point=n)
-    n_symbols, rules = _point_rules(cfg, range(len(sweep)))
+    n_symbols, rules = cfg.n_symbols, list(enumerate(cfg.rules))
     assert {decide.draws for _, decide in rules} == {draws}
     for (p, decide), pt in zip(rules, run_experiment(cfg).points):
         assert pt.errors == _count_point_errors(cfg, p, 0, n)
@@ -389,7 +408,7 @@ def test_rules_sharing_a_point_count_as_alone(alphabet, rx_draws):
     rules = []
     for rx, draws in rx_draws:
         cfg = _link_config(rx, alphabet, sweep=(0.5, 1.0, 1.5), trials_per_point=n)
-        n_symbols, point_rules = _point_rules(cfg, range(3))
+        n_symbols, point_rules = cfg.n_symbols, list(enumerate(cfg.rules))
         assert {decide.draws for _, decide in point_rules} == {draws}
         rules += point_rules[::-1]
     assert len({p for p, _ in rules}) < len(rules)
@@ -437,7 +456,7 @@ def test_rules_cannot_write_shared_inputs():
         spec = ReceiverSpec(kind=receiver, include_thermal_residual=residual)
         cfg = _config(receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0, M=1_000_000,
                       sweep=(0.0, 0.5, 1.0))
-        n_symbols, rules = _point_rules(cfg, range(3))
+        n_symbols, rules = cfg.n_symbols, list(enumerate(cfg.rules))
         for (p, decide), got in zip(rules, count_errors(rules, n_symbols, 5, 0, 1000)):
             assert got == _reference_errors(decide, n_symbols, 5, p, 1000), (receiver, alphabet)
     for dist in ("uniform", "binary", "none"):
@@ -587,6 +606,14 @@ def test_trials_floor():
 def test_sweep_must_increase():
     with pytest.raises(ValueError):
         _config(sweep=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("sweep", [(0.1, math.nan, 0.5), (0.1, math.inf), (math.nan,)])
+def test_non_finite_sweep_is_rejected(sweep):
+    """A NaN point fails both the sign and the ordering comparison, and an
+    infinite one back-solves to eta = inf: each is refused by name."""
+    with pytest.raises(ValueError, match="sweep values must be finite and >= 0"):
+        _config(sweep=sweep)
 
 
 def test_heterodyne_fast_path_matches_literal_sampling():
