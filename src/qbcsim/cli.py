@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import classical_ep_lower_bound, eve_exponent_ratio, power_divider_penalty
-from .config import DEFAULT_SEED, ConfigError, load_config, parse_sweep
+from .config import DEFAULT_SEED, FORMATS, ConfigError, load_config, parse_sweep
 from .link import (
     AlphabetKind,
     LinkBudget,
@@ -72,7 +72,7 @@ def bound_table_row(s: float) -> dict[str, float]:
     for col in BOUND_COLUMNS:
         receiver, alphabet = col.split("_")
         kind = ReceiverKind.HETERODYNE if receiver == "het" else ReceiverKind(receiver)
-        row[col] = analytic_bound_value(kind, AlphabetKind(alphabet), 1.0, s, 1, 1.0)
+        row[col] = analytic_bound_value(kind, nominal_alphabet(AlphabetKind(alphabet), 1.0), s, 1, 1.0)
     return row
 
 
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="write the analytic bound table over a sweep")
     p.add_argument("--sweep", default="0.1:20:100", help="s_min:s_max:n (default 0.1:20:100)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument(
         "--columns",
         default=None,
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the experiments of a config file")
     p.add_argument("config", help="path to a key=value run configuration")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--seed", type=int, default=None, help="override every experiment seed")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,17 +1,19 @@
 """Line-oriented key=value configuration files for simulation runs.
 
 The format is deliberately flat: section headers in brackets, one key=value
-pair per line, '#' comments.  An [experiment] section may repeat, once per
-experiment block, and at least one is required; [output] is optional.  Unknown
-sections or keys, bad values (a sweep must be finite with s_min >= 0; N_S and
-N_Z finite and > 0, with finite channel moments at every sweep point;
-M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z)
-< 1; sfg_capture_eps in (0, 1); a boolean include_thermal_residual), SFG
-tunables outside an SFG experiment, include_thermal_residual in an SFG-QPSK
-experiment (its sequential click test reads only sfg_count_rate), unsupported
-receiver/alphabet pairs (PA with QPSK), experiment names that are not safe
-file stems or repeat an earlier name, and bytes that are not UTF-8 are
-rejected with file:line diagnostics.
+pair per line, '#' comments; a leading UTF-8 byte-order mark is ignored.  An
+[experiment] section may repeat, once per experiment block, and at least one
+is required; [output] is optional and appears at most once.  The whole file is
+read into sections before any experiment is built, so a malformed line is
+reported before a bad value in an earlier section.  Unknown sections or keys,
+bad values (a sweep must be finite with s_min >= 0; N_S and N_Z finite and
+> 0, with finite channel moments at every sweep point; M >= 1; sfg_tau finite
+and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in
+(0, 1); a boolean include_thermal_residual), SFG tunables outside an SFG
+experiment, include_thermal_residual in an SFG-QPSK experiment (its sequential
+click test reads only sfg_count_rate), unsupported receiver/alphabet pairs (PA
+with QPSK), experiment names that are not safe file stems or repeat an earlier
+name, and bytes that are not UTF-8 are rejected with file:line diagnostics.
 
 Example::
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .link import AlphabetKind
@@ -74,13 +76,13 @@ def parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration: named experiments plus output settings."""
 
-    experiments: list[tuple[str, ExperimentConfig]] = field(default_factory=list)
-    output_directory: Path = Path(".")
-    output_format: str = "csv"
+    experiments: tuple[tuple[str, ExperimentConfig], ...]
+    output_directory: Path
+    output_format: str
 
 
 def _parse_bool(text: str) -> bool:
@@ -94,19 +96,24 @@ def _parse_bool(text: str) -> bool:
 
 #: sfg-only receiver tunables and their parsers; an absent key keeps its ReceiverSpec default
 _SFG_KEYS = {"sfg_tau": float, "sfg_capture_eps": float, "include_thermal_residual": _parse_bool}
-_EXPERIMENT_KEYS = {
-    "name",
-    "receiver",
-    "alphabet",
-    "N_S",
-    "N_Z",
-    "M",
-    "sweep",
-    "trials",
-    "seed",
-    *_SFG_KEYS,
+#: each section's allowed keys
+_SECTION_KEYS = {
+    "experiment": {
+        "name",
+        "receiver",
+        "alphabet",
+        "N_S",
+        "N_Z",
+        "M",
+        "sweep",
+        "trials",
+        "seed",
+        *_SFG_KEYS,
+    },
+    "output": {"directory", "format"},
 }
-_OUTPUT_KEYS = {"directory", "format"}
+#: output formats, for [output] format and the --format options
+FORMATS = ("csv", "json")
 #: experiment names become output file stems; summary.json is the run summary
 _SAFE_NAME = re.compile(r"(?!summary$)[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -119,46 +126,47 @@ _ALPHABETS = {
 }
 
 
-def _build_experiment(path: str, line: int, raw: dict, seed: int | None) -> tuple[str, ExperimentConfig]:
+def _build_experiment(path: str, line: int, values: dict, lines: dict,
+                      seed: int | None) -> tuple[str, ExperimentConfig]:
     for key in ("receiver", "alphabet", "N_S", "N_Z", "M", "sweep", "trials"):
-        if key not in raw:
+        if key not in values:
             raise ConfigError(path, line, f"experiment is missing required key '{key}'")
     try:
-        receiver_kind = _RECEIVERS[raw["receiver"].strip().lower()]
+        receiver_kind = _RECEIVERS[values["receiver"].strip().lower()]
     except KeyError:
         raise ConfigError(
-            path, raw["_lines"]["receiver"], f"unknown receiver {raw['receiver']!r}"
+            path, lines["receiver"], f"unknown receiver {values['receiver']!r}"
         ) from None
     try:
-        alphabet = _ALPHABETS[raw["alphabet"].strip().lower()]
+        alphabet = _ALPHABETS[values["alphabet"].strip().lower()]
     except KeyError:
         raise ConfigError(
-            path, raw["_lines"]["alphabet"], f"unknown alphabet {raw['alphabet']!r}"
+            path, lines["alphabet"], f"unknown alphabet {values['alphabet']!r}"
         ) from None
-    for key in sorted(set(_SFG_KEYS) & raw.keys(), key=raw["_lines"].get):
+    for key in sorted(_SFG_KEYS.keys() & values.keys(), key=lines.get):
         if receiver_kind is not ReceiverKind.SFG:
-            raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to the sfg receiver")
+            raise ConfigError(path, lines[key], f"'{key}' applies only to the sfg receiver")
         if key == "include_thermal_residual" and alphabet is AlphabetKind.QPSK:
-            raise ConfigError(path, raw["_lines"][key], f"'{key}' applies only to sfg with pam or bpsk")
+            raise ConfigError(path, lines[key], f"'{key}' applies only to sfg with pam or bpsk")
     try:
-        tunables = {key: parse(raw[key]) for key, parse in _SFG_KEYS.items() if key in raw}
+        tunables = {key: parse(values[key]) for key, parse in _SFG_KEYS.items() if key in values}
         spec = ReceiverSpec(receiver_kind, **tunables)
-        file_seed = int(raw.get("seed", DEFAULT_SEED))  # checked even when `seed` replaces it
+        file_seed = int(values.get("seed", DEFAULT_SEED))  # checked even when `seed` replaces it
         cfg = ExperimentConfig(
             alphabet_kind=alphabet,
             receiver=spec,
-            N_S=float(raw["N_S"]),
-            N_Z=float(raw["N_Z"]),
-            M=int(raw["M"]),
-            sweep=parse_sweep(raw["sweep"]),
-            trials_per_point=int(raw["trials"]),
+            N_S=float(values["N_S"]),
+            N_Z=float(values["N_Z"]),
+            M=int(values["M"]),
+            sweep=parse_sweep(values["sweep"]),
+            trials_per_point=int(values["trials"]),
             master_seed=file_seed if seed is None else seed,
         )
     except (ValueError, ArithmeticError) as exc:  # a huge integer M overflows a float
         raise ConfigError(path, line, str(exc)) from None
-    name = raw.get("name", f"experiment{line}")
+    name = values.get("name", f"experiment{line}")
     if not _SAFE_NAME.fullmatch(name):
-        raise ConfigError(path, raw["_lines"]["name"], f"experiment name {name!r} is not a "
+        raise ConfigError(path, lines["name"], f"experiment name {name!r} is not a "
                           "file stem of letters, digits, '.', '_', '-' other than 'summary'")
     return name, cfg
 
@@ -168,61 +176,51 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     path = Path(path)
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # the bad byte's line, counted as splitlines counts them below
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ConfigError(str(path), line, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    cfg = RunConfig()
-    section = None
-    section_line = 0
-    raw: dict = {}
-
-    def close_section():
-        nonlocal raw
-        if section == "experiment":
-            name, exp = _build_experiment(str(path), section_line, raw, seed)
-            if any(name == other for other, _ in cfg.experiments):
-                raise ConfigError(str(path), section_line, f"duplicate experiment name {name!r}")
-            cfg.experiments.append((name, exp))
-        elif section == "output":
-            cfg.output_directory = Path(raw.get("directory", "."))
-            fmt = raw.get("format", "csv").strip().lower()
-            if fmt not in ("csv", "json"):
-                raise ConfigError(
-                    str(path), raw["_lines"].get("format", section_line),
-                    f"output format must be csv or json, got {fmt!r}",
-                )
-            cfg.output_format = fmt
-        raw = {}
-
-    allowed = {"experiment": _EXPERIMENT_KEYS, "output": _OUTPUT_KEYS}
+    sections = []  # (name, header line, values, key lines), in file order
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            if section is not None:
-                close_section()
-            section = line[1:-1].strip().lower()
-            section_line = lineno
-            if section not in allowed:
-                raise ConfigError(str(path), lineno, f"unknown section [{section}]")
-            raw = {"_lines": {}}
+            name = line[1:-1].strip().lower()
+            if name not in _SECTION_KEYS:
+                raise ConfigError(str(path), lineno, f"unknown section [{name}]")
+            if name == "output" and any(other == "output" for other, *_ in sections):
+                raise ConfigError(str(path), lineno, "duplicate section [output]")
+            sections.append((name, lineno, {}, {}))
             continue
-        if section is None:
+        if not sections:
             raise ConfigError(str(path), lineno, "key outside any section")
         if "=" not in line:
             raise ConfigError(str(path), lineno, f"expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed[section]:
-            raise ConfigError(str(path), lineno, f"unknown key '{key}' in section [{section}]")
-        if key in raw:
+        name, _, values, lines = sections[-1]
+        if key not in _SECTION_KEYS[name]:
+            raise ConfigError(str(path), lineno, f"unknown key '{key}' in section [{name}]")
+        if key in values:
             raise ConfigError(str(path), lineno, f"duplicate key '{key}'")
-        raw[key] = value
-        raw["_lines"][key] = lineno
-    if section is not None:
-        close_section()
-    if not cfg.experiments:
+        values[key] = value
+        lines[key] = lineno
+
+    experiments = []
+    output_directory, output_format = Path("."), "csv"
+    for name, header, values, lines in sections:
+        if name == "output":
+            output_directory = Path(values.get("directory", "."))
+            output_format = values.get("format", "csv").strip().lower()
+            if output_format not in FORMATS:
+                raise ConfigError(str(path), lines["format"], f"output format must be "
+                                  f"{' or '.join(FORMATS)}, got {output_format!r}")
+            continue
+        exp_name, exp = _build_experiment(str(path), header, values, lines, seed)
+        if any(exp_name == other for other, _ in experiments):
+            raise ConfigError(str(path), header, f"duplicate experiment name {exp_name!r}")
+        experiments.append((exp_name, exp))
+    if not experiments:
         raise ConfigError(str(path), 1, "configuration defines no experiment")
-    return cfg
+    return RunConfig(tuple(experiments), output_directory, output_format)

@@ -39,7 +39,7 @@ from .analytics import (
     pa_ep_upper_bound,
     sfg_ep_upper_bound,
 )
-from .link import AlphabetKind, ChannelParams, nominal_alphabet
+from .link import Alphabet, AlphabetKind, ChannelParams, nominal_alphabet
 from .receivers import DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, point_decider, uniforms
 
 _MASK64 = (1 << 64) - 1
@@ -156,9 +156,9 @@ class ExperimentConfig:
         for s in self.sweep:
             eta = self.eta_for(s)
             cp = ChannelParams(eta=eta, phi=0.0, N_Z=self.N_Z, M=self.M, N_S=self.N_S)
-            rules.append(point_decider(cp, nominal_alphabet(self.alphabet_kind, eta), self.receiver))
-            bounds.append(analytic_bound_value(self.receiver.kind, self.alphabet_kind, eta,
-                                               self.N_S, self.M, self.N_Z))
+            a = nominal_alphabet(self.alphabet_kind, eta)
+            rules.append(point_decider(cp, a, self.receiver))
+            bounds.append(analytic_bound_value(self.receiver.kind, a, self.N_S, self.M, self.N_Z))
         object.__setattr__(self, "rules", tuple(rules))
         object.__setattr__(self, "bounds", tuple(bounds))
 
@@ -204,14 +204,12 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple[floa
 
 def analytic_bound_value(
     receiver_kind: ReceiverKind,
-    alphabet_kind: AlphabetKind,
-    eta: float,
+    a: Alphabet,
     N_S: float,
     M: int,
     N_Z: float,
 ) -> float:
-    """Matching bound for a sweep point; at eta == 0 it is the bound at d^2 = 0."""
-    a = nominal_alphabet(alphabet_kind, eta)
+    """Matching bound for a sweep point's alphabet; at eta == 0 it is the bound at d^2 = 0."""
     if receiver_kind is ReceiverKind.HETERODYNE:
         return classical_ep_lower_bound(a, N_S, M, N_Z).value
     if receiver_kind is ReceiverKind.PA:

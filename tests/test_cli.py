@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -139,6 +140,38 @@ def test_load_config_rejects_link_budget_section(tmp_path):
         load_config(cfgpath)
     assert err.value.line == LINK_BUDGET_LINE
     assert "unknown section [link_budget]" in str(err.value)
+
+
+def test_load_config_ignores_a_leading_bom(tmp_path):
+    """A UTF-8 byte-order mark, as Windows Notepad writes one, is not part of
+    the text: the file loads as without it, and a bad byte after it is still
+    named by its line and its offset in the file."""
+    plain = _write_config(tmp_path)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(bom) == load_config(plain)
+    bad = b"\xef\xbb\xbf" + plain.read_bytes().replace(b"name = sfg-bpsk", b"name = sfg-\xe9bpsk")
+    bom.write_bytes(bad)
+    with pytest.raises(ConfigError) as err:
+        load_config(bom)
+    assert err.value.line == NAME_LINE
+    assert f"at byte {bad.index(0xE9)}" in str(err.value)
+
+
+#: GOOD_CONFIG writing json, then a second [output] naming another directory
+SECOND_OUTPUT_CONFIG = GOOD_CONFIG.replace("format = csv", "format = json") + (
+    "\n[output]\ndirectory = {second}\n"
+)
+SECOND_OUTPUT_LINE = SECOND_OUTPUT_CONFIG.splitlines().index("[output]", len(GOOD_CONFIG.splitlines())) + 1
+
+
+def test_simulate_refuses_a_second_output_section(tmp_path, capsys):
+    """A config has at most one [output]: a second one is a config error at
+    its header, not a silent replacement of the first, and nothing is written."""
+    cfgpath = _write_config(tmp_path, text=SECOND_OUTPUT_CONFIG, second=tmp_path / "second")
+    assert main(["simulate", str(cfgpath)]) == 2
+    assert f"config error: {cfgpath}:{SECOND_OUTPUT_LINE}:" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_load_config_missing_key(tmp_path):
@@ -444,9 +477,10 @@ FUZZ_TOKENS = (
 )
 
 
-def test_simulate_fuzzed_config_exits_cleanly(tmp_path):
+def test_simulate_fuzzed_config_exits_cleanly(tmp_path, capsys):
     """300 configs with 1-3 values of FUZZ_BASE replaced from FUZZ_TOKENS:
-    simulate returns an exit code every time and raises nothing."""
+    simulate returns an exit code every time and raises nothing, and every
+    config error names a line of the file."""
     rng = random.Random(1)
     lines = FUZZ_BASE.format(outdir=tmp_path / "unused").splitlines()
     slots = [k for k, line in enumerate(lines) if " = " in line and not line.startswith("directory")]
@@ -463,6 +497,10 @@ def test_simulate_fuzzed_config_exits_cleanly(tmp_path):
         except Exception as exc:
             pytest.fail(f"case {case} raised {exc!r} on\n{text}")
         assert code in (0, 2, 3, 4), (case, code, text)
+        err = capsys.readouterr().err
+        if code == 2:
+            where = re.search(rf"config error: {re.escape(str(cfgpath))}:(\d+):", err)
+            assert where and 1 <= int(where[1]) <= len(mutated), (case, err, text)
         codes[code] += 1
     assert codes[0] > 0 and codes[2] > 0, codes
 

@@ -548,7 +548,7 @@ def test_run_experiment_monotone_up_to_ci():
 def test_bound_at_zero_eta(receiver, alphabet, value):
     """At eta = 0 every symbol sits at 0 and each bound formula is read at
     d^2 = 0: erfc(0) / 2|A| for heterodyne, exp(0) = min(1, 4) = 1 otherwise."""
-    assert analytic_bound_value(receiver, alphabet, 0.0, 0.01, 10_000, 100.0) == value
+    assert analytic_bound_value(receiver, nominal_alphabet(alphabet, 0.0), 0.01, 10_000, 100.0) == value
 
 
 def test_degenerate_alphabets():
