@@ -11,21 +11,20 @@ A `FockOperator` is a spectrum (lam, V), V unitary per block, and the stack
 of blocks V diag(lam) V^dag derived from it.  A conversion produces the
 spectrum: a Gaussian state is a unitary V acting on a thermal diagonal lam,
 and `gaussian_to_fock` forms every stack from (lam, V) in one expression.  An
-operator given as a matrix is solved once, when it is built.  Both oracles
-read the kept spectrum, so a converted pair costs one `eigvalsh`, of
-Helstrom's difference.
+operator given as a matrix is one whole block, solved once, when it is
+built.  Both oracles read the kept spectrum, so a converted pair costs one
+`eigvalsh`, of Helstrom's difference.
 
 A two-mode state accepted here has phase-insensitive marginals and one
 cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
 cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
 fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
-form one (2 dim - 1, dim, dim) stack, and that stack is what a two-mode
-`FockOperator` stores: its spectrum comes from one squeeze spectrum per
-cutoff, its stack from batched matrix products, and the dim**2 x dim**2
-matrix is built only when `.matrix` is read.  A one-mode operator, or a
-two-mode one given as a matrix with an entry between sectors, is one whole
-block; a pair with such an operator is solved as one whole block.  Padded
-slots have eigenvalue 0, so the spectra are unchanged.
+form one (2 dim - 1, dim, dim) stack, and only `gaussian_to_fock` makes
+such a stack: its spectrum comes from one squeeze spectrum per cutoff, its
+stack from batched matrix products, and the dim**2 x dim**2 matrix is built
+only when `.matrix` is read.  A one-mode operator, or one built from a
+matrix, is one whole block; a pair with such an operator is solved as one
+whole block.  Padded slots have eigenvalue 0, so the spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def _checked_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _require_finite(stack: np.ndarray, trace_deficit: float) -> None:
     if not math.isfinite(trace_deficit):
         raise ValueError(f"trace_deficit must be finite, got {trace_deficit}")
-    # the stack holds every set bit, so checking it checks every entry
     if not np.isfinite(stack).all():
         raise ValueError("density matrix must be finite")
 
@@ -121,13 +119,12 @@ class FockOperator:
     truncation.  The operator owns its data: the constructor copies `matrix`,
     and every array it keeps or hands out is read-only.
 
-    It keeps a stack of blocks, the (2 dim - 1, dim, dim) sector stack of the
-    module docstring for a two-mode operator whose every set bit lies inside a
-    sector, else the whole matrix as one block, and the PSD-checked spectrum
-    of that stack.  `gaussian_to_fock` hands over the spectrum it converts and
-    the stack formed from it.  A given matrix is classified, checked to be
-    Hermitian and solved here, once.  `.matrix` is built from the stack on
-    first read and kept.
+    It keeps a stack of blocks and the PSD-checked spectrum of that stack.  A
+    given matrix is one whole block, checked to be Hermitian and solved here,
+    once.  Only `gaussian_to_fock` makes the (2 dim - 1, dim, dim) sector
+    stack of the module docstring, for a two-mode state, and it hands over
+    the spectrum it converts and the stack formed from it.  `.matrix` is
+    built from a sector stack on first read and kept.
     """
 
     __slots__ = ("n_modes", "dimension", "trace_deficit", "_stack", "_matrix", "_eigh")
@@ -142,13 +139,6 @@ class FockOperator:
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
         stack = m[None]
-        if n_modes == 2:
-            sec = _sectors(dimension)
-            inside = m.ravel()[sec.dense]
-            # any set bit counts, so a stray -0.0 between sectors does too
-            if np.count_nonzero(m.view(np.uint64)) == np.count_nonzero(inside.view(np.uint64)):
-                stack = np.zeros((2 * dimension - 1, dimension, dimension), dtype=complex)
-                stack.ravel()[sec.stacked] = inside
         _require_finite(stack, trace_deficit)
         asym = stack.conj()
         asym -= stack.transpose(0, 2, 1)

@@ -191,9 +191,14 @@ def rtt_from_link_budget(lb: LinkBudget) -> float:
     The value is returned as computed even when it exceeds 1; callers decide
     how to report that.  Note this expression is the one used throughout this
     package and differs from the conventional (4 pi)^3 radar-equation form.
-    Raises ValueError when the result is not finite.
+    A denominator beyond the float range gives 0.  Raises ValueError when the
+    result is not finite.
     """
-    den = 16.0 * math.pi * lb.omega**2 * lb.R_t**2 * lb.R_r**2
+    try:
+        den = 16.0 * math.pi * lb.omega**2 * lb.R_t**2 * lb.R_r**2
+    except OverflowError:  # one factor's ** left the float range; the product may not
+        x = lb.omega * lb.R_t * lb.R_r
+        den = 16.0 * math.pi * x * x
     num = lb.G_r * lb.G_t * C_LIGHT**2 * lb.sigma_Q
     return _finite(num / den if den else math.inf, "round-trip transmissivity")
 

@@ -333,7 +333,7 @@ def test_non_hermitian_input_rejected():
 
 def test_non_psd_input_rejected():
     """A matrix with a negative eigenvalue is refused when it is built, as one
-    whole block on one mode and as a sector stack on two."""
+    whole block, on one mode and on two."""
     dim = 6
     m = np.zeros((dim, dim), dtype=complex)
     m[0, 0] = 1.5
@@ -445,12 +445,13 @@ def test_oracles_equal_dense_spectra():
 
 
 @pytest.mark.parametrize("entry", [1e-7, -0.0], ids=["linked-1e-7", "signed-zero"])
-def test_an_entry_between_sectors_takes_the_whole_block(entry):
-    """A pipeline operator with a Hermitian pair of entries between |0,0> and
-    |1,0>, which lie in different sectors of n0 - n1 and carry enough weight
-    to keep it PSD, is solved whole, whichever side of the pair it is on; any
-    set bit counts, so -0.0 does too.  Against its sector-exact original, a
-    1e-7 pair alone sets the trace distance, which a per-sector solve drops."""
+def test_a_matrix_built_operator_is_one_whole_block(entry):
+    """An operator built from a matrix is one whole block, and so is a pair
+    with it, whichever side of the pair it is on.  Here the matrix is a
+    pipeline operator with a Hermitian pair of entries, 1e-7 or -0.0, between
+    |0,0> and |1,0>, which lie in different sectors of n0 - n1 and carry
+    enough weight to keep it PSD.  Against its sector-exact original, a 1e-7
+    pair alone sets the trace distance, which a per-sector solve would drop."""
     rho = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(55)), 5)
     m = rho.matrix.copy()
     m[0, rho.dimension] = m[rho.dimension, 0] = entry  # |n0, n1> sits at n0 * dim + n1
@@ -486,7 +487,7 @@ def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
     hands its spectrum to the operator, so both oracles together, in either
     order, make no eigh and one eigvalsh, of Helstrom's difference, and the
     Chernoff oracle alone solves nothing.  The same pair built from its
-    matrices makes one batched eigh per operator when it is built, and the
+    matrices makes one eigh per operator when it is built, and the
     oracles then make only Helstrom's eigvalsh."""
     cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
     s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
@@ -635,8 +636,8 @@ def test_kept_spectrum_is_the_eigendecomposition_of_the_stack():
     zero cross-correlation phase (TMSS, channel phase 0), the unsqueezed
     branch (an absent tag), one-mode thermal, coherent, squeezed and
     squeezed-displaced states, and operators built from a one-mode matrix, a
-    two-mode sector matrix and a two-mode matrix linking every sector (one
-    whole block)."""
+    two-mode sector matrix and a two-mode matrix linking every sector, each
+    one whole block."""
     rng = np.random.default_rng(1919)
     cp = ChannelParams(eta=0.4, phi=0.0, N_Z=0.7, M=100, N_S=0.5)
     squeezed = partial_trace(apply_beam_splitter(tmss(0.3), 0, 1, 0.5, 0.7), [0])
@@ -651,7 +652,7 @@ def test_kept_spectrum_is_the_eigendecomposition_of_the_stack():
     operators += [FockOperator(1, 31, gaussian_to_fock(displaced, 30).matrix, 0.0),
                   FockOperator(2, 18, pipeline.matrix, pipeline.trace_deficit),
                   FockOperator(2, 12, np.kron(coh, coh), 0.0)]
-    assert [len(op._stack) for op in operators[-3:]] == [1, 35, 1]
+    assert [len(op._stack) for op in operators[-3:]] == [1, 1, 1]
     for k, rho in enumerate(operators):
         lam, vecs = rho._eigh
         stack = _blocks(rho, rho)[0]

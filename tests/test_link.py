@@ -143,6 +143,26 @@ def test_rtt_frozen_value():
     )
 
 
+def test_rtt_is_zero_when_its_denominator_leaves_the_float_range():
+    assert rtt_from_link_budget(_example_budget(omega=2 * math.pi * 1e160)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "overrides, scale",
+    [
+        (dict(omega=2 * math.pi * 1e155, R_t=1e-5, R_r=1e-5), 1e-268),
+        (dict(omega=2 * math.pi * 1e160, R_t=1e-200), 1e100),
+    ],
+    ids=["small", "exceeds-1"],
+)
+def test_rtt_is_exact_when_only_omega_squared_leaves_the_float_range(overrides, scale):
+    """omega^2 overflows but omega R_t R_r does not: eta is the frozen value
+    scaled by the change in (omega R_t R_r)^-2, not 0."""
+    assert rtt_from_link_budget(_example_budget(**overrides)) == pytest.approx(
+        4.5290989990698180e-07 * scale, rel=1e-12
+    )
+
+
 def test_rtt_scales_linearly_in_cross_section():
     base = rtt_from_link_budget(_example_budget())
     scaled = rtt_from_link_budget(_example_budget(sigma_Q=0.01 * 7.5))
