@@ -224,7 +224,7 @@ def mode_pairs(W: float, T_s: float) -> int:
     """Number of signal-idler mode pairs per symbol, floor(W * T_s)."""
     if W <= 0 or T_s <= 0:
         raise ValueError("W and T_s must be positive")
-    m = math.floor(W * T_s)
+    m = math.floor(_finite(W * T_s, "W * T_s"))
     if m < 1:
         raise ValueError(f"W * T_s = {W * T_s:g} gives no usable mode pair")
     return m

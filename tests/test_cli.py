@@ -589,6 +589,19 @@ def test_link_budget_rejects_an_infinite_result(capsys):
     assert "inf" not in captured.out
 
 
+def test_link_budget_names_an_overflowing_mode_count(capsys):
+    """W T_s past the float range exits 2 and says so, instead of printing
+    math.floor's raw OverflowError text."""
+    code = main([
+        "link-budget",
+        "--gt", "100", "--gr", "100", "--f-hz", "1e9", "--rt", "10", "--rr", "10",
+        "--sigma-q", "0.01", "--t", "290", "--w", "1e300", "--ts", "1e300",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "invalid link budget: W * T_s leaves the float range (inf)\n"
+
+
 def test_link_budget_prints_zero_for_a_denominator_past_the_float_range(capsys):
     """At f = 1e160 Hz with R_t R_r = 10, the denominator omega^2 R_t^2 R_r^2
     leaves the float range: eta is 0, as when an underflowing N_Z prints 0,

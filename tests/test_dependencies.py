@@ -1,8 +1,9 @@
 """The package needs only numpy and the standard library at run time, its
 modules import each other at module level and without a cycle, the channel
 has one path (receivers builds no Gaussian state), it keeps every function
-the benchmark's tracer binds by name, it looks up numpy's eigensolvers on
-numpy.linalg at each call, where that tracer counts them, and every
+the benchmark's tracer binds by name and every name its workloads and
+gates call, it looks up numpy's eigensolvers on numpy.linalg at each call,
+where that tracer counts them, its `__init__` re-exports nothing, and every
 definition no package code uses is one of a listed few, each with a reason."""
 
 import ast
@@ -10,6 +11,9 @@ import importlib.util
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "qbcsim").glob("*.py"))
@@ -191,6 +195,38 @@ def test_bench_traced_functions_exist():
     assert not missing, f"functions the bench tracer binds are gone: {missing}"
 
 
+@pytest.fixture
+def workloads(monkeypatch):
+    """qbcbench/workloads.py, imported with qbcbench/ on sys.path; it and the
+    `gates` module it imports leave sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(ROOT / "qbcbench"))
+    yield importlib.import_module("workloads")
+    for name in ("gates", "workloads"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["mc-binary", "mc-qpsk", "oracle"])
+def test_bench_workload_runs_and_passes_its_gates(workloads, name, tmp_path):
+    """One unit of each bench workload, on the qbcsim modules already
+    imported, runs and passes every gate: a name that the workloads or gates
+    call (ChannelParams, the alphabets, the receivers' rates, the bounds,
+    load_config, cli.main, the gaussian and fock calls) is still there."""
+    qb = SimpleNamespace(**{m: importlib.import_module(f"qbcsim.{m}") for m in workloads.QB_MODULES})
+    w = workloads.make_workload(qb, name, 3, tmp_path)
+    inputs = w.prepare(0)
+    assert w.verify(inputs, w.execute(inputs))
+    checks = w.gate()
+    assert checks and all(check["ok"] for check in checks), checks
+
+
+def test_package_init_imports_nothing():
+    """Each name is imported from the module that defines it: `__init__`
+    keeps no second list of the modules' names."""
+    tree = ast.parse((ROOT / "src" / "qbcsim" / "__init__.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not lines, f"imports in qbcsim/__init__.py (lines): {lines}"
+
+
 #: module-level functions and classes of qbcsim, and methods and properties
 #: of its classes, that no package code uses, grouped by why they stay
 UNUSED_IN_PACKAGE = {
@@ -258,12 +294,9 @@ def _unused_definitions(sources: dict[str, str]) -> set[str]:
     module reads outside the definition itself: a function or class by name
     or attribute, a method by attribute.  A name a function binds itself (an
     argument or an assignment target) is not a read of a module-level name.
-    The re-exports of `__init__` are not uses, and dunder methods, which
-    Python calls, are not listed."""
+    Dunder methods, which Python calls, are not listed."""
     defined, found = {}, []
     for module, text in sources.items():
-        if module == "__init__":
-            continue
         for node in ast.parse(text).body:
             if not isinstance(node, _DEFINITIONS):
                 _reads(node, frozenset(), (), found)

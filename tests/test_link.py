@@ -203,6 +203,13 @@ def test_mode_pairs():
         mode_pairs(100.0, 1e-3)
 
 
+def test_mode_pairs_rejects_a_product_past_the_float_range():
+    """Finite W and T_s whose product overflows raise ValueError, as every
+    other link-budget function does, not math.floor's OverflowError."""
+    with pytest.raises(ValueError, match=r"^W \* T_s leaves the float range \(inf\)$"):
+        mode_pairs(1e300, 1e300)
+
+
 def test_channel_phase_zero_distance():
     assert channel_phase(0.0, 1.23, 2 * math.pi * 1e9) == pytest.approx(1.23)
     assert channel_phase(0.0, math.pi, 1.0) == pytest.approx(math.pi)
