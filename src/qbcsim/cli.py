@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,14 +76,56 @@ def bound_table_row(s: float) -> dict[str, float]:
 
 
 def _write_text(out: str | Path | None, text: str) -> None:
-    """Write text to stdout (out None or "-") or over the bytes of file `out`:
-    O_TRUNC would free its blocks, and ext4 then flushes them on close."""
+    """Write text to stdout (out None or "-") or, encoded once as UTF-8, over
+    the bytes of file `out`: O_TRUNC would free its blocks, and ext4 then
+    flushes them on close, so the file is overwritten and then cut to length."""
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.truncate()
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
+#: the types `_json` lays out; any other value is a scalar
+_CONTAINERS = {dict, list}
+
+
+@functools.cache
+def _encoder(depth: int):
+    """C-encoder `encode` that puts each item of a container nested `depth`
+    deep on its own line, indented as json.dumps(indent=2) indents it."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2) for scalars, lists and string-keyed dicts
+    nested `depth` deep.  json.dumps encodes in Python whenever it indents;
+    here the scalars of each list or dict are one C-encoder call, whose text
+    is laid out again."""
+    encode = _encoder(depth)
+    if type(value) not in _CONTAINERS or not value:
+        return encode(value)
+    inner = "\n" + "  " * (depth + 1)
+    is_dict = type(value) is dict
+    if _CONTAINERS.isdisjoint(map(type, value.values() if is_dict else value)):
+        body = encode(value)[1:-1]
+    elif is_dict:
+        # an encoded scalar holds no newline, so the separators split the items
+        flat = encode({k: v for k, v in value.items() if type(v) not in _CONTAINERS})
+        scalars = iter(flat[1:-1].split("," + inner))
+        body = ("," + inner).join([f"{_encoder(0)(k)}: {_json(v, depth + 1)}"
+                                   if type(v) in _CONTAINERS else next(scalars)
+                                   for k, v in value.items()])
+    else:
+        body = ("," + inner).join([_json(v, depth + 1) for v in value])
+    return ("{" if is_dict else "[") + inner + body + inner[:-2] + ("}" if is_dict else "]")
 
 
 def cmd_bounds(args) -> int:
@@ -110,8 +151,7 @@ def cmd_bounds(args) -> int:
         return EXIT_USAGE
     rows = [{"s": s, **bound_table_row(s)} for s in sweep]
     if args.format == "json":
-        payload = [{k: row[k] for k in ["s", *columns]} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json([{k: row[k] for k in ["s", *columns]} for row in rows]) + "\n"
     else:
         lines = [",".join(["s", *columns])]
         for row in rows:
@@ -132,7 +172,7 @@ _POINT_FIELDS = tuple(f.name for f in fields(BerCurvePoint))
 def _curve_csv(curve: BerCurve) -> str:
     lines = [",".join(_POINT_FIELDS)]
     for pt in curve.points:
-        values = (getattr(pt, name) for name in _POINT_FIELDS)
+        values = vars(pt).values()  # in _POINT_FIELDS order
         lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
@@ -140,7 +180,8 @@ def _curve_csv(curve: BerCurve) -> str:
 def cmd_simulate(args) -> int:
     """Run every experiment of the config (`load_config` gives each the `--seed`
     when given) in one `run_experiments` call, then write each experiment's file
-    and the summary in config order: no file is written until all have run."""
+    and the summary in config order: no file is written until all have run.
+    Each entry is encoded once, and the summary is built from those texts."""
     try:
         cfg = load_config(args.config, seed=args.seed)
     except OSError as exc:
@@ -165,7 +206,7 @@ def cmd_simulate(args) -> int:
             "receiver": exp.receiver.kind.value,
             "alphabet": exp.alphabet_kind.value,
             "seed": exp.master_seed,
-            "points": [{f: getattr(pt, f) for f in _POINT_FIELDS} for pt in curve.points],
+            "points": [vars(pt) for pt in curve.points],  # keys: _POINT_FIELDS, in order
         }
         nonzero = [pt for pt in curve.points if pt.empirical_ber > 0]
         if len(nonzero) >= 3:
@@ -178,7 +219,7 @@ def cmd_simulate(args) -> int:
             entry["fitted_exponent"] = slope
             entry["exponent_ratio_vs_classical"] = slope / classical_slope
             entry["gain_db_vs_classical"] = 10.0 * math.log10(max(slope, 1e-300) / classical_slope)
-        texts.append(json.dumps(entry, indent=2))
+        texts.append(_json(entry))
 
         fmt = cfg.output_format if args.format is None else args.format
         path = out_dir / f"{name}.{fmt}"
@@ -196,8 +237,8 @@ def cmd_simulate(args) -> int:
             )
 
     summary_path = out_dir / "summary.json"
-    # json.dumps(entries, indent=2), built from the entries' own dumps
-    summary = "[\n" + ",\n".join(textwrap.indent(t, "  ") for t in texts) + "\n]\n"
+    # json.dumps(entries, indent=2): each entry's text one level deeper
+    summary = "[\n" + ",\n".join("  " + t.replace("\n", "\n  ") for t in texts) + "\n]\n"
     try:
         _write_text(summary_path, summary)
     except OSError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .gaussian import GaussianState
@@ -185,22 +186,60 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _normal_product(*factors: float) -> float | None:
+    """The left-to-right product of positive factors, or None when a factor
+    or a partial product is not a normal double (it rounded to 0, to a
+    subnormal or to inf)."""
+    p = 1.0
+    for x in factors:
+        p *= x
+        if not (x >= sys.float_info.min and sys.float_info.min <= p <= sys.float_info.max):
+            return None
+    return p
+
+
+def _scaled_quotient(num: tuple[float, ...], den: tuple[float, ...]) -> float:
+    """prod(num) / prod(den) for positive factors, from their binary mantissas
+    and exponents (`math.frexp`): no partial result leaves the float range,
+    and `math.ldexp` rounds once at the end.  inf when the true quotient is
+    above the float range."""
+    mantissa, exponent = 1.0, 0
+    for x in num:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa * m, exponent + e
+    for x in den:
+        m, e = math.frexp(x)
+        mantissa, exponent = mantissa / m, exponent - e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def rtt_from_link_budget(lb: LinkBudget) -> float:
     """Round-trip transmissivity G_r G_t c^2 sigma_Q / (16 pi omega^2 R_t^2 R_r^2).
 
     The value is returned as computed even when it exceeds 1; callers decide
     how to report that.  Note this expression is the one used throughout this
     package and differs from the conventional (4 pi)^3 radar-equation form.
-    A denominator beyond the float range gives 0.  Raises ValueError when the
-    result is not finite.
+    It is evaluated as written while every factor and partial product is a
+    normal double, and otherwise by `_scaled_quotient`, so a numerator or
+    denominator past the float range does not turn a representable eta into
+    0, inf or nan.  A true eta below the smallest subnormal gives 0; raises
+    ValueError when it is above the float range.
     """
     try:
-        den = 16.0 * math.pi * lb.omega**2 * lb.R_t**2 * lb.R_r**2
+        den = _normal_product(16.0 * math.pi, lb.omega**2, lb.R_t**2, lb.R_r**2)
     except OverflowError:  # one factor's ** left the float range; the product may not
-        x = lb.omega * lb.R_t * lb.R_r
-        den = 16.0 * math.pi * x * x
-    num = lb.G_r * lb.G_t * C_LIGHT**2 * lb.sigma_Q
-    return _finite(num / den if den else math.inf, "round-trip transmissivity")
+        x = _normal_product(lb.omega, lb.R_t, lb.R_r)
+        den = None if x is None else _normal_product(16.0 * math.pi, x, x)
+    num = _normal_product(lb.G_r, lb.G_t, C_LIGHT**2, lb.sigma_Q)
+    if num is None or den is None:
+        eta = _scaled_quotient((lb.G_r, lb.G_t, C_LIGHT, C_LIGHT, lb.sigma_Q),
+                               (16.0, math.pi, lb.omega, lb.omega, lb.R_t, lb.R_t, lb.R_r, lb.R_r))
+    else:
+        eta = num / den
+    return _finite(eta, "round-trip transmissivity")
 
 
 def thermal_occupancy(omega: float, T: float) -> float:

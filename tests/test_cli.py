@@ -9,7 +9,7 @@ import re
 import pytest
 
 import qbcsim.montecarlo as montecarlo
-from qbcsim.cli import build_parser, main
+from qbcsim.cli import _POINT_FIELDS, _json, build_parser, main
 from qbcsim.config import ConfigError, load_config, parse_sweep
 
 
@@ -283,12 +283,17 @@ def test_simulate_end_to_end(tmp_path, capsys):
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
+    """Two runs of one config on one seed write the same bytes to every file,
+    in both formats."""
     cfgpath = _write_config(tmp_path)
-    assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "a")]) == 0
-    assert main(["simulate", str(cfgpath), "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "sfg-bpsk.csv").read_bytes() == (
-        tmp_path / "b" / "sfg-bpsk.csv"
-    ).read_bytes()
+    for out in ("a", "b"):
+        for fmt in ("csv", "json"):
+            assert main(["simulate", str(cfgpath), "--out", str(tmp_path / out), "--format", fmt]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == ["sfg-bpsk.csv", "sfg-bpsk.json", "summary.json"]
+    assert sorted(path.name for path in (tmp_path / "b").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 #: [experiment] blocks without a seed key, so each runs on the default seed;
@@ -330,6 +335,55 @@ def test_simulate_experiments_do_not_share_counts(tmp_path, capsys, fmt, seed):
         f"summary: wrote {out / 'summary.json'}"]
     for name, data in alone.items():
         assert (out / f"{name}.{fmt}").read_bytes() == data, name
+
+
+#: an SFG-BPSK block whose sweep is so far out that no trial errs: its entry
+#: has fewer than three nonzero points, so no fitted exponent
+_ERROR_FREE_EXPERIMENT = (
+    "[experiment]\nname = sfg-bpsk-far\nreceiver = sfg\nalphabet = bpsk\n"
+    "N_S = 0.01\nN_Z = 100\nM = 10000000\nsweep = 6:8:3\ntrials = 1000\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_json_is_json_dumps_indent_2(tmp_path, fmt):
+    """Every json file simulate writes holds the bytes json.dumps(indent=2)
+    gives for its value, the summary is the list of the experiments' entries,
+    and each point's keys are BerCurvePoint's fields in order."""
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join([*_DEFAULT_SEED_EXPERIMENTS, _ERROR_FREE_EXPERIMENT]))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out), "--format", fmt]) == 0
+    summary = (out / "summary.json").read_text()
+    entries = json.loads(summary)
+    assert summary == json.dumps(entries, indent=2) + "\n"
+    assert [e["alphabet"] for e in entries] == ["bpsk", "qpsk", "bpsk", "pam", "bpsk"]
+    assert ["fitted_exponent" in e for e in entries] == [True] * 4 + [False]
+    for entry in entries:
+        assert [list(pt) for pt in entry["points"]] == [list(_POINT_FIELDS)] * 3
+        if fmt == "json":
+            text = (out / f"{entry['experiment']}.json").read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert json.loads(text) == entry
+
+
+def test_bounds_json_is_json_dumps_indent_2(capsys):
+    for argv in (["--sweep", "0.1:20:7"], ["--sweep", "1e-300:1e300:5", "--columns", "sfg_bpsk,het_pam"]):
+        assert main(["bounds", *argv, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_AWKWARD = [5e-324, -0.0, 1.7976931348623157e308, 0.1 + 0.2, 2**63 - 1, [], {}, "é\n\"", None]
+
+
+@pytest.mark.parametrize("value", _AWKWARD, ids=repr)
+def test_json_writer_is_json_dumps_indent_2(value):
+    """The writer gives json.dumps(value, indent=2) for each value alone, as a
+    dict or list item, and among scalars and containers at several depths."""
+    for wrapped in (value, [value], {"k": value}, [[value, 1], {"a": value}],
+                    {"a": 1, "b": [value, {"c": value, "d": [value]}], "e": value}):
+        assert _json(wrapped) == json.dumps(wrapped, indent=2), wrapped
 
 
 @pytest.mark.parametrize("seed", [[], ["--seed", "5"]])
@@ -602,18 +656,27 @@ def test_link_budget_names_an_overflowing_mode_count(capsys):
     assert captured.err == "invalid link budget: W * T_s leaves the float range (inf)\n"
 
 
-def test_link_budget_prints_zero_for_a_denominator_past_the_float_range(capsys):
-    """At f = 1e160 Hz with R_t R_r = 10, the denominator omega^2 R_t^2 R_r^2
-    leaves the float range: eta is 0, as when an underflowing N_Z prints 0,
-    and the command exits 0."""
-    code = main([
-        "link-budget",
-        "--gt", "100", "--gr", "100", "--f-hz", "1e160",
-        "--rt", "1", "--rr", "10", "--sigma-q", "0.01",
-        "--t", "290", "--w", "1e6", "--ts", "1e-3",
-    ])
+@pytest.mark.parametrize(
+    "argv, eta",
+    [
+        (["--gt", "100", "--gr", "100", "--f-hz", "1e160", "--rt", "1", "--rr", "10",
+          "--sigma-q", "0.01"], 4.5290989990698174e-307),
+        (["--gt", "1e145", "--gr", "1e145", "--f-hz", "7.1e152", "--rt", "1", "--rr", "1",
+          "--sigma-q", "1"], 0.008984524894008764),
+        (["--gt", "1e150", "--gr", "1e300", "--f-hz", "1e300", "--rt", "1", "--rr", "1",
+          "--sigma-q", "1"], 4.529098999069819e-137),
+    ],
+    ids=["denominator", "denominator-eta-near-1e-2", "numerator-and-denominator"],
+)
+def test_link_budget_prints_eta_past_the_float_range(capsys, argv, eta):
+    """A denominator omega^2 R_t^2 R_r^2 past the float range, alone or with
+    the numerator G_r G_t c^2 sigma_Q, still prints the true eta (frozen from
+    exact rational arithmetic on the inputs), not 0 or nan, and exits 0."""
+    code = main(["link-budget", *argv, "--t", "290", "--w", "1e6", "--ts", "1e-3"])
+    out = capsys.readouterr().out
     assert code == 0
-    assert "eta = 0\n" in capsys.readouterr().out
+    eta_line = next(line for line in out.splitlines() if line.startswith("eta"))
+    assert float(eta_line.split("=")[1]) == pytest.approx(eta, rel=1e-12)
 
 
 def test_link_budget_keeps_eta_when_a_tiny_radius_offsets_omega_squared(capsys):

@@ -1,6 +1,9 @@
 """Link model: alphabets, link budget, channel application."""
 
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from qbcsim.gaussian import (
     tmss,
 )
 from qbcsim.link import (
+    C_LIGHT,
     AlphabetKind,
     ChannelParams,
     LinkBudget,
@@ -143,8 +147,52 @@ def test_rtt_frozen_value():
     )
 
 
-def test_rtt_is_zero_when_its_denominator_leaves_the_float_range():
-    assert rtt_from_link_budget(_example_budget(omega=2 * math.pi * 1e160)) == 0.0
+def _assert_exact_rtt(lb: LinkBudget) -> None:
+    """eta agrees with the printed formula in exact rational arithmetic on the
+    double inputs: within 1e-12 where that is a normal double, within two
+    subnormal steps below, and raising ValueError only above the float range."""
+    exact = (Fraction(lb.G_r) * Fraction(lb.G_t) * Fraction(C_LIGHT) ** 2 * Fraction(lb.sigma_Q)
+             / (16 * Fraction(math.pi) * Fraction(lb.omega) ** 2 * Fraction(lb.R_t) ** 2
+                * Fraction(lb.R_r) ** 2))
+    try:
+        eta = Fraction(rtt_from_link_budget(lb))
+    except ValueError as exc:
+        assert exact > sys.float_info.max * (1 - 1e-12), (lb, float(exact))
+        assert "float range (inf)" in str(exc)
+        return
+    tol = exact * Fraction(1, 10**12) if exact >= sys.float_info.min else Fraction(1e-323)
+    assert abs(eta - exact) <= tol, (lb, float(eta), float(exact))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(omega=2 * math.pi * 1e160),
+        dict(omega=2 * math.pi * 1e160, R_t=1.0),
+        dict(G_t=1e145, G_r=1e145, omega=2 * math.pi * 7.1e152, R_t=1.0, R_r=1.0, sigma_Q=1.0),
+        dict(G_t=1e150, G_r=1e300, omega=2 * math.pi * 1e300, R_t=1.0, R_r=1.0, sigma_Q=1.0),
+        dict(G_t=1e100, G_r=1e100, R_t=1e150, R_r=1e10),
+        dict(G_t=1e-200, G_r=1e-200, R_t=1e-200),
+        dict(G_t=1e-160, G_r=1e-160, omega=2 * math.pi, R_t=1e-10, R_r=1e-10, sigma_Q=1.0),
+    ],
+    ids=["subnormal-eta", "denominator-overflows", "denominator-overflows-eta-9e-3",
+         "both-overflow", "huge-gain-and-radius", "both-underflow", "subnormal-partial-product"],
+)
+def test_rtt_is_exact_past_the_float_range(overrides):
+    """A numerator or denominator that leaves the float range, or a partial
+    product that rounds to a subnormal, does not make eta 0, inf, nan or
+    inexact while the true eta is a double."""
+    _assert_exact_rtt(_example_budget(**overrides))
+
+
+def test_rtt_is_exact_over_a_wide_log_grid():
+    """Seeded inputs spread log-uniformly over 1e-300..1e300, so that many
+    pass through a numerator or denominator outside the float range and
+    many give an eta outside it."""
+    rng = random.Random(20180411)
+    names = ("G_t", "G_r", "omega", "R_t", "R_r", "sigma_Q")
+    for _ in range(400):
+        _assert_exact_rtt(_example_budget(**{n: 10 ** rng.uniform(-300, 300) for n in names}))
 
 
 @pytest.mark.parametrize(
