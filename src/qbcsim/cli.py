@@ -177,6 +177,16 @@ def _curve_csv(curve: BerCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _classical_slope(kind: AlphabetKind) -> float:
+    """The heterodyne exponent in units of s that fitted exponents are
+    compared against: the classical coefficient of d^2 N_S M / N_Z scaled by
+    the scheme's d^2/eta ratio (OOK 1, BPSK 4, QPSK 2).  The coefficient does
+    not depend on N_S, M or N_Z, so (1, 1, 1) stands for every entry."""
+    unit = nominal_alphabet(kind, 1.0)
+    return classical_ep_lower_bound(unit, 1.0, 1, 1.0).exponent * min_squared_distance(unit)
+
+
 def cmd_simulate(args) -> int:
     """Run every experiment of the config (`load_config` gives each the `--seed`
     when given) in one `run_experiments` call, then write each experiment's file
@@ -211,11 +221,7 @@ def cmd_simulate(args) -> int:
         nonzero = [pt for pt in curve.points if pt.empirical_ber > 0]
         if len(nonzero) >= 3:
             slope = fit_error_exponent(curve, s_min=curve.points[0].s)
-            # exponent in units of s, compared against the classical coefficient
-            # scaled by this scheme's d^2/eta ratio (OOK 1, BPSK 4, QPSK 2)
-            unit = nominal_alphabet(exp.alphabet_kind, 1.0)
-            classical = classical_ep_lower_bound(unit, exp.N_S, exp.M, exp.N_Z)
-            classical_slope = classical.exponent * min_squared_distance(unit)
+            classical_slope = _classical_slope(exp.alphabet_kind)
             entry["fitted_exponent"] = slope
             entry["exponent_ratio_vs_classical"] = slope / classical_slope
             entry["gain_db_vs_classical"] = 10.0 * math.log10(max(slope, 1e-300) / classical_slope)

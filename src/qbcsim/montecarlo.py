@@ -6,15 +6,19 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
 of (master_seed, point_index, trial_index) gives each trial's true symbol and
 uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine, `count_errors`, knows no
-receiver: it applies array-form rules decide(i, u) to numpy blocks, hashing
-each block in place and computing only the uniform rows the rules read.  Its
-rules are the per-point `point_decider` rules each `ExperimentConfig` keeps
-and the phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives
-in this module (bit from the hash, Box-Muller noise from u[0] and u[1], hop
-from u[2]).  `run_experiments` passes all the points of every experiment that
-shares a master seed, alphabet size and trial count to one call, and that
-call hashes each distinct point index once for all of them: each of its
-rules reads the same read-only symbol and uniform columns.
+receiver: it applies array-form rules decide(i, rows) to numpy blocks,
+hashing each block in place and computing only the uniform rows the rules
+read.  A rule reads either uniform rows or, if it declares `decide.normals`,
+normal rows: the Box-Muller pair of u[0] and u[1] (`receivers.normals`),
+which the engine draws once per point for every such rule there, and only
+the rows they read.  Its rules are the per-point `point_decider` rules each
+`ExperimentConfig` keeps and the phase-hopped eavesdropper of
+`eve_random_phase_ber`, whose run lives in this module (bit from the hash,
+Box-Muller noise from u[0] and u[1], hop from u[2]).  `run_experiments`
+passes all the points of every experiment that shares a master seed,
+alphabet size and trial count to one call, and that call hashes each
+distinct point index once for all of them: each of its rules reads the same
+read-only symbol, uniform and normal columns.
 
 Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
 (128 KiB) of hash and uniform rows, so 2^14 // (draws + 1) trials.  Larger
@@ -40,7 +44,8 @@ from .analytics import (
     sfg_ep_upper_bound,
 )
 from .link import Alphabet, AlphabetKind, ChannelParams, nominal_alphabet
-from .receivers import DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, point_decider, uniforms
+from .receivers import (DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, normals,
+                        point_decider, uniforms)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -246,11 +251,14 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     its draw k is _mix64(h + (k + 1) _GAMMA), so neither the blocks nor the
     grouping of points moves a count.  Only the uniform rows the rules read
     (the most `decide.draws`) are computed; draw k depends on h and k alone,
-    so they hold the values of the full DRAWS rows.  Several rules may share
-    a point index: each distinct point's hash row, symbol word and uniform
-    rows are finished once, and every rule at that point reads the same
-    columns.  Those arrays are read-only, so a rule that writes into its
-    i or u raises ValueError instead of moving another rule's count.
+    so they hold the values of the full DRAWS rows.  A rule that declares
+    `decide.normals` = k > 0 reads `normals(u, k)` in place of u; at each
+    point they are made once, with the most rows any rule there declares,
+    and not at all where no rule declares any.  Several rules may share a
+    point index: each distinct point's hash row, symbol word, uniform and
+    normal rows are finished once, and every rule at that point reads the
+    same columns.  Those arrays are read-only, so a rule that writes into
+    its inputs raises ValueError instead of moving another rule's count.
     Distinct points share blocks of `_block_trials(draws)` trials as the
     module docstring says, each reading its own contiguous columns.  No rule
     runs across points: a sweep-wide rule needs 2-D fancy indexing, which
@@ -259,10 +267,12 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     draws = max(decide.draws for _, decide in rules)
     steps = _DRAW_STEPS[:draws]
     mask = np.uint64(n_symbols - 1)
-    readers = {}  # point index -> its (rule position, decide) pairs, in first-seen order
+    readers = {}  # point index -> its (rule position, decide, normal rows) triples, in first-seen order
     for r, (p, decide) in enumerate(rules):
-        readers.setdefault(p, []).append((r, decide))
+        readers.setdefault(p, []).append((r, decide, getattr(decide, "normals", 0)))
     points = list(readers)
+    # normal rows each point makes: the most its rules read
+    normal_rows = [max(k for _, _, k in readers[p]) for p in points]
     prefixes = np.array([[_prefix_hash(master_seed, p)] for p in points], dtype=np.uint64)
     per_block = _block_trials(draws)
     stop = start + count
@@ -287,10 +297,14 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
                 i = (h & mask).astype(np.intp)
                 u = uniforms(words[1:])
                 i.flags.writeable = u.flags.writeable = False
-                for j, p in enumerate(points[g : g + group]):
-                    cols = slice(j * n, (j + 1) * n)
-                    for r, decide in readers[p]:
-                        errors[r] += int(np.count_nonzero(decide(i[cols], u[:, cols]) != i[cols]))
+                for j in range(g, min(g + group, len(points))):
+                    cols = slice((j - g) * n, (j - g + 1) * n)
+                    ic, uc = i[cols], u[:, cols]
+                    if normal_rows[j]:
+                        zc = normals(uc, normal_rows[j])
+                        zc.flags.writeable = False
+                    for r, decide, k in readers[points[j]]:
+                        errors[r] += int(np.count_nonzero(decide(ic, zc if k else uc) != ic))
     return errors
 
 

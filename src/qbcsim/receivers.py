@@ -9,12 +9,16 @@ cycle into a coherent amplitude read out by photon counting, after a two-mode
 squeeze nulls one hypothesis.
 
 Each decision rule exists once, in `point_decider`: the array-form rule
-decide(true_index[n], u[DRAWS, n]) -> index[n], the only decision path, which
-the Monte Carlo harness runs on blocks of trials and the tests check.  A rule
-reads only its first `decide.draws` rows of u, so the harness computes only
-those; the rows it reads hold the same values either way.  The all-zero
-constellation of eta = 0 needs no special case: every distance ties (ties go
-to the lowest index) and no photon ever arrives.
+decide(true_index[n], rows) -> index[n], the only decision path, which the
+Monte Carlo harness runs on blocks of trials and the tests check.  A rule
+reads either uniform rows or normal rows.  The SFG rules read their first
+`decide.draws` rows of uniforms u[DRAWS, n].  The heterodyne and PA rules
+declare `decide.normals` > 0 and read that many rows of `normals(u, k)`,
+the Box-Muller pair (r cos theta, r sin theta) of u[0] and u[1]: the harness
+draws it once per point for all such rules, computing only the rows they
+read.  Either way the rows a rule reads hold the same values however many
+more exist.  The all-zero constellation of eta = 0 needs no special case:
+every distance ties (ties go to the lowest index) and no photon ever arrives.
 """
 
 from __future__ import annotations
@@ -87,16 +91,19 @@ def envelope_sd(cp: ChannelParams) -> float:
 
 def _nearest_index(x, points):
     """Index of the point nearest to x (real or complex, scalar or array of
-    trials): a running first minimum with a strict <, so ties go to the
-    lowest index.  The index moves by arithmetic, not by masked writes."""
+    trials) among two or more points: a running first minimum with a strict
+    <, so ties go to the lowest index.  The first comparison sets the index,
+    later ones move it by arithmetic, not by masked writes, and the running
+    minimum is kept only while another comparison follows."""
     x = np.asarray(x)
     best = np.abs(x - points[0])
-    index = np.zeros(best.shape, dtype=np.intp)
-    for k in range(1, len(points)):
+    d = np.abs(x - points[1])
+    index = (d < best).astype(np.intp)
+    for k in range(2, len(points)):
+        best = np.minimum(best, d)
         d = np.abs(x - points[k])
         closer = d < best
         index += closer * (k - index)
-        best = np.minimum(best, d)
     return index
 
 
@@ -288,8 +295,9 @@ def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
 
 #: uniforms per trial that a point rule may read: the QPSK test's entry offset
 #: and one wait per hypothesis.  Each rule declares as `decide.draws` how many
-#: of these rows it reads (Box-Muller 2, the zero-photon test 1); the rows it
-#: reads hold the same values whether or not the later ones exist.
+#: of these rows it reads or, for a normal reader, its normals are made from
+#: (Box-Muller 2, the zero-photon test 1); the rows it reads hold the same
+#: values whether or not the later ones exist.
 DRAWS = 5
 
 
@@ -307,22 +315,38 @@ def uniforms(words) -> np.ndarray:
 def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
     """Radius sqrt(-2 ln u[0]) and angle 2 pi u[1] of a complex normal with
     unit variance per quadrature, as in r e^{i theta}."""
-    return np.sqrt(-2.0 * np.log(u[0])), 2.0 * math.pi * u[1]
+    r = np.log(u[0])
+    r *= -2.0
+    return np.sqrt(r, out=r), u[1] * (2.0 * math.pi)
+
+
+def normals(u, rows: int) -> np.ndarray:
+    """The first `rows` (1 or 2) of the normal rows r cos theta, r sin theta
+    of `_box_muller(u)`: independent, unit variance, one column per trial.
+    The Monte Carlo engine makes them once per point for every rule that
+    declares `decide.normals`, and the tests feed those rules through here."""
+    r, theta = _box_muller(u)
+    z = np.empty((rows, r.shape[-1]))
+    for row, trig in zip(z, (np.cos, np.sin)):
+        trig(theta, out=row)
+        row *= r
+    return z
 
 
 def point_decider(
     cp: ChannelParams, a: Alphabet, spec: ReceiverSpec
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The receiver's rule at one operating point: decide(true_index[n], u[DRAWS, n]) -> index[n].
+    """The receiver's rule at one operating point: decide(true_index[n], rows) -> index[n].
 
     The receiver's only decision path, run by the Monte Carlo harness and
     checked by the tests.  Everything that depends only on the point is
     computed here once; each call then draws every trial's decision statistic
-    for its true symbol from its law, using that trial's column of uniforms,
-    and applies the rule.  The heterodyne envelope is the M-sample average,
-    complex Gaussian with per-quadrature deviation `envelope_sd`; the PA
-    statistic is Normal(mean, N_Z / M) (bright-background per-copy variance
-    N_Z), the real part of the same Box-Muller draw.
+    for its true symbol from its law, using that trial's column of rows, and
+    applies the rule.  A rule reads either uniform rows or normal rows.
+    The heterodyne envelope is the M-sample average, complex Gaussian with
+    per-quadrature deviation `envelope_sd`: it reads both normal rows.  The
+    PA statistic is Normal(mean, N_Z / M) (bright-background per-copy
+    variance N_Z), from the first normal row alone.
     The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
     it iff u[0] < sfg_no_click_probability.  The QPSK test enters the cyclic
     hypothesis order at offset v = floor(4 u[0]), which keeps the error rate
@@ -338,34 +362,38 @@ def point_decider(
     channel quantity a rule needs (the PA grid, the thermal residual) is read
     from the closed-form `return_idler_moments`.
 
-    The rule carries `decide.draws`, the number of leading rows of u it
-    reads: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK test).
-    u may have just those rows; the result is the same as with all DRAWS.
+    The rule carries `decide.draws`, the number of leading uniform rows a
+    trial consumes: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK
+    test), and `decide.normals`, the number of leading rows of
+    `normals(u, k)` it reads instead of u: 2 (heterodyne), 1 (PA) or 0 (SFG,
+    which reads u).  Either may have just those rows, or more: the result
+    is the same.
     """
-    points = np.array([s.complex_point() for s in a.symbols])
     if spec.kind is ReceiverKind.HETERODYNE:
+        points = np.array([s.complex_point() for s in a.symbols])
         sd = envelope_sd(cp)
 
-        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-            r, theta = _box_muller(u)
+        def decide(i: np.ndarray, z: np.ndarray) -> np.ndarray:
             x = points[i]
-            x.real += sd * (r * np.cos(theta))
-            x.imag += sd * (r * np.sin(theta))
+            x.real += sd * z[0]
+            x.imag += sd * z[1]
             return _nearest_index(x, points)
 
-        decide.draws = 2
+        decide.draws, decide.normals = 2, 2
 
     elif spec.kind is ReceiverKind.PA:
         grid = np.array(pa_decision_grid(a, cp))
         sd = math.sqrt(cp.N_Z / cp.M)
 
-        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-            r, theta = _box_muller(u)
-            return _nearest_index(grid[i] + sd * (r * np.cos(theta)), grid)
+        def decide(i: np.ndarray, z: np.ndarray) -> np.ndarray:
+            x = sd * z[0]
+            x += grid[i]
+            return _nearest_index(x, grid)
 
-        decide.draws = 2
+        decide.draws, decide.normals = 2, 1
 
     elif a.kind is AlphabetKind.QPSK:
+        points = np.array([s.complex_point() for s in a.symbols])
         n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
         rows = sfg_count_rate(cp, 1.0, spec) / cp.M * np.abs(points[:, None] - points) ** 2
@@ -379,7 +407,7 @@ def point_decider(
             held += v
             return np.remainder(held, n, out=held)
 
-        decide.draws = DRAWS
+        decide.draws, decide.normals = DRAWS, 0
 
     else:
         null_symbol = sfg_null_symbol(a)
@@ -389,6 +417,6 @@ def point_decider(
         def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)
 
-        decide.draws = 1
+        decide.draws, decide.normals = 1, 0
 
     return decide

@@ -310,6 +310,183 @@ _DEFAULT_SEED_EXPERIMENTS = tuple(
 )
 
 
+#: het-, PA- and SFG-BPSK on one seed: the three receivers of the paper's
+#: comparison, sharing one trial stream (run with --seed 29)
+PINNED_CONFIG = """\
+[experiment]
+name = het-bpsk
+receiver = heterodyne
+alphabet = bpsk
+N_S = 0.01
+N_Z = 100
+M = 1000000
+sweep = 0.5:1.5:3
+trials = 1000
+seed = 3
+
+[experiment]
+name = pa-bpsk
+receiver = pa
+alphabet = bpsk
+N_S = 0.01
+N_Z = 100
+M = 10000000
+sweep = 0.5:1.5:3
+trials = 1000
+seed = 3
+
+[experiment]
+name = sfg-bpsk
+receiver = sfg
+alphabet = bpsk
+N_S = 0.01
+N_Z = 100
+M = 10000000
+sweep = 0.25:0.75:3
+trials = 1000
+seed = 3
+"""
+
+#: the exact summary.json and pa-bpsk.csv that `simulate` writes for
+#: PINNED_CONFIG.  A speed-up must leave them byte for byte; a change to the
+#: output schema or the trial stream updates them and says which fields moved.
+PINNED_SUMMARY = """\
+[
+  {
+    "experiment": "het-bpsk",
+    "receiver": "heterodyne",
+    "alphabet": "bpsk",
+    "seed": 29,
+    "points": [
+      {
+        "s": 0.5,
+        "empirical_ber": 0.177,
+        "wilson_ci_low": 0.1545933794855418,
+        "wilson_ci_high": 0.20187870649612683,
+        "analytic_bound": 0.07932762696572851,
+        "trials": 1000,
+        "errors": 177
+      },
+      {
+        "s": 1.0,
+        "empirical_ber": 0.09,
+        "wilson_ci_low": 0.07379614931508309,
+        "wilson_ci_high": 0.1093417926430721,
+        "analytic_bound": 0.03932480176257128,
+        "trials": 1000,
+        "errors": 90
+      },
+      {
+        "s": 1.5,
+        "empirical_ber": 0.042,
+        "wilson_ci_low": 0.031220885546165447,
+        "wilson_ci_high": 0.056284425226603055,
+        "analytic_bound": 0.02081612916588761,
+        "trials": 1000,
+        "errors": 42
+      }
+    ],
+    "fitted_exponent": 1.4384801142904609,
+    "exponent_ratio_vs_classical": 1.4384801142904609,
+    "gain_db_vs_classical": 1.5790386253248625
+  },
+  {
+    "experiment": "pa-bpsk",
+    "receiver": "pa",
+    "alphabet": "bpsk",
+    "seed": 29,
+    "points": [
+      {
+        "s": 0.5,
+        "empirical_ber": 0.084,
+        "wilson_ci_low": 0.0683588136777643,
+        "wilson_ci_high": 0.10282504938221758,
+        "analytic_bound": 0.3678794411714422,
+        "trials": 1000,
+        "errors": 84
+      },
+      {
+        "s": 1.0,
+        "empirical_ber": 0.026,
+        "wilson_ci_low": 0.017803938201616326,
+        "wilson_ci_high": 0.03782382884268993,
+        "analytic_bound": 0.13533528323661279,
+        "trials": 1000,
+        "errors": 26
+      },
+      {
+        "s": 1.5,
+        "empirical_ber": 0.003,
+        "wilson_ci_low": 0.0010207838811386186,
+        "wilson_ci_high": 0.008783014053503173,
+        "analytic_bound": 0.049787068367863944,
+        "trials": 1000,
+        "errors": 3
+      }
+    ],
+    "fitted_exponent": 3.3322045101752042,
+    "exponent_ratio_vs_classical": 3.3322045101752042,
+    "gain_db_vs_classical": 5.227316478713012
+  },
+  {
+    "experiment": "sfg-bpsk",
+    "receiver": "sfg",
+    "alphabet": "bpsk",
+    "seed": 29,
+    "points": [
+      {
+        "s": 0.25,
+        "empirical_ber": 0.184,
+        "wilson_ci_low": 0.16120869057645773,
+        "wilson_ci_high": 0.20920982078641312,
+        "analytic_bound": 0.36787944117144245,
+        "trials": 1000,
+        "errors": 184
+      },
+      {
+        "s": 0.5,
+        "empirical_ber": 0.074,
+        "wilson_ci_low": 0.05935499258410698,
+        "wilson_ci_high": 0.09190540564558597,
+        "analytic_bound": 0.13533528323661262,
+        "trials": 1000,
+        "errors": 74
+      },
+      {
+        "s": 0.75,
+        "empirical_ber": 0.024,
+        "wilson_ci_low": 0.016180168466636995,
+        "wilson_ci_high": 0.03546290561161149,
+        "analytic_bound": 0.049787068367863944,
+        "trials": 1000,
+        "errors": 24
+      }
+    ],
+    "fitted_exponent": 4.07376385452208,
+    "exponent_ratio_vs_classical": 4.07376385452208,
+    "gain_db_vs_classical": 6.0999585047406155
+  }
+]
+"""
+
+PINNED_PA_CSV = """\
+s,empirical_ber,wilson_ci_low,wilson_ci_high,analytic_bound,trials,errors
+0.5,0.084000000000000005,0.068358813677764294,0.10282504938221758,0.36787944117144222,1000,84
+1,0.025999999999999999,0.017803938201616326,0.037823828842689929,0.13533528323661279,1000,26
+1.5,0.0030000000000000001,0.0010207838811386186,0.0087830140535031728,0.049787068367863944,1000,3
+"""
+
+
+def test_simulate_output_bytes_are_pinned(tmp_path):
+    """The summary and one csv of a fixed-seed run, compared as text."""
+    cfg = tmp_path / "pinned.cfg"
+    cfg.write_text(PINNED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out), "--format", "csv", "--seed", "29"]) == 0
+    assert (out / "summary.json").read_text() == PINNED_SUMMARY
+    assert (out / "pa-bpsk.csv").read_text() == PINNED_PA_CSV
+
+
 @pytest.mark.parametrize("seed", [None, "5"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_experiments_do_not_share_counts(tmp_path, capsys, fmt, seed):

@@ -46,6 +46,7 @@ from qbcsim.receivers import (
     ReceiverSpec,
     UnsupportedAlphabetError,
     _nearest_index,
+    normals,
     pa_decision_grid,
     point_decider,
     sfg_count_rate,
@@ -246,13 +247,19 @@ def test_run_experiment_parallel_invariance():
             assert sum(parts) == pt.errors, (receiver, alphabet, p)
 
 
+def _rows(decide, u):
+    """The rows a point rule reads from uniforms u: `normals(u, k)` for a
+    rule that declares k normal rows, else u itself."""
+    return normals(u, decide.normals) if decide.normals else u
+
+
 def _reference_errors(decide, n_symbols, master_seed, point_index, count):
     """One point's errors over trials [0, count), all hashed in one array
     with `_counter_hash`: the engine without blocks or grouping."""
     h = _counter_hash(master_seed, point_index, np.arange(count, dtype=np.uint64))
     words = _mix64_inplace(np.vstack([h ^ _SYMBOL_SALT, h + _DRAW_STEPS[: decide.draws]]))
     i = (words[0] & np.uint64(n_symbols - 1)).astype(np.intp)
-    return int(np.count_nonzero(decide(i, uniforms(words[1:])) != i))
+    return int(np.count_nonzero(decide(i, _rows(decide, uniforms(words[1:]))) != i))
 
 
 @pytest.mark.parametrize("receiver,alphabet,draws", [
@@ -418,6 +425,24 @@ def test_rules_sharing_a_point_count_as_alone(alphabet, rx_draws):
         assert got == _reference_errors(decide, n_symbols, 99, p, n), (p, decide.draws)
 
 
+def test_normal_rows_are_made_once_per_reading_point(monkeypatch):
+    """The engine makes each point's normal rows once, with the most rows its
+    rules read: 1 at a PA-only point, 2 at a point with a heterodyne rule,
+    where the PA rule reads the same rows, and none at an SFG-only point."""
+    made = []
+
+    def spy(u, rows):
+        made.append((rows, u.shape[-1]))
+        return normals(u, rows)
+
+    monkeypatch.setattr(montecarlo, "normals", spy)
+    het, pa, sfg, _ = (cfg.rules[0] for cfg in _binary_configs([31] * 4))
+    rules = [(0, pa), (1, het), (1, pa), (2, sfg)]
+    counts = count_errors(rules, 2, 31, 0, 1000)
+    assert made == [(1, 1000), (2, 1000)]
+    assert counts == [count_errors([rule], 2, 31, 0, 1000)[0] for rule in rules]
+
+
 @pytest.mark.parametrize("shared", [True, False])
 def test_shared_seed_hashes_each_point_once(monkeypatch, shared):
     """Four 3-point experiments at 2000 trials finish 3 x 2000 hash words
@@ -435,10 +460,10 @@ def test_shared_seed_hashes_each_point_once(monkeypatch, shared):
 
 
 def test_rules_cannot_write_shared_inputs():
-    """The engine hands rules read-only i and u, so a rule that writes in
-    place into columns other rules read raises.  Every receiver rule and the
-    eavesdropper's rule read only, and count what the writable reference
-    arrays give."""
+    """The engine hands rules read-only i, u and normal rows, so a rule that
+    writes in place into columns other rules read raises.  Every receiver
+    rule and the eavesdropper's rule read only, and count what the writable
+    reference arrays give."""
 
     def scale_u(i, u):
         u[0] *= 2.0
@@ -448,8 +473,12 @@ def test_rules_cannot_write_shared_inputs():
         i[:] = 0
         return i
 
-    for rule in (scale_u, relabel):
-        rule.draws = 1
+    def scale_z(i, z):
+        z[0] *= 2.0
+        return i
+
+    for rule, draws, normal_rows in ((scale_u, 1, 0), (relabel, 1, 0), (scale_z, 2, 1)):
+        rule.draws, rule.normals = draws, normal_rows
         with pytest.raises(ValueError):
             count_errors([(0, rule)], 2, 5, 0, 1000)
     for receiver, alphabet, residual in _GOLDEN_COUNTS:
@@ -582,7 +611,7 @@ def test_rules_declare_first_symbol_at_zero_eta(receiver, alphabet):
     n = 4096
     true = rng.integers(len(a), size=n)
     u = uniforms(rng.integers(0, 2**64, size=(decide.draws, n), dtype=np.uint64))
-    assert not decide(true, u).any()
+    assert not decide(true, _rows(decide, u)).any()
 
 
 def test_pa_qpsk_rejected():

@@ -28,6 +28,7 @@ from qbcsim.receivers import (
     UnsupportedAlphabetError,
     _nearest_index,
     envelope_sd,
+    normals,
     pa_decision_grid,
     point_decider,
     sequential_click_test,
@@ -124,16 +125,17 @@ def _pa_mean(cp, symbol):
 
 def _pa_rule_copy_variance(cp):
     """Per-copy variance M sd^2 of the statistic the BPSK PA rule draws, read
-    off its decisions: at u[1] = 1/2 the draw is g - sd r with r =
-    sqrt(-2 ln u[0]), so symbol 0 flips to 1 once r > g / sd.  Bisection on
-    u[0] finds that flip."""
+    off its decisions: at u[1] = 1/2 its normal row is -r with r =
+    sqrt(-2 ln u[0]), the draw is g - sd r, so symbol 0 flips to 1 once
+    r > g / sd.  Bisection on u[0] finds that flip."""
     a = make_alphabet_bpsk(cp.eta)
     decide = point_decider(cp, a, ReceiverSpec(kind=ReceiverKind.PA))
     g = pa_decision_grid(a, cp)[0]
     flips, holds = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (flips + holds)
-        if decide(np.zeros(1, dtype=np.intp), np.array([[mid], [0.5]]))[0]:
+        z = normals(np.array([[mid], [0.5]]), decide.normals)
+        if decide(np.zeros(1, dtype=np.intp), z)[0]:
             flips = mid
         else:
             holds = mid
@@ -491,29 +493,34 @@ _DECLARED_DRAWS = [
     *[(ReceiverKind.SFG, alphabet, residual, DRAWS if alphabet == "qpsk" else 1)
       for alphabet in ("pam", "bpsk", "qpsk") for residual in (False, True)],
 ]
+#: normal rows each receiver's rule reads in place of uniforms
+_NORMAL_ROWS = {ReceiverKind.HETERODYNE: 2, ReceiverKind.PA: 1, ReceiverKind.SFG: 0}
 
 
 @pytest.mark.parametrize("kind,alphabet,residual,draws", _DECLARED_DRAWS)
 def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
-    """A rule declares how many leading rows of uniforms it reads; the Monte
-    Carlo engine computes only those.  Overwriting the later rows with NaN,
+    """A rule declares how many leading rows of uniforms a trial consumes and
+    how many normal rows it reads in their place; the Monte Carlo engine
+    computes only those.  Overwriting the later rows it is given with NaN,
     or leaving them out, must not change a single decision."""
     cp = _cp(eta=0.02, M=100_000)
     a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
          "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
     spec = ReceiverSpec(kind=kind, include_thermal_residual=residual)
     decide = point_decider(cp, a, spec)
-    assert decide.draws == draws
+    normal_rows = _NORMAL_ROWS[kind]
+    assert (decide.draws, decide.normals) == (draws, normal_rows)
     rng = np.random.default_rng([draws, len(a), residual])
     n = 4000
     i = rng.integers(len(a), size=n)
     u = uniforms(rng.bit_generator.random_raw((DRAWS, n)))
-    full = decide(i, u.copy())
+    rows, read = (normals(u, 2), normal_rows) if normal_rows else (u, draws)
+    full = decide(i, rows.copy())
     assert 0 < np.count_nonzero(full != i) < n  # both outcomes are common
-    poisoned = u.copy()
-    poisoned[draws:] = np.nan
+    poisoned = rows.copy()
+    poisoned[read:] = np.nan
     assert np.array_equal(decide(i, poisoned), full)
-    assert np.array_equal(decide(i, u[:draws].copy()), full)
+    assert np.array_equal(decide(i, rows[:read].copy()), full)
 
 
 def test_sequential_click_test_survival_law():
