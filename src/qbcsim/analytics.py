@@ -11,16 +11,10 @@ so receivers are compared by exponent ratios independent of the alphabet.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .link import Alphabet, AlphabetKind, UnsupportedAlphabetError, min_squared_distance
-
-
-class BoundKind(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 @dataclass(frozen=True)
@@ -28,13 +22,11 @@ class EpBound:
     """A bound on the average symbol error probability.
 
     value is the bound itself (clamped to [0, 1]); exponent is the coefficient
-    of d^2 N_S M / N_Z in -ln P; prefactor multiplies the exponential.
+    of d^2 N_S M / N_Z in -ln P.
     """
 
     value: float
     exponent: float
-    prefactor: float
-    kind: BoundKind
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -58,7 +50,7 @@ def _snr(a: Alphabet, N_S: float, M: int, N_Z: float) -> float:
 def classical_ep_lower_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
     """Heterodyne-receiver lower bound (1 / 2|A|) erfc(sqrt(d^2 N_S M / 4 N_Z))."""
     value = erfc_eval(math.sqrt(_snr(a, N_S, M, N_Z) / 4.0)) / (2.0 * len(a))
-    return EpBound(value=value, exponent=0.25, prefactor=1.0 / (2.0 * len(a)), kind=BoundKind.LOWER)
+    return EpBound(value=value, exponent=0.25)
 
 
 def pa_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
@@ -69,7 +61,7 @@ def pa_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
             "PA bound applies only to two-symbol aligned alphabets (PAM, BPSK)"
         )
     value = math.exp(-snr / 2.0)
-    return EpBound(value=value, exponent=0.5, prefactor=1.0, kind=BoundKind.UPPER)
+    return EpBound(value=value, exponent=0.5)
 
 
 def sfg_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
@@ -81,10 +73,10 @@ def sfg_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
     snr = _snr(a, N_S, M, N_Z)
     if a.kind in (AlphabetKind.PAM, AlphabetKind.BPSK):
         value = math.exp(-snr)
-        return EpBound(value=value, exponent=1.0, prefactor=1.0, kind=BoundKind.UPPER)
+        return EpBound(value=value, exponent=1.0)
     if a.kind is AlphabetKind.QPSK:
         value = min(1.0, 4.0 * math.exp(-snr / 2.0))
-        return EpBound(value=value, exponent=0.5, prefactor=4.0, kind=BoundKind.UPPER)
+        return EpBound(value=value, exponent=0.5)
     raise UnsupportedAlphabetError("SFG bound is defined for PAM, BPSK, and QPSK only")
 
 

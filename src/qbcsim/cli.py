@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -76,9 +77,10 @@ def bound_table_row(s: float) -> dict[str, float]:
 
 
 def _write_text(out: str | Path | None, text: str) -> None:
-    """Write text to stdout (out None or "-") or, encoded once as UTF-8, over
-    the bytes of file `out`: O_TRUNC would free its blocks, and ext4 then
-    flushes them on close, so the file is overwritten and then cut to length."""
+    """Write text to stdout (out None or "-") or, encoded once as UTF-8, to
+    `out`.  A regular file is written over and then cut to length: O_TRUNC
+    would free its blocks, and ext4 then flushes them on close.  A device or
+    FIFO cannot be cut, and takes the bytes as they are."""
     if out is None or out == "-":
         sys.stdout.write(text)
         return
@@ -88,7 +90,8 @@ def _write_text(out: str | Path | None, text: str) -> None:
     try:
         while data:
             data = data[os.write(fd, data):]
-        os.ftruncate(fd, size)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
 

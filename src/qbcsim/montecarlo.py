@@ -6,19 +6,18 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): a hash
 of (master_seed, point_index, trial_index) gives each trial's true symbol and
 uniforms, so counts do not depend on how trials are split into blocks;
 aggregation is by error counts.  The engine, `count_errors`, knows no
-receiver: it applies array-form rules decide(i, rows) to numpy blocks,
-hashing each block in place and computing only the uniform rows the rules
-read.  A rule reads either uniform rows or, if it declares `decide.normals`,
-normal rows: the Box-Muller pair of u[0] and u[1] (`receivers.normals`),
-which the engine draws once per point for every such rule there, and only
-the rows they read.  Its rules are the per-point `point_decider` rules each
-`ExperimentConfig` keeps and the phase-hopped eavesdropper of
-`eve_random_phase_ber`, whose run lives in this module (bit from the hash,
-Box-Muller noise from u[0] and u[1], hop from u[2]).  `run_experiments`
-passes all the points of every experiment that shares a master seed,
-alphabet size and trial count to one call, and that call hashes each
-distinct point index once for all of them: each of its rules reads the same
-read-only symbol, uniform and normal columns.
+receiver: it applies array-form rules decide(i, u, z) to numpy blocks
+(the contract is in `receivers.point_decider`'s docstring), hashing each
+block in place.  It alone makes the rows the rules read: only the uniform
+rows they declare (`uniforms`) and, once per point for all its rules, only
+the Box-Muller normal rows they declare (`normals`).  Its rules are the
+per-point `point_decider` rules each `ExperimentConfig` keeps and the
+phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives in
+this module (bit from the hash, noise from z[0], hop from u[2]).
+`run_experiments` passes all the points of every experiment that shares a
+master seed, alphabet size and trial count to one call, and that call
+hashes each distinct point index once for all of them: each of its rules
+reads the same read-only symbol, uniform and normal columns.
 
 Blocks are sized in 64-bit words, not trials: at most _BLOCK = 2^14 words
 (128 KiB) of hash and uniform rows, so 2^14 // (draws + 1) trials.  Larger
@@ -44,8 +43,7 @@ from .analytics import (
     sfg_ep_upper_bound,
 )
 from .link import Alphabet, AlphabetKind, ChannelParams, nominal_alphabet
-from .receivers import (DRAWS, ReceiverKind, ReceiverSpec, _box_muller, envelope_sd, normals,
-                        point_decider, uniforms)
+from .receivers import ReceiverKind, ReceiverSpec, envelope_sd, point_decider
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -226,9 +224,6 @@ _SYMBOL_SALT = np.uint64(0xD1342543DE82EF95)
 #: uint64 words per block, hash row and uniform rows together: 128 KiB,
 #: glibc's default mmap threshold (see the module docstring)
 _BLOCK = 1 << 14
-#: a trial's uniforms are the SplitMix64 sequence started at its hash h:
-#: draw k is _mix64(h + (k + 1) * _GAMMA)
-_DRAW_STEPS = np.array([[(k * _GAMMA) & _MASK64] for k in range(1, DRAWS + 1)], dtype=np.uint64)
 
 
 def _block_trials(draws: int) -> int:
@@ -237,42 +232,63 @@ def _block_trials(draws: int) -> int:
     return _BLOCK // (draws + 1)
 
 
-def _count_point_errors(cfg: ExperimentConfig, point_index: int, start: int, count: int) -> int:
-    """Symbol errors of one sweep point's kept rule over trials [start, start+count)."""
-    rule = (point_index, cfg.rules[point_index])
-    return count_errors([rule], cfg.n_symbols, cfg.master_seed, start, count)[0]
+def uniforms(words) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from uint64 words: the top 52 bits,
+    centred in their cell, so logs stay finite and floor(n u) < n.  The
+    52-bit words convert exactly, and faster, as int64."""
+    top = (np.asarray(words, dtype=np.uint64) >> 12).view(np.int64)
+    u = top.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def normals(u, rows: int) -> np.ndarray:
+    """The first `rows` (1 or 2) of the Box-Muller normal rows r cos theta,
+    r sin theta, with r = sqrt(-2 ln u[0]) and theta = 2 pi u[1]:
+    independent, unit variance, one column per trial."""
+    r = np.log(u[0])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[1] * (2.0 * math.pi)
+    z = np.empty((rows, r.shape[-1]))
+    for row, trig in zip(z, (np.cos, np.sin)):
+        trig(theta, out=row)
+        row *= r
+    return z
 
 
 def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int) -> list[int]:
     """Errors of each (point_index, decide) rule over trials [start, start+count).
 
-    Trial t of point p has counter hash h: its true symbol is
-    _mix64(h ^ _SYMBOL_SALT) masked to the n_symbols (2 or 4) indices, and
-    its draw k is _mix64(h + (k + 1) _GAMMA), so neither the blocks nor the
-    grouping of points moves a count.  Only the uniform rows the rules read
-    (the most `decide.draws`) are computed; draw k depends on h and k alone,
-    so they hold the values of the full DRAWS rows.  A rule that declares
-    `decide.normals` = k > 0 reads `normals(u, k)` in place of u; at each
-    point they are made once, with the most rows any rule there declares,
-    and not at all where no rule declares any.  Several rules may share a
-    point index: each distinct point's hash row, symbol word, uniform and
-    normal rows are finished once, and every rule at that point reads the
-    same columns.  Those arrays are read-only, so a rule that writes into
-    its inputs raises ValueError instead of moving another rule's count.
-    Distinct points share blocks of `_block_trials(draws)` trials as the
-    module docstring says, each reading its own contiguous columns.  No rule
-    runs across points: a sweep-wide rule needs 2-D fancy indexing, which
-    costs more than the per-point calls it saves.
+    Each rule keeps the contract of `receivers.point_decider` and is called
+    as decide(i, u, z).  Trial t of point p has counter hash h: its true
+    symbol is _mix64(h ^ _SYMBOL_SALT) masked to the n_symbols (2 or 4)
+    indices, and its draw k is _mix64(h + (k + 1) _GAMMA), so neither the
+    blocks nor the grouping of points moves a count.  Only the uniform rows
+    the rules read (the most `decide.draws`) are computed; draw k depends on
+    h and k alone, so they hold the same values however many rows exist.
+    At each point the normal rows are made once, with the most
+    `decide.normals` any rule there declares, and not at all (z is None)
+    where none declares any.  Several rules may share a point index: each
+    distinct point's hash row, symbol word, uniform and normal rows are
+    finished once, and every rule at that point reads the same columns.
+    Those arrays are read-only, so a rule that writes into its inputs raises
+    ValueError instead of moving another rule's count.  Distinct points
+    share blocks of `_block_trials(draws)` trials as the module docstring
+    says, each reading its own contiguous columns.  No rule runs across
+    points: a sweep-wide rule needs 2-D fancy indexing, which costs more
+    than the per-point calls it saves.
     """
     draws = max(decide.draws for _, decide in rules)
-    steps = _DRAW_STEPS[:draws]
+    steps = np.array([[k * _GAMMA & _MASK64] for k in range(1, draws + 1)], dtype=np.uint64)
     mask = np.uint64(n_symbols - 1)
-    readers = {}  # point index -> its (rule position, decide, normal rows) triples, in first-seen order
+    readers = {}  # point index -> its (rule position, decide) pairs, in first-seen order
     for r, (p, decide) in enumerate(rules):
-        readers.setdefault(p, []).append((r, decide, getattr(decide, "normals", 0)))
+        readers.setdefault(p, []).append((r, decide))
     points = list(readers)
     # normal rows each point makes: the most its rules read
-    normal_rows = [max(k for _, _, k in readers[p]) for p in points]
+    normal_rows = [max(decide.normals for _, decide in readers[p]) for p in points]
     prefixes = np.array([[_prefix_hash(master_seed, p)] for p in points], dtype=np.uint64)
     per_block = _block_trials(draws)
     stop = start + count
@@ -299,12 +315,12 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
                 i.flags.writeable = u.flags.writeable = False
                 for j in range(g, min(g + group, len(points))):
                     cols = slice((j - g) * n, (j - g + 1) * n)
-                    ic, uc = i[cols], u[:, cols]
+                    ic, uc, zc = i[cols], u[:, cols], None
                     if normal_rows[j]:
                         zc = normals(uc, normal_rows[j])
                         zc.flags.writeable = False
-                    for r, decide, k in readers[points[j]]:
-                        errors[r] += int(np.count_nonzero(decide(ic, zc if k else uc) != ic))
+                    for r, decide in readers[points[j]]:
+                        errors[r] += int(np.count_nonzero(decide(ic, uc, zc) != ic))
     return errors
 
 
@@ -326,8 +342,8 @@ def eve_random_phase_ber(
     rule (point 0) of a `count_errors` call seeded by one raw word of `rng`,
     in blocks of 4096 trials at its 3 draws:
     the bit comes from the hash, the M-fold averaged envelope noise
-    (per-quadrature deviation `receivers.envelope_sd`) by Box-Muller from
-    u[0], u[1], the hop from u[2]; the decision is the real part's sign.
+    (per-quadrature deviation `receivers.envelope_sd`) from the normal row
+    z[0], the hop from u[2]; the decision is the real part's sign.
     """
     if trials < 10_000:
         raise ValueError(f"need at least 1e4 trials, got {trials}")
@@ -341,13 +357,12 @@ def eve_random_phase_ber(
         raise ValueError(f"envelope variance overflows: N_S M = {N_S * M:g} is too small")
     hop = {"uniform": 2.0 * math.pi, "binary": math.pi, "none": 0.0}[phase_dist]
 
-    def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
-        r, theta = _box_muller(u)
+    def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
         w = np.floor(2.0 * u[2]) if phase_dist == "binary" else u[2]
-        x = amp * np.cos(math.pi * i + hop * w) + sd * (r * np.cos(theta))
+        x = amp * np.cos(math.pi * i + hop * w) + sd * z[0]
         return (x < 0.0).astype(np.intp)  # nearest of +-sqrt(eta)
 
-    decide.draws = 3
+    decide.draws, decide.normals = 3, 1
     master = int(rng.bit_generator.random_raw())
     return count_errors([(0, decide)], 2, master, 0, trials)[0] / trials
 

@@ -9,16 +9,12 @@ cycle into a coherent amplitude read out by photon counting, after a two-mode
 squeeze nulls one hypothesis.
 
 Each decision rule exists once, in `point_decider`: the array-form rule
-decide(true_index[n], rows) -> index[n], the only decision path, which the
-Monte Carlo harness runs on blocks of trials and the tests check.  A rule
-reads either uniform rows or normal rows.  The SFG rules read their first
-`decide.draws` rows of uniforms u[DRAWS, n].  The heterodyne and PA rules
-declare `decide.normals` > 0 and read that many rows of `normals(u, k)`,
-the Box-Muller pair (r cos theta, r sin theta) of u[0] and u[1]: the harness
-draws it once per point for all such rules, computing only the rows they
-read.  Either way the rows a rule reads hold the same values however many
-more exist.  The all-zero constellation of eta = 0 needs no special case:
-every distance ties (ties go to the lowest index) and no photon ever arrives.
+decide(i, u, z), the only decision path, which the Monte Carlo harness runs
+on blocks of trials and the tests check; its docstring states the rule's
+contract.  The harness (`montecarlo.count_errors`) alone makes the uniform
+and normal rows the rules read.  The all-zero constellation of eta = 0
+needs no special case: every distance ties (ties go to the lowest index)
+and no photon ever arrives.
 """
 
 from __future__ import annotations
@@ -293,87 +289,51 @@ def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
     return np.minimum(held, n - 1, out=held)
 
 
-#: uniforms per trial that a point rule may read: the QPSK test's entry offset
-#: and one wait per hypothesis.  Each rule declares as `decide.draws` how many
-#: of these rows it reads or, for a normal reader, its normals are made from
-#: (Box-Muller 2, the zero-photon test 1); the rows it reads hold the same
-#: values whether or not the later ones exist.
-DRAWS = 5
-
-
-def uniforms(words) -> np.ndarray:
-    """Uniforms strictly inside (0, 1) from uint64 words: the top 52 bits,
-    centred in their cell, so logs stay finite and floor(n u) < n.  The
-    52-bit words convert exactly, and faster, as int64."""
-    top = (np.asarray(words, dtype=np.uint64) >> 12).view(np.int64)
-    u = top.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
-    return u
-
-
-def _box_muller(u) -> tuple[np.ndarray, np.ndarray]:
-    """Radius sqrt(-2 ln u[0]) and angle 2 pi u[1] of a complex normal with
-    unit variance per quadrature, as in r e^{i theta}."""
-    r = np.log(u[0])
-    r *= -2.0
-    return np.sqrt(r, out=r), u[1] * (2.0 * math.pi)
-
-
-def normals(u, rows: int) -> np.ndarray:
-    """The first `rows` (1 or 2) of the normal rows r cos theta, r sin theta
-    of `_box_muller(u)`: independent, unit variance, one column per trial.
-    The Monte Carlo engine makes them once per point for every rule that
-    declares `decide.normals`, and the tests feed those rules through here."""
-    r, theta = _box_muller(u)
-    z = np.empty((rows, r.shape[-1]))
-    for row, trig in zip(z, (np.cos, np.sin)):
-        trig(theta, out=row)
-        row *= r
-    return z
-
-
 def point_decider(
     cp: ChannelParams, a: Alphabet, spec: ReceiverSpec
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The receiver's rule at one operating point: decide(true_index[n], rows) -> index[n].
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]:
+    """The receiver's rule at one operating point: decide(i, u, z) -> index[n].
 
     The receiver's only decision path, run by the Monte Carlo harness and
-    checked by the tests.  Everything that depends only on the point is
-    computed here once; each call then draws every trial's decision statistic
-    for its true symbol from its law, using that trial's column of rows, and
-    applies the rule.  A rule reads either uniform rows or normal rows.
+    checked by the tests.  Every trial rule, these and the eavesdropper's of
+    `montecarlo.eve_random_phase_ber`, keeps one contract.  i[n] holds the
+    trials' true symbol indices, and the rule returns each trial's declared
+    index without writing into its inputs.  The rule declares `decide.draws`,
+    the leading rows of uniforms u it reads (`montecarlo.uniforms`), and
+    `decide.normals`, the leading rows of z it reads: the Box-Muller normal
+    rows r cos theta, r sin theta of u[0] and u[1] (`montecarlo.normals`),
+    so a normal reader declares at least 2 draws.  z is None where no rule
+    at the point declares normals.  u and z may hold more rows than a rule
+    declares: the rows it reads hold the same values either way.
+
+    Everything that depends only on the point is computed here once; each
+    call then draws every trial's decision statistic for its true symbol
+    from its law, using that trial's columns, and applies the rule.
     The heterodyne envelope is the M-sample average, complex Gaussian with
-    per-quadrature deviation `envelope_sd`: it reads both normal rows.  The
-    PA statistic is Normal(mean, N_Z / M) (bright-background per-copy
-    variance N_Z), from the first normal row alone.
+    per-quadrature deviation `envelope_sd`: draws 2, normals 2.  The PA
+    statistic is Normal(mean, N_Z / M) (bright-background per-copy variance
+    N_Z), from z[0]: draws 2, normals 1.
     The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
-    it iff u[0] < sfg_no_click_probability.  The QPSK test enters the cyclic
-    hypothesis order at offset v = floor(4 u[0]), which keeps the error rate
-    the same for every true symbol, and waits on u[1:] (see
-    `sequential_click_test`).  Its rates come from the entry-offset table
-    R[j, t, v] = rows[t, (v + j) % 4], the rate of the j-th hypothesis tested
-    for true symbol t: a trial reads column R[:, t, v] and declares
-    (v + held) % 4, held being the index the click test returns.
+    it iff u[0] < sfg_no_click_probability: draws 1, normals 0.  The QPSK
+    test enters the cyclic hypothesis order at offset v = floor(4 u[0]),
+    which keeps the error rate the same for every true symbol, and waits on
+    u[1:] (see `sequential_click_test`): draws 1 + 4, normals 0.  Its rates
+    come from the entry-offset table R[j, t, v] = rows[t, (v + j) % 4], the
+    rate of the j-th hypothesis tested for true symbol t: a trial reads
+    column R[:, t, v] and declares (v + held) % 4, held being the index the
+    click test returns.
 
     Building a rule costs 2-25 us per point at N_Z = 100, the most for the
     SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each
     `ExperimentConfig` builds a point's rule once and its runs reuse it.  Every
     channel quantity a rule needs (the PA grid, the thermal residual) is read
     from the closed-form `return_idler_moments`.
-
-    The rule carries `decide.draws`, the number of leading uniform rows a
-    trial consumes: 2 (heterodyne, PA), 1 (zero-photon test) or DRAWS (QPSK
-    test), and `decide.normals`, the number of leading rows of
-    `normals(u, k)` it reads instead of u: 2 (heterodyne), 1 (PA) or 0 (SFG,
-    which reads u).  Either may have just those rows, or more: the result
-    is the same.
     """
     if spec.kind is ReceiverKind.HETERODYNE:
         points = np.array([s.complex_point() for s in a.symbols])
         sd = envelope_sd(cp)
 
-        def decide(i: np.ndarray, z: np.ndarray) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
             x = points[i]
             x.real += sd * z[0]
             x.imag += sd * z[1]
@@ -385,7 +345,7 @@ def point_decider(
         grid = np.array(pa_decision_grid(a, cp))
         sd = math.sqrt(cp.N_Z / cp.M)
 
-        def decide(i: np.ndarray, z: np.ndarray) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
             x = sd * z[0]
             x += grid[i]
             return _nearest_index(x, grid)
@@ -401,20 +361,20 @@ def point_decider(
         # table[j, n t + v] = rows[t, (v + j) % n], the entry-offset table R
         table = rows[:, (offsets + offsets[:, None]) % n].transpose(1, 0, 2).reshape(n, n * n)
 
-        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
             v = (n * u[0]).astype(np.intp)  # u > 0, so the cast floors
             held = sequential_click_test(np.take(table, n * i + v, axis=1), cp.M, u[1:])
             held += v
             return np.remainder(held, n, out=held)
 
-        decide.draws, decide.normals = DRAWS, 0
+        decide.draws, decide.normals = 1 + n, 0
 
     else:
         null_symbol = sfg_null_symbol(a)
         null = int(a.symbols[1] is null_symbol)  # by identity: at eta = 0 the PAM symbols are equal
         p_no_click = np.array([sfg_no_click_probability(cp, s, null_symbol, spec) for s in a.symbols])
 
-        def decide(i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)
 
         decide.draws, decide.normals = 1, 0

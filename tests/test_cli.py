@@ -3,8 +3,10 @@
 import collections
 import json
 import math
+import os
 import random
 import re
+import threading
 
 import pytest
 
@@ -241,6 +243,28 @@ def test_simulate_rewrite_leaves_no_stale_bytes(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+def test_bounds_to_a_device_exits_0():
+    """A device cannot be cut to length: the table goes to it as it is."""
+    assert main(["bounds", "--out", os.devnull]) == 0
+
+
+def test_bounds_to_a_fifo_delivers_the_table(tmp_path, capsys):
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as f:
+            received.append(f.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(["bounds", "--sweep", "0.5:1.5:3", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert main(["bounds", "--sweep", "0.5:1.5:3"]) == 0
+    assert received == [capsys.readouterr().out.encode()]
+
+
 def test_bounds_pa_qpsk_refused(capsys):
     code = main(["bounds", "--columns", "pa_qpsk"])
     assert code == 4
@@ -256,6 +280,11 @@ def test_bounds_repeated_column_usage_error(tmp_path, capsys, fmt):
     assert code == 2
     assert "repeated bounds column 'het_pam'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bounds_unknown_column_usage_error(capsys):
+    assert main(["bounds", "--columns", "het_bpsk,bogus"]) == 2
+    assert "unknown bounds column 'bogus'" in capsys.readouterr().err
 
 
 def test_bounds_bad_sweep_usage_error(capsys):
@@ -614,6 +643,24 @@ def test_simulate_config_error_exit_code(tmp_path):
     assert main(["simulate", str(_write_config(tmp_path, text=bad))]) == 2
 
 
+@pytest.mark.parametrize("blocked,message", [
+    ("out", "cannot create output directory"),
+    ("out/sfg-bpsk.json", "cannot write"),
+    ("out/summary.json", "cannot write"),
+], ids=["out-is-a-file", "curve-is-a-directory", "summary-is-a-directory"])
+def test_simulate_output_io_error_exit_code(tmp_path, capsys, blocked, message):
+    """--out names a regular file, or an output file's name is taken by a
+    directory: simulate exits 3 and names what it could not write."""
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    code = main(["simulate", str(_write_config(tmp_path)), "--out", str(out), "--format", "json"])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
     cfgpath = _write_config(tmp_path, text=PA_QPSK_CONFIG)
     assert main(["simulate", str(cfgpath)]) == 2
@@ -648,12 +695,19 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_rx("pa", "include_thermal_residual = true"), PLUS_LINE),
         (_plus("include_thermal_residual = true").replace("alphabet = bpsk", "alphabet = qpsk"),
          PLUS_LINE),
+        ("seed = 7" + GOOD_CONFIG, 1),
+        (_plus("seed 8"), PLUS_LINE),
+        (_plus("seed = 8"), PLUS_LINE),
+        (GOOD_CONFIG[GOOD_CONFIG.index("[output]"):], 1),
+        (GOOD_CONFIG.replace("sweep = 0.25:0.75:3", "sweep = 0:1:0"), EXPERIMENT_LINE),
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
          "capture-eps-2", "text-bool", "pa-epsilon-key", "eta-just-above-1", "pa-moments-overflow",
          "pa-sfg-tau",
-         "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual"],
+         "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual",
+         "key-outside-section", "line-without-equals", "duplicate-key", "no-experiment",
+         "zero-point-sweep"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)

@@ -245,7 +245,7 @@ UNUSED_IN_PACKAGE = {
         "analytics.exponent_gain_db", "link.make_alphabet_pam", "receivers.sfg_bookkeeping",
     },
     "test reference": {
-        "montecarlo._count_point_errors", "gaussian.heterodyne_samples", "link.apply_channel_classical",
+        "gaussian.heterodyne_samples", "link.apply_channel_classical",
     },
     "the per-point model-validity flags, which the planned run manifest records": {
         "link.ChannelParams.validity_warnings",

@@ -25,6 +25,7 @@ from qbcsim.gaussian import (
     mean_photon_number,
     partial_trace,
     phase_sensitive_correlation,
+    tensor,
     thermal,
     tmss,
     vacuum,
@@ -143,6 +144,17 @@ def test_rejects_displaced_two_mode():
     displaced = GaussianState(2, np.array([0.5, 0.0, 0.0, 0.0]), st.cov)
     with pytest.raises(ValueError):
         gaussian_to_fock(displaced, 8)
+
+
+@pytest.mark.parametrize("state", [
+    GaussianState(2, np.zeros(4), np.diag([1.0, 0.25, 0.5, 0.5])),
+    apply_beam_splitter(tensor(thermal(1.0), vacuum(1)), 0, 1, 0.5, 0.0),
+], ids=["squeezed-marginal", "beam-splitter-correlation"])
+def test_rejects_zero_mean_two_mode_outside_pipeline_class(state):
+    """A zero-mean two-mode state whose marginal is phase sensitive, or whose
+    modes correlate as a beam splitter makes them, is not a channel state."""
+    with pytest.raises(ValueError, match="pipeline class"):
+        gaussian_to_fock(state, 8)
 
 
 def test_helstrom_identical_states():

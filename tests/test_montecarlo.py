@@ -20,13 +20,13 @@ from qbcsim.link import (
 from qbcsim.gaussian import heterodyne_samples
 from qbcsim.montecarlo import (
     _BLOCK,
-    _DRAW_STEPS,
+    _GAMMA,
+    _MASK64,
     _SYMBOL_SALT,
     BerCurve,
     BerCurvePoint,
     ExperimentConfig,
     _block_trials,
-    _count_point_errors,
     _counter_hash,
     _mix64_inplace,
     count_errors,
@@ -35,24 +35,27 @@ from qbcsim.montecarlo import (
     eve_random_phase_ber,
     fit_error_exponent,
     nominal_alphabet,
+    normals,
     run_experiment,
     run_experiments,
+    uniforms,
     wilson_interval,
 )
 import qbcsim.montecarlo as montecarlo
 from qbcsim.receivers import (
-    DRAWS,
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
     _nearest_index,
-    normals,
     pa_decision_grid,
     point_decider,
     sfg_count_rate,
     sfg_null_symbol,
-    uniforms,
 )
+
+#: uniform rows the SFG-QPSK rule reads, the most of any rule: its entry
+#: offset and one wait per hypothesis
+QPSK_DRAWS = 5
 
 
 def test_seed_derivation_deterministic():
@@ -241,31 +244,30 @@ def test_run_experiment_parallel_invariance():
     ):
         cfg = _config(receiver=ReceiverSpec(kind=receiver), alphabet_kind=alphabet, N_S=0.01,
                       N_Z=100.0, M=1_000_000, sweep=(0.25, 1.0), trials_per_point=n)
-        for p, pt in enumerate(run_experiment(cfg).points):
-            assert pt.errors == _count_point_errors(cfg, p, 0, n)
-            parts = [_count_point_errors(cfg, p, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        for p, (pt, rule) in enumerate(zip(run_experiment(cfg).points, cfg.rules)):
+            assert pt.errors == count_errors([(p, rule)], cfg.n_symbols, cfg.master_seed, 0, n)[0]
+            parts = [count_errors([(p, rule)], cfg.n_symbols, cfg.master_seed, a, b - a)[0]
+                     for a, b in zip(cuts, cuts[1:])]
             assert sum(parts) == pt.errors, (receiver, alphabet, p)
-
-
-def _rows(decide, u):
-    """The rows a point rule reads from uniforms u: `normals(u, k)` for a
-    rule that declares k normal rows, else u itself."""
-    return normals(u, decide.normals) if decide.normals else u
 
 
 def _reference_errors(decide, n_symbols, master_seed, point_index, count):
     """One point's errors over trials [0, count), all hashed in one array
-    with `_counter_hash`: the engine without blocks or grouping."""
+    with `_counter_hash`: the engine without blocks or grouping.  Draw k of a
+    trial with hash h is _mix64(h + k _GAMMA), k = 1..draws."""
     h = _counter_hash(master_seed, point_index, np.arange(count, dtype=np.uint64))
-    words = _mix64_inplace(np.vstack([h ^ _SYMBOL_SALT, h + _DRAW_STEPS[: decide.draws]]))
+    steps = np.array([[k * _GAMMA & _MASK64] for k in range(1, decide.draws + 1)], dtype=np.uint64)
+    words = _mix64_inplace(np.vstack([h ^ _SYMBOL_SALT, h + steps]))
     i = (words[0] & np.uint64(n_symbols - 1)).astype(np.intp)
-    return int(np.count_nonzero(decide(i, _rows(decide, uniforms(words[1:]))) != i))
+    u = uniforms(words[1:])
+    z = normals(u, decide.normals) if decide.normals else None
+    return int(np.count_nonzero(decide(i, u, z) != i))
 
 
 @pytest.mark.parametrize("receiver,alphabet,draws", [
     (ReceiverKind.SFG, AlphabetKind.BPSK, 1),
     (ReceiverKind.HETERODYNE, AlphabetKind.QPSK, 2),
-    (ReceiverKind.SFG, AlphabetKind.QPSK, DRAWS),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, QPSK_DRAWS),
 ])
 @pytest.mark.parametrize("shape", ["shared", "spanning", "rows-split"])
 def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape):
@@ -292,13 +294,14 @@ def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape)
     n_symbols, rules = cfg.n_symbols, list(enumerate(cfg.rules))
     assert {decide.draws for _, decide in rules} == {draws}
     for (p, decide), pt in zip(rules, run_experiment(cfg).points):
-        assert pt.errors == _count_point_errors(cfg, p, 0, n)
+        assert pt.errors == count_errors([(p, decide)], n_symbols, cfg.master_seed, 0, n)[0]
         assert pt.errors == _reference_errors(decide, n_symbols, cfg.master_seed, p, n)
-        parts = [_count_point_errors(cfg, p, a, b - a) for a, b in zip(cuts, cuts[1:])]
+        parts = [count_errors([(p, decide)], n_symbols, cfg.master_seed, a, b - a)[0]
+                 for a, b in zip(cuts, cuts[1:])]
         assert sum(parts) == pt.errors, (receiver, alphabet, shape, p)
 
 
-@pytest.mark.parametrize("draws", range(1, DRAWS + 1))
+@pytest.mark.parametrize("draws", range(1, QPSK_DRAWS + 1))
 def test_block_words_stay_below_mmap_threshold(draws):
     """A block's word array, the hash row and `draws` uniform rows, holds at
     least one trial and at most 128 KiB: glibc maps larger allocations afresh,
@@ -311,11 +314,11 @@ def test_block_words_stay_below_mmap_threshold(draws):
         "threshold: every block allocation would page-fault")
     widths = []
 
-    def spy(i, u):
+    def spy(i, u, z):
         widths.append((u.base if u.base is not None else u).shape[-1])
         return i
 
-    spy.draws = draws
+    spy.draws, spy.normals = draws, 0
     count_errors([(p, spy) for p in range(9)], 2, 5, 0, 1000)
     count_errors([(0, spy)], 2, 5, 0, 3 * per_block + 1)
     assert 0 < (draws + 1) * max(widths) * 8 <= limit
@@ -398,20 +401,21 @@ def test_run_experiments_equals_each_experiment_alone():
     curves = run_experiments(cfgs)
     assert curves == [run_experiment(c) for c in cfgs]
     for cfg, curve in zip(cfgs, curves):
-        alone = [_count_point_errors(cfg, p, 0, cfg.trials_per_point) for p in range(len(cfg.sweep))]
+        alone = [count_errors([rule], cfg.n_symbols, cfg.master_seed, 0, cfg.trials_per_point)[0]
+                 for rule in enumerate(cfg.rules)]
         assert [pt.errors for pt in curve.points] == alone, cfg
     assert run_experiments([]) == []
 
 
 @pytest.mark.parametrize("alphabet,rx_draws", [
     (AlphabetKind.BPSK, ((ReceiverKind.SFG, 1), (ReceiverKind.HETERODYNE, 2), (ReceiverKind.PA, 2))),
-    (AlphabetKind.QPSK, ((ReceiverKind.SFG, DRAWS), (ReceiverKind.HETERODYNE, 2))),
+    (AlphabetKind.QPSK, ((ReceiverKind.SFG, QPSK_DRAWS), (ReceiverKind.HETERODYNE, 2))),
 ])
 def test_rules_sharing_a_point_count_as_alone(alphabet, rx_draws):
     """Rules at duplicated point indices, with different draws, read one set
     of columns per point, over a range spanning several blocks: each rule
     counts what it counts alone and what the unblocked reference counts."""
-    n = 2 * _block_trials(DRAWS) + 77
+    n = 2 * _block_trials(QPSK_DRAWS) + 77
     rules = []
     for rx, draws in rx_draws:
         cfg = _link_config(rx, alphabet, sweep=(0.5, 1.0, 1.5), trials_per_point=n)
@@ -465,15 +469,15 @@ def test_rules_cannot_write_shared_inputs():
     rule and the eavesdropper's rule read only, and count what the writable
     reference arrays give."""
 
-    def scale_u(i, u):
+    def scale_u(i, u, z):
         u[0] *= 2.0
         return i
 
-    def relabel(i, u):
+    def relabel(i, u, z):
         i[:] = 0
         return i
 
-    def scale_z(i, z):
+    def scale_z(i, u, z):
         z[0] *= 2.0
         return i
 
@@ -611,7 +615,7 @@ def test_rules_declare_first_symbol_at_zero_eta(receiver, alphabet):
     n = 4096
     true = rng.integers(len(a), size=n)
     u = uniforms(rng.integers(0, 2**64, size=(decide.draws, n), dtype=np.uint64))
-    assert not decide(true, _rows(decide, u)).any()
+    assert not decide(true, u, normals(u, decide.normals)).any()
 
 
 def test_pa_qpsk_rejected():

@@ -20,15 +20,13 @@ from qbcsim.link import (
     return_idler_moments,
 )
 from qbcsim.gaussian import apply_two_mode_squeeze, heterodyne_samples
-from qbcsim.montecarlo import wilson_interval
+from qbcsim.montecarlo import normals, uniforms, wilson_interval
 from qbcsim.receivers import (
-    DRAWS,
     ReceiverKind,
     ReceiverSpec,
     UnsupportedAlphabetError,
     _nearest_index,
     envelope_sd,
-    normals,
     pa_decision_grid,
     point_decider,
     sequential_click_test,
@@ -37,8 +35,11 @@ from qbcsim.receivers import (
     sfg_no_click_probability,
     sfg_null_symbol,
     sfg_nulling_params,
-    uniforms,
 )
+
+#: uniform rows the SFG-QPSK rule reads, the most of any rule: its entry
+#: offset and one wait per hypothesis
+QPSK_DRAWS = 5
 
 
 def _cp(eta=0.01, phi=0.0, N_Z=100.0, M=10_000, N_S=0.01):
@@ -134,8 +135,8 @@ def _pa_rule_copy_variance(cp):
     flips, holds = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (flips + holds)
-        z = normals(np.array([[mid], [0.5]]), decide.normals)
-        if decide(np.zeros(1, dtype=np.intp), z)[0]:
+        u = np.array([[mid], [0.5]])
+        if decide(np.zeros(1, dtype=np.intp), u, normals(u, decide.normals))[0]:
             flips = mid
         else:
             holds = mid
@@ -374,11 +375,11 @@ def test_nulling_of_bare_source():
 
 
 def _decisions(cp, a, spec, true_index, rng):
-    """The point rule's declared indices for trials with the given true
-    indices, trial t reading the t-th run of DRAWS raw words from `rng`."""
+    """The SFG point rule's declared indices for trials with the given true
+    indices, trial t reading the t-th run of QPSK_DRAWS raw words from `rng`."""
     i = np.asarray(true_index)
-    u = uniforms(rng.bit_generator.random_raw((len(i), DRAWS)).T)
-    return point_decider(cp, a, spec)(i, u)
+    u = uniforms(rng.bit_generator.random_raw((len(i), QPSK_DRAWS)).T)
+    return point_decider(cp, a, spec)(i, u, None)
 
 
 def test_zero_photon_null_hypothesis_always_correct():
@@ -442,7 +443,7 @@ def test_zero_photon_threshold_is_no_click_probability(kind, residual, eta):
     for k, s in enumerate(a.symbols):
         p = sfg_no_click_probability(cp, s, null_symbol, spec)
         u = np.array([[math.nextafter(p, 0.0), p]])
-        assert decide(np.array([k, k]), u).tolist() == [null, 1 - null], (k, p)
+        assert decide(np.array([k, k]), u, None).tolist() == [null, 1 - null], (k, p)
 
 
 def test_zero_photon_rejects_qpsk():
@@ -490,19 +491,19 @@ _DECLARED_DRAWS = [
     (ReceiverKind.HETERODYNE, "qpsk", False, 2),
     (ReceiverKind.PA, "bpsk", False, 2),
     (ReceiverKind.PA, "pam", False, 2),
-    *[(ReceiverKind.SFG, alphabet, residual, DRAWS if alphabet == "qpsk" else 1)
+    *[(ReceiverKind.SFG, alphabet, residual, QPSK_DRAWS if alphabet == "qpsk" else 1)
       for alphabet in ("pam", "bpsk", "qpsk") for residual in (False, True)],
 ]
-#: normal rows each receiver's rule reads in place of uniforms
+#: normal rows each receiver's rule reads
 _NORMAL_ROWS = {ReceiverKind.HETERODYNE: 2, ReceiverKind.PA: 1, ReceiverKind.SFG: 0}
 
 
 @pytest.mark.parametrize("kind,alphabet,residual,draws", _DECLARED_DRAWS)
 def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
-    """A rule declares how many leading rows of uniforms a trial consumes and
-    how many normal rows it reads in their place; the Monte Carlo engine
-    computes only those.  Overwriting the later rows it is given with NaN,
-    or leaving them out, must not change a single decision."""
+    """A rule declares how many leading rows of uniforms and of normals it
+    reads; the Monte Carlo engine computes only those.  Overwriting the later
+    rows of either with NaN, or leaving them out, must not change a single
+    decision, and a rule that declares no normals runs without them."""
     cp = _cp(eta=0.02, M=100_000)
     a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
          "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
@@ -513,14 +514,15 @@ def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
     rng = np.random.default_rng([draws, len(a), residual])
     n = 4000
     i = rng.integers(len(a), size=n)
-    u = uniforms(rng.bit_generator.random_raw((DRAWS, n)))
-    rows, read = (normals(u, 2), normal_rows) if normal_rows else (u, draws)
-    full = decide(i, rows.copy())
+    u = uniforms(rng.bit_generator.random_raw((QPSK_DRAWS, n)))
+    z = normals(u, 2)
+    full = decide(i, u.copy(), z.copy())
     assert 0 < np.count_nonzero(full != i) < n  # both outcomes are common
-    poisoned = rows.copy()
-    poisoned[read:] = np.nan
-    assert np.array_equal(decide(i, poisoned), full)
-    assert np.array_equal(decide(i, rows[:read].copy()), full)
+    poisoned_u, poisoned_z = u.copy(), z.copy()
+    poisoned_u[draws:] = poisoned_z[normal_rows:] = np.nan
+    assert np.array_equal(decide(i, poisoned_u, poisoned_z), full)
+    read_z = z[:normal_rows].copy() if normal_rows else None
+    assert np.array_equal(decide(i, u[:draws].copy(), read_z), full)
 
 
 def test_sequential_click_test_survival_law():
@@ -551,7 +553,7 @@ def test_sequential_click_test_matches_first_survivor_reference():
     (the last index) and a 1-D list of rates shared by all trials."""
     rng = np.random.default_rng(31)
     M, n = 10_000, 5000
-    u = uniforms(rng.bit_generator.random_raw((DRAWS, n)))
+    u = uniforms(rng.bit_generator.random_raw((QPSK_DRAWS, n)))
     rates = rng.exponential(1.0 / M, size=(4, n))
     rates[rng.random((4, n)) < 0.3] = 0.0
     rates[:, 0] = 1.0  # every hypothesis clicks within a few mode pairs
