@@ -71,13 +71,11 @@ def sfg_ep_upper_bound(a: Alphabet, N_S: float, M: int, N_Z: float) -> EpBound:
     clamped to 1 while the exponent field is left unclamped.
     """
     snr = _snr(a, N_S, M, N_Z)
-    if a.kind in (AlphabetKind.PAM, AlphabetKind.BPSK):
-        value = math.exp(-snr)
-        return EpBound(value=value, exponent=1.0)
     if a.kind is AlphabetKind.QPSK:
         value = min(1.0, 4.0 * math.exp(-snr / 2.0))
         return EpBound(value=value, exponent=0.5)
-    raise UnsupportedAlphabetError("SFG bound is defined for PAM, BPSK, and QPSK only")
+    value = math.exp(-snr)
+    return EpBound(value=value, exponent=1.0)
 
 
 def exponent_gain_db(b1: EpBound, b2: EpBound) -> float:

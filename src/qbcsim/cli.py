@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 2 usage or configuration error, including bad config
 input such as an unsupported receiver/alphabet pair in a config file (reported
-as file:line); 3 I/O failure; 4 unsupported combination asked for on the
-command line (``bounds --columns pa_qpsk``).
+as file:line); 3 I/O failure, a closed stdout included; 4 unsupported
+combination asked for on the command line (``bounds --columns pa_qpsk``).
 """
 
 from __future__ import annotations
@@ -76,14 +76,11 @@ def bound_table_row(s: float) -> dict[str, float]:
     return row
 
 
-def _write_text(out: str | Path | None, text: str) -> None:
-    """Write text to stdout (out None or "-") or, encoded once as UTF-8, to
-    `out`.  A regular file is written over and then cut to length: O_TRUNC
-    would free its blocks, and ext4 then flushes them on close.  A device or
-    FIFO cannot be cut, and takes the bytes as they are."""
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
+def _write_text(out: str | Path, text: str) -> None:
+    """Write text, encoded once as UTF-8, to `out`.  A regular file is written
+    over and then cut to length: O_TRUNC would free its blocks, and ext4 then
+    flushes them on close.  A device or FIFO cannot be cut, and takes the
+    bytes as they are."""
     data = memoryview(text.encode())
     size = len(data)
     fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -160,6 +157,9 @@ def cmd_bounds(args) -> int:
         for row in rows:
             lines.append(",".join(_fmt(row[k]) for k in ["s", *columns]))
         text = "\n".join(lines) + "\n"
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text)  # a closed stdout is reported by `main`
+        return EXIT_OK
     try:
         _write_text(args.out, text)
     except OSError as exc:
@@ -379,7 +379,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # Python flushes it again at exit, which would fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

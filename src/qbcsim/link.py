@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 from .gaussian import GaussianState
@@ -30,7 +29,6 @@ class AlphabetKind(enum.Enum):
     PAM = "pam"
     BPSK = "bpsk"
     QPSK = "qpsk"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class Alphabet:
     """Ordered symbol set with uniform priors; symbols may coincide, as at eta = 0."""
 
     symbols: tuple[Symbol, ...]
-    kind: AlphabetKind = AlphabetKind.CUSTOM
+    kind: AlphabetKind
 
     def __post_init__(self):
         if len(self.symbols) == 0:
@@ -78,9 +76,7 @@ def nominal_alphabet(kind: AlphabetKind, eta: float) -> Alphabet:
         return Alphabet((Symbol(0.0, 0.0), Symbol(amp, 0.0)), kind)
     if kind is AlphabetKind.BPSK:
         return Alphabet((Symbol(amp, 0.0), Symbol(amp, math.pi)), kind)
-    if kind is AlphabetKind.QPSK:
-        return Alphabet(tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4)), kind)
-    raise UnsupportedAlphabetError(f"unsupported alphabet kind {kind}")
+    return Alphabet(tuple(Symbol(amp, k * math.pi / 2.0) for k in range(4)), kind)  # QPSK
 
 
 def make_alphabet_pam(eta1: float, eta2: float) -> Alphabet:
@@ -143,17 +139,6 @@ class ChannelParams:
         if self.M < 1:
             raise ValueError(f"mode-pair count must be >= 1, got {self.M}")
 
-    def validity_warnings(self) -> list[str]:
-        """Flags raised outside the asymptotic regime the bounds assume."""
-        flags = []
-        if self.eta > 0.1:
-            flags.append(f"eta = {self.eta:g} exceeds 0.1 (low-reflectivity assumption)")
-        if self.N_S > 0.1:
-            flags.append(f"N_S = {self.N_S:g} exceeds 0.1 (low-brightness assumption)")
-        if self.N_Z < 10.0:
-            flags.append(f"N_Z = {self.N_Z:g} below 10 (bright-background assumption)")
-        return flags
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -186,59 +171,28 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _normal_product(*factors: float) -> float | None:
-    """The left-to-right product of positive factors, or None when a factor
-    or a partial product is not a normal double (it rounded to 0, to a
-    subnormal or to inf)."""
-    p = 1.0
-    for x in factors:
-        p *= x
-        if not (x >= sys.float_info.min and sys.float_info.min <= p <= sys.float_info.max):
-            return None
-    return p
-
-
-def _scaled_quotient(num: tuple[float, ...], den: tuple[float, ...]) -> float:
-    """prod(num) / prod(den) for positive factors, from their binary mantissas
-    and exponents (`math.frexp`): no partial result leaves the float range,
-    and `math.ldexp` rounds once at the end.  inf when the true quotient is
-    above the float range."""
-    mantissa, exponent = 1.0, 0
-    for x in num:
-        m, e = math.frexp(x)
-        mantissa, exponent = mantissa * m, exponent + e
-    for x in den:
-        m, e = math.frexp(x)
-        mantissa, exponent = mantissa / m, exponent - e
-    try:
-        return math.ldexp(mantissa, exponent)
-    except OverflowError:
-        return math.inf
-
-
 def rtt_from_link_budget(lb: LinkBudget) -> float:
     """Round-trip transmissivity G_r G_t c^2 sigma_Q / (16 pi omega^2 R_t^2 R_r^2).
 
-    The value is returned as computed even when it exceeds 1; callers decide
-    how to report that.  Note this expression is the one used throughout this
-    package and differs from the conventional (4 pi)^3 radar-equation form.
-    It is evaluated as written while every factor and partial product is a
-    normal double, and otherwise by `_scaled_quotient`, so a numerator or
-    denominator past the float range does not turn a representable eta into
-    0, inf or nan.  A true eta below the smallest subnormal gives 0; raises
-    ValueError when it is above the float range.
+    Since c / omega = lambda / (2 pi), this is the radar equation
+    G_t G_r lambda^2 sigma_Q / ((4 pi)^3 R_t^2 R_r^2).  The value is returned
+    as computed even when it exceeds 1; callers decide how to report that.
+    It is the correctly rounded value of the formula on the double inputs:
+    the factors are exact integer ratios, and one int true division rounds
+    the quotient, subnormals included.  Raises ValueError when eta is above
+    the float range.
     """
+    num = den = 1
+    for x in (lb.G_r, lb.G_t, C_LIGHT, C_LIGHT, lb.sigma_Q):
+        p, q = x.as_integer_ratio()
+        num, den = num * p, den * q
+    for x in (16.0, math.pi, lb.omega, lb.omega, lb.R_t, lb.R_t, lb.R_r, lb.R_r):
+        q, p = x.as_integer_ratio()  # a denominator factor enters inverted
+        num, den = num * p, den * q
     try:
-        den = _normal_product(16.0 * math.pi, lb.omega**2, lb.R_t**2, lb.R_r**2)
-    except OverflowError:  # one factor's ** left the float range; the product may not
-        x = _normal_product(lb.omega, lb.R_t, lb.R_r)
-        den = None if x is None else _normal_product(16.0 * math.pi, x, x)
-    num = _normal_product(lb.G_r, lb.G_t, C_LIGHT**2, lb.sigma_Q)
-    if num is None or den is None:
-        eta = _scaled_quotient((lb.G_r, lb.G_t, C_LIGHT, C_LIGHT, lb.sigma_Q),
-                               (16.0, math.pi, lb.omega, lb.omega, lb.R_t, lb.R_t, lb.R_r, lb.R_r))
-    else:
         eta = num / den
+    except OverflowError:
+        eta = math.inf
     return _finite(eta, "round-trip transmissivity")
 
 

@@ -1,12 +1,17 @@
 """Config parsing and CLI subcommands, including exit-code taxonomy."""
 
 import collections
+import errno
+import io
 import json
 import math
 import os
 import random
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +300,41 @@ def test_bounds_bad_sweep_usage_error(capsys):
 
 def test_bounds_io_error(tmp_path):
     assert main(["bounds", "--out", str(tmp_path / "nodir" / "x.csv")]) == 3
+
+
+LINK_BUDGET_ARGV = ["link-budget", "--gt", "100", "--gr", "100", "--f-hz", "1e9", "--rt", "10",
+                    "--rr", "10", "--sigma-q", "0.01", "--t", "290", "--w", "1e6", "--ts", "1e-3"]
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "link-budget", "security"])
+def test_closed_stdout_is_an_io_failure(tmp_path, capsys, monkeypatch, command):
+    """Every subcommand whose stdout is closed exits 3 with one stderr line,
+    not a BrokenPipeError traceback."""
+    argv = {"bounds": ["bounds"], "simulate": ["simulate", str(_write_config(tmp_path))],
+            "link-budget": LINK_BUDGET_ARGV, "security": ["security"]}[command]
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "cannot write output: stdout is closed\n"
+
+
+def test_closed_stdout_pipe_exits_3_with_one_line():
+    """`qbcsim link-budget ... | true` in a buffered process: no second
+    error when Python flushes stdout at exit."""
+    src = Path(montecarlo.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.Popen([sys.executable, "-m", "qbcsim.cli", *LINK_BUDGET_ARGV], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the only reader: every write to the pipe fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert err == b"cannot write output: stdout is closed\n"
 
 
 def test_simulate_end_to_end(tmp_path, capsys):

@@ -247,9 +247,6 @@ UNUSED_IN_PACKAGE = {
     "test reference": {
         "gaussian.heterodyne_samples", "link.apply_channel_classical",
     },
-    "the per-point model-validity flags, which the planned run manifest records": {
-        "link.ChannelParams.validity_warnings",
-    },
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

@@ -107,7 +107,7 @@ def test_decide_rotation_invariance():
         shift = rng.uniform(0, 2 * math.pi)
         rotated = Alphabet(
             tuple(Symbol(s.amplitude, s.phase + shift) for s in a.symbols),
-            AlphabetKind.CUSTOM,
+            AlphabetKind.QPSK,
         )
         picked = a.symbols[_nearest_index(env, _points(a))]
         picked_rot = rotated.symbols[_nearest_index(env * np.exp(-1j * shift), _points(rotated))]
