@@ -9,7 +9,7 @@ aggregation is by error counts.  The engine, `count_errors`, knows no
 receiver: it applies array-form rules decide(i, u, z) to numpy blocks
 (the contract is in `receivers.point_decider`'s docstring), hashing each
 block in place.  It alone makes the rows the rules read: only the uniform
-rows they declare (`uniforms`) and, once per point for all its rules, only
+rows they declare (`uniforms`) and, once per block group of points, only
 the Box-Muller normal rows they declare (`normals`).  Its rules are the
 per-point `point_decider` rules each `ExperimentConfig` keeps and the
 phase-hopped eavesdropper of `eve_random_phase_ber`, whose run lives in
@@ -26,7 +26,7 @@ page-fault on every allocation.  Whole points share a block when they fit
 (1000-trial points go 2 to a block for the 5-draw SFG-QPSK rule, 5 for the
 2-draw ones and 8 for the zero-photon test), the trial-only hash step is
 computed once for all of them, and their hash rows are finished together in
-one array of at most _BLOCK words.
+one array of at most _BLOCK words (a group's normal rows: at most 10922).
 """
 
 from __future__ import annotations
@@ -268,10 +268,10 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     blocks nor the grouping of points moves a count.  Only the uniform rows
     the rules read (the most `decide.draws`) are computed; draw k depends on
     h and k alone, so they hold the same values however many rows exist.
-    At each point the normal rows are made once, with the most
-    `decide.normals` any rule there declares, and not at all (z is None)
-    where none declares any.  Several rules may share a point index: each
-    distinct point's hash row, symbol word, uniform and normal rows are
+    The normal rows are made once per block group of points, with the most
+    `decide.normals` any rule of the call declares (0 rows, and no Box-Muller
+    work, when none declares any).  Several rules may share a point index:
+    each distinct point's hash row, symbol word, uniform and normal rows are
     finished once, and every rule at that point reads the same columns.
     Those arrays are read-only, so a rule that writes into its inputs raises
     ValueError instead of moving another rule's count.  Distinct points
@@ -287,8 +287,7 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     for r, (p, decide) in enumerate(rules):
         readers.setdefault(p, []).append((r, decide))
     points = list(readers)
-    # normal rows each point makes: the most its rules read
-    normal_rows = [max(decide.normals for _, decide in readers[p]) for p in points]
+    normal_rows = max(decide.normals for _, decide in rules)
     prefixes = np.array([[_prefix_hash(master_seed, p)] for p in points], dtype=np.uint64)
     per_block = _block_trials(draws)
     stop = start + count
@@ -296,14 +295,14 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
     for lo in range(start, stop, per_block):
         trials = np.arange(lo, min(lo + per_block, stop), dtype=np.uint64)
         trials += np.uint64(_GAMMA)
-        z = _mix64_inplace(trials)
-        n = len(z)
+        mixed = _mix64_inplace(trials)
+        n = len(mixed)
         group = per_block // n
         # whole groups of hash rows, as many as fit the _BLOCK word budget,
         # are finished in one array
         rows = group * (_BLOCK // (group * n))
         for c in range(0, len(points), rows):
-            hashes = _finish_hash(z ^ prefixes[c : c + rows])
+            hashes = _finish_hash(mixed ^ prefixes[c : c + rows])
             for g in range(c, min(c + rows, len(points)), group):
                 hg = hashes[g - c : g - c + group].reshape(-1)
                 words = np.empty((draws + 1, len(hg)), dtype=np.uint64)
@@ -312,13 +311,11 @@ def count_errors(rules, n_symbols: int, master_seed: int, start: int, count: int
                 _mix64_inplace(words)
                 i = (h & mask).astype(np.intp)
                 u = uniforms(words[1:])
-                i.flags.writeable = u.flags.writeable = False
+                z = normals(u, normal_rows) if normal_rows else np.empty((0, len(hg)))
+                i.flags.writeable = u.flags.writeable = z.flags.writeable = False
                 for j in range(g, min(g + group, len(points))):
                     cols = slice((j - g) * n, (j - g + 1) * n)
-                    ic, uc, zc = i[cols], u[:, cols], None
-                    if normal_rows[j]:
-                        zc = normals(uc, normal_rows[j])
-                        zc.flags.writeable = False
+                    ic, uc, zc = i[cols], u[:, cols], z[:, cols]
                     for r, decide in readers[points[j]]:
                         errors[r] += int(np.count_nonzero(decide(ic, uc, zc) != ic))
     return errors

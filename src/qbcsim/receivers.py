@@ -1,9 +1,9 @@
 """Decision procedures for the heterodyne, parametric-amplifier, and SFG receivers.
 
-The heterodyne receiver averages complex envelope samples and picks the nearest
-constellation point.  The PA receiver picks the nearest expected value of the
-phase-sensitive cross-correlation statistic O = a_I a_R + a_I^dag a_R^dag
-averaged over the M mode pairs.  The SFG receiver is simulated at the
+The heterodyne and PA receivers are one nearest-point rule: each averages a
+Gaussian statistic over the M mode pairs (the complex envelope, or the real
+phase-sensitive cross-correlation O = a_I a_R + a_I^dag a_R^dag) and picks
+the nearest expected value.  The SFG receiver is simulated at the
 photon-bookkeeping level: the return-idler correlation is converted cycle by
 cycle into a coherent amplitude read out by photon counting, after a two-mode
 squeeze nulls one hypothesis.
@@ -23,7 +23,7 @@ import cmath
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class ReceiverKind(enum.Enum):
 class ReceiverSpec:
     """Receiver selection plus the SFG tunables, checked when built.
 
+    Another kind with a tunable off its default raises ValueError: no rule reads it.
     sfg_tau must be None (use the default tap 0.01/N_Z) or finite and > 0, and
     sfg_capture_eps must lie in (0, 1).  The checks that need the background
     N_Z are made by `sfg_cycles`: tau N_Z <= 0.1, tau (1 + N_Z) < 1, and a
@@ -53,6 +54,9 @@ class ReceiverSpec:
     include_thermal_residual: bool = False
 
     def __post_init__(self):
+        for f in fields(self)[1:]:
+            if self.kind is not ReceiverKind.SFG and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} applies only to the sfg receiver")
         if self.sfg_tau is not None and not (math.isfinite(self.sfg_tau) and self.sfg_tau > 0):
             raise ValueError(f"sfg_tau must be finite and > 0, got {self.sfg_tau!r}")
         if not 0.0 < self.sfg_capture_eps < 1.0:
@@ -283,7 +287,7 @@ def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
         spent /= rates
     np.floor(spent, out=spent)
     spent += 1.0
-    for j in range(1, n):
+    for j in range(1, n):  # np.cumsum(axis=0) gives the same bits, slower on short wide rows
         spent[j] += spent[j - 1]
     held = (spent <= modes_budget).sum(axis=0)
     return np.minimum(held, n - 1, out=held)
@@ -291,7 +295,7 @@ def sequential_click_test(rates, modes_budget: int, u) -> np.ndarray:
 
 def point_decider(
     cp: ChannelParams, a: Alphabet, spec: ReceiverSpec
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """The receiver's rule at one operating point: decide(i, u, z) -> index[n].
 
     The receiver's only decision path, run by the Monte Carlo harness and
@@ -302,17 +306,18 @@ def point_decider(
     the leading rows of uniforms u it reads (`montecarlo.uniforms`), and
     `decide.normals`, the leading rows of z it reads: the Box-Muller normal
     rows r cos theta, r sin theta of u[0] and u[1] (`montecarlo.normals`),
-    so a normal reader declares at least 2 draws.  z is None where no rule
-    at the point declares normals.  u and z may hold more rows than a rule
-    declares: the rows it reads hold the same values either way.
+    so a normal reader declares at least 2 draws.  u and z may hold more
+    rows than a rule declares (z has 0 rows where no rule reads normals):
+    the rows it reads hold the same values either way.
 
     Everything that depends only on the point is computed here once; each
     call then draws every trial's decision statistic for its true symbol
     from its law, using that trial's columns, and applies the rule.
-    The heterodyne envelope is the M-sample average, complex Gaussian with
-    per-quadrature deviation `envelope_sd`: draws 2, normals 2.  The PA
-    statistic is Normal(mean, N_Z / M) (bright-background per-copy variance
-    N_Z), from z[0]: draws 2, normals 1.
+    Heterodyne and PA are one nearest-point rule, x = points[i] plus sd z[0]
+    on the real and sd z[1] on the imaginary quadrature: the M-sample average
+    envelope over the complex symbol points with `envelope_sd`, draws 2,
+    normals 2; the PA statistic over the real `pa_decision_grid` with
+    sqrt(N_Z / M) (bright-background per-copy variance N_Z), draws 2, normals 1.
     The zero-photon test (two symbols) nulls `sfg_null_symbol` and declares
     it iff u[0] < sfg_no_click_probability: draws 1, normals 0.  The QPSK
     test enters the cyclic hypothesis order at offset v = floor(4 u[0]),
@@ -321,7 +326,8 @@ def point_decider(
     come from the entry-offset table R[j, t, v] = rows[t, (v + j) % 4], the
     rate of the j-th hypothesis tested for true symbol t: a trial reads
     column R[:, t, v] and declares (v + held) % 4, held being the index the
-    click test returns.
+    click test returns.  That test reads only `sfg_count_rate`, so SFG-QPSK
+    with include_thermal_residual raises UnsupportedAlphabetError.
 
     Building a rule costs 2-25 us per point at N_Z = 100, the most for the
     SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each
@@ -329,30 +335,25 @@ def point_decider(
     channel quantity a rule needs (the PA grid, the thermal residual) is read
     from the closed-form `return_idler_moments`.
     """
-    if spec.kind is ReceiverKind.HETERODYNE:
-        points = np.array([s.complex_point() for s in a.symbols])
-        sd = envelope_sd(cp)
+    if spec.kind is not ReceiverKind.SFG:
+        if spec.kind is ReceiverKind.HETERODYNE:
+            points, sd = np.array([s.complex_point() for s in a.symbols]), envelope_sd(cp)
+        else:
+            points, sd = np.array(pa_decision_grid(a, cp)), math.sqrt(cp.N_Z / cp.M)
+        quadratures = 2 if np.iscomplexobj(points) else 1
 
         def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
             x = points[i]
             x.real += sd * z[0]
-            x.imag += sd * z[1]
+            if quadratures == 2:
+                x.imag += sd * z[1]
             return _nearest_index(x, points)
 
-        decide.draws, decide.normals = 2, 2
-
-    elif spec.kind is ReceiverKind.PA:
-        grid = np.array(pa_decision_grid(a, cp))
-        sd = math.sqrt(cp.N_Z / cp.M)
-
-        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-            x = sd * z[0]
-            x += grid[i]
-            return _nearest_index(x, grid)
-
-        decide.draws, decide.normals = 2, 1
+        decide.draws, decide.normals = 2, quadratures
 
     elif a.kind is AlphabetKind.QPSK:
+        if spec.include_thermal_residual:
+            raise UnsupportedAlphabetError("SFG-QPSK has no thermal residual (PAM, BPSK only)")
         points = np.array([s.complex_point() for s in a.symbols])
         n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
@@ -361,7 +362,7 @@ def point_decider(
         # table[j, n t + v] = rows[t, (v + j) % n], the entry-offset table R
         table = rows[:, (offsets + offsets[:, None]) % n].transpose(1, 0, 2).reshape(n, n * n)
 
-        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
             v = (n * u[0]).astype(np.intp)  # u > 0, so the cast floors
             held = sequential_click_test(np.take(table, n * i + v, axis=1), cp.M, u[1:])
             held += v
@@ -374,7 +375,7 @@ def point_decider(
         null = int(a.symbols[1] is null_symbol)  # by identity: at eta = 0 the PAM symbols are equal
         p_no_click = np.array([sfg_no_click_probability(cp, s, null_symbol, spec) for s in a.symbols])
 
-        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+        def decide(i: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
             return np.where(u[0] < p_no_click[i], null, 1 - null)
 
         decide.draws, decide.normals = 1, 0

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def _reference_errors(decide, n_symbols, master_seed, point_index, count):
     words = _mix64_inplace(np.vstack([h ^ _SYMBOL_SALT, h + steps]))
     i = (words[0] & np.uint64(n_symbols - 1)).astype(np.intp)
     u = uniforms(words[1:])
-    z = normals(u, decide.normals) if decide.normals else None
+    z = normals(u, decide.normals) if decide.normals else np.empty((0, count))
     return int(np.count_nonzero(decide(i, u, z) != i))
 
 
@@ -305,29 +306,35 @@ def test_grouped_blocks_match_per_point_counts(receiver, alphabet, draws, shape)
 def test_block_words_stay_below_mmap_threshold(draws):
     """A block's word array, the hash row and `draws` uniform rows, holds at
     least one trial and at most 128 KiB: glibc maps larger allocations afresh,
-    so such a block and each same-sized temporary page-faults every time."""
+    so such a block and each same-sized temporary page-faults every time.  A
+    block group's normal rows, 2 for a reader of 2 or more draws, are held to
+    the same budget: at most 2 x _block_trials(2) = 10922 words."""
     per_block = _block_trials(draws)
     limit = 128 * 1024
     assert per_block >= 1
     assert (draws + 1) * per_block * 8 <= limit, (
         f"{draws + 1} rows x {per_block} trials exceed 128 KiB, glibc's mmap "
         "threshold: every block allocation would page-fault")
-    widths = []
+    widths, normal_words = [], []
 
     def spy(i, u, z):
         widths.append((u.base if u.base is not None else u).shape[-1])
+        normal_words.append((z.base if z.base is not None else z).size)
         return i
 
-    spy.draws, spy.normals = draws, 0
+    spy.draws, spy.normals = draws, 2 if draws >= 2 else 0
     count_errors([(p, spy) for p in range(9)], 2, 5, 0, 1000)
     count_errors([(0, spy)], 2, 5, 0, 3 * per_block + 1)
     assert 0 < (draws + 1) * max(widths) * 8 <= limit
+    assert max(normal_words) == spy.normals * per_block <= 2 * _block_trials(2) == 10922
+    assert max(normal_words) * 8 <= limit
 
 
 #: per-point error counts at master seed 20261018 over 2^16 + 4321 trials per
 #: point (N_S = 0.01, N_Z = 100, M = 1e6, s = 0.5, 1, 2).  They pin the trial
 #: stream: any change to the hash, the draws or a rule that moves a count
-#: must edit this table and say why.
+#: must edit this table and say why.  SFG-QPSK with the thermal residual
+#: records the error its build raises: its click test has no residual.
 _GOLDEN_COUNTS = {
     (ReceiverKind.HETERODYNE, AlphabetKind.PAM, False): (21638, 16841, 10817),
     (ReceiverKind.HETERODYNE, AlphabetKind.BPSK, False): (11120, 5414, 1623),
@@ -339,21 +346,27 @@ _GOLDEN_COUNTS = {
     (ReceiverKind.SFG, AlphabetKind.BPSK, False): (4926, 667, 11),
     (ReceiverKind.SFG, AlphabetKind.BPSK, True): (5945, 1769, 1260),
     (ReceiverKind.SFG, AlphabetKind.QPSK, False): (32480, 16992, 3743),
-    (ReceiverKind.SFG, AlphabetKind.QPSK, True): (32480, 16992, 3743),
+    (ReceiverKind.SFG, AlphabetKind.QPSK, True): UnsupportedAlphabetError,
 }
 
 
 @pytest.mark.parametrize("receiver,alphabet,residual", list(_GOLDEN_COUNTS))
 def test_error_counts_are_pinned(receiver, alphabet, residual):
     """Every supported receiver/alphabet pair reproduces its recorded counts
-    over a trial range that crosses block boundaries."""
+    over a trial range that crosses block boundaries, and an unsupported
+    setting raises its recorded error when the config is built."""
     n = (1 << 16) + 4321
     assert n > _BLOCK
     spec = ReceiverSpec(kind=receiver, include_thermal_residual=residual)
-    cfg = _config(receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0, M=1_000_000,
-                  sweep=(0.5, 1.0, 2.0), trials_per_point=n, master_seed=20261018)
-    got = tuple(pt.errors for pt in run_experiment(cfg).points)
-    assert got == _GOLDEN_COUNTS[receiver, alphabet, residual]
+    build = partial(_config, receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0,
+                    M=1_000_000, sweep=(0.5, 1.0, 2.0), trials_per_point=n,
+                    master_seed=20261018)
+    expected = _GOLDEN_COUNTS[receiver, alphabet, residual]
+    if not isinstance(expected, tuple):
+        with pytest.raises(expected):
+            build()
+        return
+    assert tuple(pt.errors for pt in run_experiment(build()).points) == expected
 
 
 def _link_config(receiver, alphabet, M=1_000_000, **overrides):
@@ -429,10 +442,12 @@ def test_rules_sharing_a_point_count_as_alone(alphabet, rx_draws):
         assert got == _reference_errors(decide, n_symbols, 99, p, n), (p, decide.draws)
 
 
-def test_normal_rows_are_made_once_per_reading_point(monkeypatch):
-    """The engine makes each point's normal rows once, with the most rows its
-    rules read: 1 at a PA-only point, 2 at a point with a heterodyne rule,
-    where the PA rule reads the same rows, and none at an SFG-only point."""
+def test_normal_rows_are_made_once_per_block_group(monkeypatch):
+    """The engine makes the normal rows once per block group of points, with
+    the most rows any rule of the call reads, so z always holds rows: 2 when
+    the call has a heterodyne rule, where the PA rule reads the first of the
+    same rows, 1 for a PA-only call and none for an SFG-only call.  At 1000
+    trials and 2 draws, 5 points share a block group."""
     made = []
 
     def spy(u, rows):
@@ -441,10 +456,17 @@ def test_normal_rows_are_made_once_per_reading_point(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "normals", spy)
     het, pa, sfg, _ = (cfg.rules[0] for cfg in _binary_configs([31] * 4))
-    rules = [(0, pa), (1, het), (1, pa), (2, sfg)]
-    counts = count_errors(rules, 2, 31, 0, 1000)
-    assert made == [(1, 1000), (2, 1000)]
-    assert counts == [count_errors([rule], 2, 31, 0, 1000)[0] for rule in rules]
+    assert _block_trials(2) // 1000 == 5
+    mixed = [(0, pa), (1, het), (1, pa)] + [(p, sfg) for p in range(2, 7)]
+    for rules, groups in (
+        (mixed, [(2, 5000), (2, 2000)]),
+        ([(p, pa) for p in range(3)], [(1, 3000)]),
+        ([(p, sfg) for p in range(3)], []),
+    ):
+        made.clear()
+        counts = count_errors(rules, 2, 31, 0, 1000)
+        assert made == groups
+        assert counts == [count_errors([rule], 2, 31, 0, 1000)[0] for rule in rules]
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -485,7 +507,9 @@ def test_rules_cannot_write_shared_inputs():
         rule.draws, rule.normals = draws, normal_rows
         with pytest.raises(ValueError):
             count_errors([(0, rule)], 2, 5, 0, 1000)
-    for receiver, alphabet, residual in _GOLDEN_COUNTS:
+    for (receiver, alphabet, residual), counts in _GOLDEN_COUNTS.items():
+        if not isinstance(counts, tuple):
+            continue  # the build raises
         spec = ReceiverSpec(kind=receiver, include_thermal_residual=residual)
         cfg = _config(receiver=spec, alphabet_kind=alphabet, N_S=0.01, N_Z=100.0, M=1_000_000,
                       sweep=(0.0, 0.5, 1.0))

@@ -379,7 +379,7 @@ def _decisions(cp, a, spec, true_index, rng):
     indices, trial t reading the t-th run of QPSK_DRAWS raw words from `rng`."""
     i = np.asarray(true_index)
     u = uniforms(rng.bit_generator.random_raw((len(i), QPSK_DRAWS)).T)
-    return point_decider(cp, a, spec)(i, u, None)
+    return point_decider(cp, a, spec)(i, u, np.empty((0, len(i))))
 
 
 def test_zero_photon_null_hypothesis_always_correct():
@@ -443,7 +443,8 @@ def test_zero_photon_threshold_is_no_click_probability(kind, residual, eta):
     for k, s in enumerate(a.symbols):
         p = sfg_no_click_probability(cp, s, null_symbol, spec)
         u = np.array([[math.nextafter(p, 0.0), p]])
-        assert decide(np.array([k, k]), u, None).tolist() == [null, 1 - null], (k, p)
+        declared = decide(np.array([k, k]), u, np.empty((0, 2)))
+        assert declared.tolist() == [null, 1 - null], (k, p)
 
 
 def test_zero_photon_rejects_qpsk():
@@ -491,8 +492,9 @@ _DECLARED_DRAWS = [
     (ReceiverKind.HETERODYNE, "qpsk", False, 2),
     (ReceiverKind.PA, "bpsk", False, 2),
     (ReceiverKind.PA, "pam", False, 2),
-    *[(ReceiverKind.SFG, alphabet, residual, QPSK_DRAWS if alphabet == "qpsk" else 1)
-      for alphabet in ("pam", "bpsk", "qpsk") for residual in (False, True)],
+    *[(ReceiverKind.SFG, alphabet, residual, 1)
+      for alphabet in ("pam", "bpsk") for residual in (False, True)],
+    (ReceiverKind.SFG, "qpsk", False, QPSK_DRAWS),
 ]
 #: normal rows each receiver's rule reads
 _NORMAL_ROWS = {ReceiverKind.HETERODYNE: 2, ReceiverKind.PA: 1, ReceiverKind.SFG: 0}
@@ -503,7 +505,7 @@ def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
     """A rule declares how many leading rows of uniforms and of normals it
     reads; the Monte Carlo engine computes only those.  Overwriting the later
     rows of either with NaN, or leaving them out, must not change a single
-    decision, and a rule that declares no normals runs without them."""
+    decision, and a rule that declares no normals runs on 0 normal rows."""
     cp = _cp(eta=0.02, M=100_000)
     a = {"pam": make_alphabet_pam(0.0, cp.eta), "bpsk": make_alphabet_bpsk(cp.eta),
          "qpsk": make_alphabet_qpsk(cp.eta)}[alphabet]
@@ -521,8 +523,7 @@ def test_point_rule_reads_only_declared_rows(kind, alphabet, residual, draws):
     poisoned_u, poisoned_z = u.copy(), z.copy()
     poisoned_u[draws:] = poisoned_z[normal_rows:] = np.nan
     assert np.array_equal(decide(i, poisoned_u, poisoned_z), full)
-    read_z = z[:normal_rows].copy() if normal_rows else None
-    assert np.array_equal(decide(i, u[:draws].copy(), read_z), full)
+    assert np.array_equal(decide(i, u[:draws].copy(), z[:normal_rows].copy()), full)
 
 
 def test_sequential_click_test_survival_law():
@@ -579,6 +580,19 @@ def test_receiver_spec_checks_tunables_when_built():
     for eps in (0.0, 1.0, 2.0, math.nan):
         with pytest.raises(ValueError):
             ReceiverSpec(kind=ReceiverKind.SFG, sfg_capture_eps=eps)
+
+
+@pytest.mark.parametrize("kind", [ReceiverKind.HETERODYNE, ReceiverKind.PA])
+@pytest.mark.parametrize("name,value", [
+    ("sfg_tau", 1e-5), ("sfg_capture_eps", 0.01), ("include_thermal_residual", True),
+])
+def test_sfg_tunables_are_rejected_on_other_receivers(kind, name, value):
+    """No heterodyne or PA rule reads an SFG tunable, so a spec that sets one
+    off its default is refused by name instead of running as the plain
+    receiver.  The defaults, passed explicitly, are accepted."""
+    with pytest.raises(ValueError, match=f"^{name} applies only to the sfg receiver"):
+        ReceiverSpec(kind=kind, **{name: value})
+    ReceiverSpec(kind=kind, sfg_tau=None, sfg_capture_eps=1e-3, include_thermal_residual=False)
 
 
 def test_count_rate_at_tiny_tau_is_closed_form():
