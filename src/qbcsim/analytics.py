@@ -12,27 +12,26 @@ so receivers are compared by exponent ratios independent of the alphabet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .link import Alphabet, AlphabetKind, UnsupportedAlphabetError, min_squared_distance
 
 
-@dataclass(frozen=True)
-class EpBound:
+class EpBound(NamedTuple("EpBound", [("value", float), ("exponent", float)])):
     """A bound on the average symbol error probability.
 
     value is the bound itself (clamped to [0, 1]); exponent is the coefficient
     of d^2 N_S M / N_Z in -ln P.
     """
 
-    value: float
-    exponent: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"bound value must lie in [0, 1], got {self.value}")
-        if self.exponent < 0.0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
+    def __new__(cls, value: float, exponent: float):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"bound value must lie in [0, 1], got {value}")
+        if exponent < 0.0:
+            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        return super().__new__(cls, value, exponent)
 
 
 def erfc_eval(x: float) -> float:

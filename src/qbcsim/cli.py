@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -169,14 +168,13 @@ def cmd_bounds(args) -> int:
 
 
 #: BerCurvePoint's fields: the csv columns and the json keys, in order
-_POINT_FIELDS = tuple(f.name for f in fields(BerCurvePoint))
+_POINT_FIELDS = BerCurvePoint._fields
 
 
 def _curve_csv(curve: BerCurve) -> str:
     lines = [",".join(_POINT_FIELDS)]
     for pt in curve.points:
-        values = vars(pt).values()  # in _POINT_FIELDS order
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values))
+        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in pt))
     return "\n".join(lines) + "\n"
 
 
@@ -219,7 +217,7 @@ def cmd_simulate(args) -> int:
             "receiver": exp.receiver.kind.value,
             "alphabet": exp.alphabet_kind.value,
             "seed": exp.master_seed,
-            "points": [vars(pt) for pt in curve.points],  # keys: _POINT_FIELDS, in order
+            "points": [pt._asdict() for pt in curve.points],
         }
         nonzero = [pt for pt in curve.points if pt.empirical_ber > 0]
         if len(nonzero) >= 3:

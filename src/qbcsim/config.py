@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .link import AlphabetKind
 from .montecarlo import ExperimentConfig
@@ -76,8 +76,7 @@ def parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(lo + k * step for k in range(n))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed configuration: named experiments plus output settings."""
 
     experiments: tuple[tuple[str, ExperimentConfig], ...]

@@ -11,7 +11,7 @@ Sampling takes an explicit numpy Generator; there is no hidden global RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,8 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(NamedTuple("GaussianState", [("n_modes", int), ("mean", np.ndarray),
+                                                  ("cov", np.ndarray)])):
     """Mean vector and covariance matrix of an n-mode Gaussian state.
 
     Attributes:
@@ -38,16 +38,14 @@ class GaussianState:
         cov: real symmetric 2n x 2n quadrature covariance matrix.
     """
 
-    n_modes: int
-    mean: np.ndarray = field(repr=False)
-    cov: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"need at least one mode, got {self.n_modes}")
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        d = 2 * self.n_modes
+    def __new__(cls, n_modes: int, mean, cov):
+        if n_modes < 1:
+            raise ValueError(f"need at least one mode, got {n_modes}")
+        mean = np.asarray(mean, dtype=float).reshape(-1)
+        cov = np.asarray(cov, dtype=float)
+        d = 2 * n_modes
         if mean.shape != (d,):
             raise ValueError(f"mean must have length {d}, got {mean.shape}")
         if cov.shape != (d, d):
@@ -57,8 +55,8 @@ class GaussianState:
             raise ValueError("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * max(1.0, peak):
             raise ValueError("covariance matrix is not symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * cov + 0.5 * cov.T)  # no overflow near the float max
+        cov = 0.5 * cov + 0.5 * cov.T  # no overflow near the float max
+        return super().__new__(cls, n_modes, mean, cov)
 
     def check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.n_modes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gaussian import GaussianState
 
@@ -31,19 +32,18 @@ class AlphabetKind(enum.Enum):
     QPSK = "qpsk"
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple("Symbol", [("amplitude", float), ("phase", float)])):
     """One modulation symbol: field amplitude sqrt(eta) and phase in [0, 2pi)."""
 
-    amplitude: float
-    phase: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise ValueError(f"symbol amplitude must lie in [0, 1], got {self.amplitude}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"symbol phase must be finite, got {self.phase}")
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+    def __new__(cls, amplitude: float, phase: float):
+        if not 0.0 <= amplitude <= 1.0:
+            raise ValueError(f"symbol amplitude must lie in [0, 1], got {amplitude}")
+        if not math.isfinite(phase):
+            raise ValueError(f"symbol phase must be finite, got {phase}")
+        phase = float(phase) % TWO_PI  # a tiny negative phase rounds up to TWO_PI
+        return super().__new__(cls, amplitude, phase if phase < TWO_PI else 0.0)
 
     @property
     def eta(self) -> float:
@@ -118,32 +118,26 @@ def min_squared_distance(a: Alphabet) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(NamedTuple("ChannelParams", [("eta", float), ("phi", float), ("N_Z", float),
+                                                  ("M", int), ("N_S", float)])):
     """Effective channel parameters (eta, phi, N_Z, M) plus source brightness N_S."""
 
-    eta: float
-    phi: float
-    N_Z: float
-    M: int
-    N_S: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"round-trip transmissivity must lie in [0, 1], got {self.eta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"channel phase must be finite, got {self.phi}")
-        for name, value in (("thermal occupancy", self.N_Z), ("source brightness", self.N_S)):
+    def __new__(cls, eta: float, phi: float, N_Z: float, M: int, N_S: float):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"round-trip transmissivity must lie in [0, 1], got {eta}")
+        if not math.isfinite(phi):
+            raise ValueError(f"channel phase must be finite, got {phi}")
+        for name, value in (("thermal occupancy", N_Z), ("source brightness", N_S)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.M < 1:
-            raise ValueError(f"mode-pair count must be >= 1, got {self.M}")
+        if M < 1:
+            raise ValueError(f"mode-pair count must be >= 1, got {M}")
+        return super().__new__(cls, eta, phi, N_Z, M, N_S)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Physical link-budget quantities feeding the effective channel parameters."""
-
+class _LinkBudgetFields(NamedTuple):
     G_t: float
     G_r: float
     omega: float  # rad/s
@@ -155,13 +149,21 @@ class LinkBudget:
     T_s: float  # s
     varphi_tag: float = 0.0  # rad
 
-    def __post_init__(self):
+
+class LinkBudget(_LinkBudgetFields):
+    """Physical link-budget quantities feeding the effective channel parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("G_t", "G_r", "omega", "R_t", "R_r", "sigma_Q", "T", "W", "T_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.varphi_tag):
             raise ValueError(f"varphi_tag must be finite, got {self.varphi_tag}")
+        return self
 
 
 def _finite(value: float, what: str) -> float:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +176,7 @@ class ExperimentConfig:
         return s * self.N_Z / (self.N_S * self.M)
 
 
-@dataclass(frozen=True)
-class BerCurvePoint:
+class BerCurvePoint(NamedTuple):
     s: float
     empirical_ber: float
     wilson_ci_low: float
@@ -186,8 +186,7 @@ class BerCurvePoint:
     errors: int
 
 
-@dataclass(frozen=True)
-class BerCurve:
+class BerCurve(NamedTuple):
     points: tuple[BerCurvePoint, ...]
 
 

@@ -23,7 +23,7 @@ import cmath
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,14 @@ class ReceiverKind(enum.Enum):
     SFG = "sfg"
 
 
-@dataclass(frozen=True)
-class ReceiverSpec:
+class _ReceiverSpecFields(NamedTuple):
+    kind: ReceiverKind
+    sfg_tau: float | None = None
+    sfg_capture_eps: float = 1e-3
+    include_thermal_residual: bool = False
+
+
+class ReceiverSpec(_ReceiverSpecFields):
     """Receiver selection plus the SFG tunables, checked when built.
 
     Another kind with a tunable off its default raises ValueError: no rule reads it.
@@ -48,19 +54,18 @@ class ReceiverSpec:
     cycle count K that is a finite number.
     """
 
-    kind: ReceiverKind
-    sfg_tau: float | None = None
-    sfg_capture_eps: float = 1e-3
-    include_thermal_residual: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self)[1:]:
-            if self.kind is not ReceiverKind.SFG and getattr(self, f.name) != f.default:
-                raise ValueError(f"{f.name} applies only to the sfg receiver")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, default in self._field_defaults.items():
+            if self.kind is not ReceiverKind.SFG and getattr(self, name) != default:
+                raise ValueError(f"{name} applies only to the sfg receiver")
         if self.sfg_tau is not None and not (math.isfinite(self.sfg_tau) and self.sfg_tau > 0):
             raise ValueError(f"sfg_tau must be finite and > 0, got {self.sfg_tau!r}")
         if not 0.0 < self.sfg_capture_eps < 1.0:
             raise ValueError(f"sfg_capture_eps must lie in (0, 1), got {self.sfg_capture_eps!r}")
+        return self
 
     def sfg_cycles(self, N_Z: float) -> tuple[float, float, int]:
         """The SFG loop at background N_Z: the tap tau, ln x of the per-cycle
@@ -126,8 +131,7 @@ def pa_decision_grid(a: Alphabet, cp: ChannelParams) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SfgBookkeeping:
+class SfgBookkeeping(NamedTuple):
     """Per-cycle photon bookkeeping of the SFG feed-forward loop.
 
     C0_sq is the per-hypothesis squared correlation entering the cycle

@@ -4,9 +4,13 @@ has one path (receivers builds no Gaussian state), it keeps every function
 the benchmark's tracer binds by name and every name its workloads and
 gates call, it looks up numpy's eigensolvers on numpy.linalg at each call,
 where that tracer counts them, its `__init__` re-exports nothing, and every
-definition no package code uses is one of a listed few, each with a reason."""
+definition no package code uses is one of a listed few, each with a reason.
+Its value records are NamedTuples, whose classes are built without generating
+code, apart from a listed few dataclasses, each with a reason, and no record
+takes an assignment."""
 
 import ast
+import dataclasses
 import importlib.util
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -14,6 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from qbcsim import analytics, config, gaussian, link, montecarlo, receivers
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "qbcsim").glob("*.py"))
@@ -348,3 +354,104 @@ def test_guard_catches_an_unused_definition():
     assert _unused_definitions(sources) == {
         "a.dead", "a.Kept.loop", "a.Gone", "a.Gone.make", "a.shadowed", "a.hidden", "b.run",
     }
+
+
+#: the package's dataclasses, each with why it is not a NamedTuple
+DATACLASSES = {
+    "montecarlo.ExperimentConfig": "its rules and bounds are derived fields, and tests call "
+                                   "dataclasses.replace, which re-derives them where "
+                                   "NamedTuple._replace would copy them",
+    "link.Alphabet": "len(a) is its symbol count, where a tuple's length is its field count",
+}
+
+
+def _dataclasses(sources: dict[str, str]) -> set[str]:
+    """`module.Class` of each class decorated with dataclass, bare or called,
+    by name or as an attribute."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                    found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_dataclasses_are_listed():
+    """A dataclass generates its methods with exec at import; every other
+    value record is a NamedTuple, so a new dataclass needs a listed reason."""
+    found = _dataclasses({path.stem: path.read_text() for path in SOURCES})
+    assert found == set(DATACLASSES), (
+        f"unlisted: {sorted(found - set(DATACLASSES))}, gone: {sorted(set(DATACLASSES) - found)}"
+    )
+
+
+def test_guard_catches_a_dataclass():
+    sources = {
+        "a": "import dataclasses\nfrom dataclasses import dataclass\n\n\n@dataclass\nclass A:\n"
+             "    x: int\n\n\n@dataclass(frozen=True)\nclass B:\n    x: int\n\n\n"
+             "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n\n\n"
+             "@functools.total_ordering\nclass D:\n    pass\n\n\nclass E(NamedTuple):\n    x: int\n",
+    }
+    assert _dataclasses(sources) == {"a.A", "a.B", "a.C"}
+
+
+def _records() -> dict[str, object]:
+    """One instance of each value record and dataclass of the package."""
+    cp = link.ChannelParams(0.01, 0.0, 100.0, 1000, 0.01)
+    spec = receivers.ReceiverSpec(receivers.ReceiverKind.SFG)
+    point = montecarlo.BerCurvePoint(0.5, 0.1, 0.05, 0.2, 0.3, 1000, 100)
+    return {
+        "link.Symbol": link.Symbol(0.1, 0.0),
+        "link.Alphabet": link.nominal_alphabet(link.AlphabetKind.BPSK, 0.01),
+        "link.ChannelParams": cp,
+        "link.LinkBudget": link.LinkBudget(*[1.0] * 9),
+        "analytics.EpBound": analytics.EpBound(0.5, 0.25),
+        "gaussian.GaussianState": gaussian.vacuum(1),
+        "receivers.ReceiverSpec": spec,
+        "receivers.SfgBookkeeping": receivers.sfg_bookkeeping(cp, 0.04, spec),
+        "montecarlo.BerCurvePoint": point,
+        "montecarlo.BerCurve": montecarlo.BerCurve((point,)),
+        "montecarlo.ExperimentConfig": montecarlo.ExperimentConfig(
+            link.AlphabetKind.BPSK, spec, 0.01, 100.0, 10**6, (0.5,), 1000, 7),
+        "config.RunConfig": config.RunConfig((), Path("out"), "csv"),
+    }
+
+
+def _assignments_refused(record) -> bool:
+    """Whether assigning a field of `record`, and a new attribute, both raise AttributeError."""
+    field = record._fields[0] if isinstance(record, tuple) else dataclasses.fields(record)[0].name
+    for name in (field, "extra"):
+        try:
+            setattr(record, name, None)
+        except AttributeError:
+            continue
+        return False
+    return True
+
+
+def test_records_are_immutable():
+    """Every public NamedTuple and dataclass of the package is in `_records`,
+    and none takes an assignment, to a field or to a new attribute."""
+    modules = (analytics, config, gaussian, link, montecarlo, receivers)
+    defined = {
+        f"{module.__name__.split('.')[1]}.{name}"
+        for module in modules
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and not name.startswith("_")
+        and (hasattr(cls, "_fields") or dataclasses.is_dataclass(cls))
+    }
+    records = _records()
+    assert set(records) == defined
+    mutable = [name for name, record in records.items() if not _assignments_refused(record)]
+    assert not mutable, f"records that take an assignment: {mutable}"
+
+
+def test_guard_catches_a_record_without_slots():
+    """A record subclass without `__slots__ = ()` has a __dict__ for new attributes."""
+    loose = type("Loose", (link.Symbol,), {})
+    assert not _assignments_refused(loose(0.1, 0.0))
+    assert _assignments_refused(link.Symbol(0.1, 0.0))

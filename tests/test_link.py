@@ -20,6 +20,8 @@ from qbcsim.gaussian import (
 )
 from qbcsim.link import (
     C_LIGHT,
+    TWO_PI,
+    Alphabet,
     AlphabetKind,
     ChannelParams,
     LinkBudget,
@@ -36,6 +38,7 @@ from qbcsim.link import (
     rtt_from_link_budget,
     thermal_occupancy,
 )
+from qbcsim.receivers import sfg_null_symbol
 
 
 def test_pam_ook():
@@ -456,6 +459,16 @@ def test_symbol_rejects_bad_amplitude():
         Symbol(1.2, 0.0)
     with pytest.raises(ValueError):
         Symbol(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("phase", [-1e-17, -5e-324])
+def test_symbol_phase_below_two_pi(phase):
+    """A tiny negative phase, whose remainder rounds up to 2 pi, becomes 0,
+    so BPSK's zero-photon test nulls the phase-pi symbol, not this one."""
+    assert phase % TWO_PI == TWO_PI
+    a = Alphabet((Symbol(0.5, phase), Symbol(0.5, math.pi)), AlphabetKind.BPSK)
+    assert a.symbols[0].phase == 0.0
+    assert sfg_null_symbol(a) is a.symbols[1]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
