@@ -4,6 +4,9 @@ Exit codes: 0 success; 2 usage or configuration error, including bad config
 input such as an unsupported receiver/alphabet pair in a config file (reported
 as file:line); 3 I/O failure, a closed stdout included; 4 unsupported
 combination asked for on the command line (``bounds --columns pa_qpsk``).
+`main` turns a ValueError or ArithmeticError raised by any subcommand into
+exit 2 and one stderr line, led by that subcommand's prefix ("bad sweep",
+"config error", "invalid link budget", "invalid security arguments").
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import classical_ep_lower_bound, eve_exponent_ratio, power_divider_penalty
-from .config import DEFAULT_SEED, FORMATS, ConfigError, load_config, parse_sweep
+from .config import DEFAULT_SEED, FORMATS, load_config, parse_sweep
 from .link import (
     AlphabetKind,
     LinkBudget,
@@ -32,8 +35,7 @@ from .link import (
     thermal_occupancy,
 )
 from .montecarlo import (
-    BerCurve, BerCurvePoint, analytic_bound_value, eve_random_phase_ber, fit_error_exponent,
-    run_experiments,
+    BerCurvePoint, analytic_bound_value, eve_random_phase_ber, fit_error_exponent, run_experiments,
 )
 from .receivers import ReceiverKind
 
@@ -73,6 +75,13 @@ def bound_table_row(s: float) -> dict[str, float]:
         kind = ReceiverKind.HETERODYNE if receiver == "het" else ReceiverKind(receiver)
         row[col] = analytic_bound_value(kind, nominal_alphabet(AlphabetKind(alphabet), 1.0), s, 1, 1.0)
     return row
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row: integers as str, floats by `_fmt`."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(out: str | Path, text: str) -> None:
@@ -143,20 +152,11 @@ def cmd_bounds(args) -> int:
         if col in columns[:k]:
             print(f"repeated bounds column {col!r}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        sweep = parse_sweep(args.sweep)
-    except ValueError as exc:
-        print(f"bad sweep: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = [{"s": s, **bound_table_row(s)} for s in sweep]
-    if args.format == "json":
-        text = _json([{k: row[k] for k in ["s", *columns]} for row in rows]) + "\n"
-    else:
-        lines = [",".join(["s", *columns])]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in ["s", *columns]))
-        text = "\n".join(lines) + "\n"
-    if args.out is None or args.out == "-":
+    header = ["s", *columns]
+    table = [[s, *map(bound_table_row(s).get, columns)] for s in parse_sweep(args.sweep)]
+    text = (_json([dict(zip(header, row)) for row in table]) + "\n" if args.format == "json"
+            else _csv(header, table))
+    if args.out == "-":
         sys.stdout.write(text)  # a closed stdout is reported by `main`
         return EXIT_OK
     try:
@@ -169,13 +169,6 @@ def cmd_bounds(args) -> int:
 
 #: BerCurvePoint's fields: the csv columns and the json keys, in order
 _POINT_FIELDS = BerCurvePoint._fields
-
-
-def _curve_csv(curve: BerCurve) -> str:
-    lines = [",".join(_POINT_FIELDS)]
-    for pt in curve.points:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in pt))
-    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -198,9 +191,6 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out else cfg.output_directory
     try:
@@ -231,7 +221,7 @@ def cmd_simulate(args) -> int:
         fmt = cfg.output_format if args.format is None else args.format
         path = out_dir / f"{name}.{fmt}"
         try:
-            _write_text(path, texts[-1] + "\n" if fmt == "json" else _curve_csv(curve))
+            _write_text(path, texts[-1] + "\n" if fmt == "json" else _csv(_POINT_FIELDS, curve.points))
         except OSError as exc:
             print(f"cannot write {path}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -256,28 +246,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_link_budget(args) -> int:
-    try:
-        lb = LinkBudget(
-            G_t=args.gt,
-            G_r=args.gr,
-            omega=2.0 * math.pi * args.f_hz,
-            R_t=args.rt,
-            R_r=args.rr,
-            sigma_Q=args.sigma_q,
-            T=args.temperature,
-            W=args.bandwidth,
-            T_s=args.symbol_time,
-            varphi_tag=args.tag_phase,
-        )
-        eta = rtt_from_link_budget(lb)
-        n_z = thermal_occupancy(lb.omega, lb.T)
-        m = mode_pairs(lb.W, lb.T_s)
-        r_total = lb.R_t + lb.R_r
-        phase_default = channel_phase(r_total, lb.varphi_tag, lb.omega)
-        phase_strict = channel_phase(r_total, lb.varphi_tag, lb.omega, strict=True)
-    except (ValueError, ArithmeticError) as exc:  # finite inputs can still overflow
-        print(f"invalid link budget: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    lb = LinkBudget(G_t=args.gt, G_r=args.gr, omega=2.0 * math.pi * args.f_hz, R_t=args.rt, R_r=args.rr,
+                    sigma_Q=args.sigma_q, T=args.temperature, W=args.bandwidth, T_s=args.symbol_time,
+                    varphi_tag=args.tag_phase)
+    eta = rtt_from_link_budget(lb)
+    n_z = thermal_occupancy(lb.omega, lb.T)
+    m = mode_pairs(lb.W, lb.T_s)
+    r_total = lb.R_t + lb.R_r
+    phase_default = channel_phase(r_total, lb.varphi_tag, lb.omega)
+    phase_strict = channel_phase(r_total, lb.varphi_tag, lb.omega, strict=True)
     print(f"eta = {_fmt(eta)}" + ("  (warning: exceeds 1, not physical)" if eta > 1 else ""))
     print(f"N_Z = {_fmt(n_z)}")
     print(f"M = {m}")
@@ -287,26 +264,22 @@ def cmd_link_budget(args) -> int:
 
 
 def cmd_security(args) -> int:
-    try:
-        ratio = eve_exponent_ratio()
-        print(f"legitimate/eavesdropper exponent ratio = {_fmt(ratio)}")
-        print(f"  ({10.0 * math.log10(ratio):.3g} dB; idler retention is the advantage)")
-        print("power-divider penalty (multiplier on the error exponent):")
-        for fraction in (1.0, 0.75, 0.5, 0.25):
-            penalty = power_divider_penalty(fraction)
-            note = "  <- negates the PA-receiver gain" if fraction == 0.5 else ""
-            print(f"  fraction kept {fraction:4.2f}: penalty {_fmt(penalty)}{note}")
-        if args.simulate:
-            rng = np.random.default_rng(args.seed)
-            ber = eve_random_phase_ber(args.eta, args.ns, args.m, args.nz, args.trials, rng)
-            se = math.sqrt(max(ber * (1 - ber), 1e-12) / args.trials)
-            print(
-                f"random-phase defense: eavesdropper BER = {ber:.5f} "
-                f"(+/- {se:.5f} SE over {args.trials} trials; 0.5 is chance)"
-            )
-    except (ValueError, ArithmeticError) as exc:  # a huge integer M overflows a float
-        print(f"invalid security arguments: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ratio = eve_exponent_ratio()
+    print(f"legitimate/eavesdropper exponent ratio = {_fmt(ratio)}")
+    print(f"  ({10.0 * math.log10(ratio):.3g} dB; idler retention is the advantage)")
+    print("power-divider penalty (multiplier on the error exponent):")
+    for fraction in (1.0, 0.75, 0.5, 0.25):
+        penalty = power_divider_penalty(fraction)
+        note = "  <- negates the PA-receiver gain" if fraction == 0.5 else ""
+        print(f"  fraction kept {fraction:4.2f}: penalty {_fmt(penalty)}{note}")
+    if args.simulate:
+        rng = np.random.default_rng(args.seed)
+        ber = eve_random_phase_ber(args.eta, args.ns, args.m, args.nz, args.trials, rng)
+        se = math.sqrt(max(ber * (1 - ber), 1e-12) / args.trials)
+        print(
+            f"random-phase defense: eavesdropper BER = {ber:.5f} "
+            f"(+/- {se:.5f} SE over {args.trials} trials; 0.5 is chance)"
+        )
     return EXIT_OK
 
 
@@ -325,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="write the analytic bound table over a sweep")
     p.add_argument("--sweep", default="0.1:20:100", help="s_min:s_max:n (default 0.1:20:100)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default="-", help="output path (default stdout)")
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument(
         "--columns",
@@ -334,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="accepted for interface uniformity; the table is deterministic")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, refused="bad sweep")
 
     p = sub.add_parser("simulate", help="run the experiments of a config file")
     p.add_argument("config", help="path to a key=value run configuration")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--seed", type=int, default=None, help="override every experiment seed")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, refused="config error")
 
     p = sub.add_parser("link-budget", help="effective channel parameters from physics")
     p.add_argument("--gt", type=float, required=True, help="transmit antenna gain")
@@ -356,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag-phase", type=float, default=0.0, dest="tag_phase", help="tag phase [rad]")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="accepted for interface uniformity; the calculator is deterministic")
-    p.set_defaults(func=cmd_link_budget)
+    p.set_defaults(func=cmd_link_budget, refused="invalid link budget")
 
     p = sub.add_parser("security", help="eavesdropping analytics")
     p.add_argument("--simulate", action="store_true", help="run the random-phase defense Monte Carlo")
@@ -366,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=10_000)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_security)
+    p.set_defaults(func=cmd_security, refused="invalid security arguments")
 
     return parser
 
@@ -380,6 +353,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except (ValueError, ArithmeticError) as exc:  # finite inputs can still overflow
+        print(f"{args.refused}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         if sys.stdout is sys.__stdout__:  # Python flushes it again at exit, which would fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

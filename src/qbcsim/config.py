@@ -13,7 +13,11 @@ and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in
 experiment, include_thermal_residual in an SFG-QPSK experiment (its sequential
 click test reads only sfg_count_rate), unsupported receiver/alphabet pairs (PA
 with QPSK), experiment names that are not safe file stems or repeat an earlier
-name, and bytes that are not UTF-8 are rejected with file:line diagnostics.
+name, an output directory containing a NUL byte, and bytes that are not UTF-8
+are rejected with file:line diagnostics.  An SFG tunable is refused outside an
+SFG experiment even when it is written at its default value: that presence
+rule is stricter than `ReceiverSpec`'s, which refuses only a non-default
+value, and it names the key's own line rather than the experiment's.
 
 Example::
 
@@ -211,6 +215,8 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     for name, header, values, lines in sections:
         if name == "output":
             output_directory = Path(values.get("directory", "."))
+            if "\0" in str(output_directory):  # no file system takes it, and mkdir would raise
+                raise ConfigError(str(path), lines["directory"], "output directory contains a NUL byte")
             output_format = values.get("format", "csv").strip().lower()
             if output_format not in FORMATS:
                 raise ConfigError(str(path), lines["format"], f"output format must be "

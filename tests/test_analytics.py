@@ -1,11 +1,13 @@
 """Closed-form bounds, exponent gains, erfc, and security calculators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qbcsim.analytics import (
+    EpBound,
     classical_ep_lower_bound,
     erfc_eval,
     eve_exponent_ratio,
@@ -223,3 +225,19 @@ def test_random_phase_control_is_the_heterodyne_engine(seed):
 def test_random_phase_rejects_few_trials():
     with pytest.raises(ValueError):
         eve_random_phase_ber(0.01, 0.01, 1000, 100.0, 100, np.random.default_rng(0))
+
+
+_BPSK = make_alphabet_bpsk(1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EpBound(1.5, 0.25), "bound value must lie in [0, 1], got 1.5"),
+    (lambda: EpBound(0.5, -1.0), "exponent must be >= 0, got -1.0"),
+    (lambda: classical_ep_lower_bound(_BPSK, 0.01, 1000, 0.0), "need N_Z > 0 and M >= 1"),
+    (lambda: pa_ep_upper_bound(_BPSK, 0.01, 0, 100.0), "need N_Z > 0 and M >= 1"),
+    (lambda: exponent_gain_db(EpBound(0.5, 0.0), EpBound(0.5, 1.0)),
+     "exponent gain needs strictly positive exponents"),
+], ids=["value-above-1", "negative-exponent", "zero-N_Z", "zero-M", "zero-exponent-gain"])
+def test_documented_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

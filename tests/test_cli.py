@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import qbcsim.cli as cli
 import qbcsim.montecarlo as montecarlo
 from qbcsim.cli import _POINT_FIELDS, _json, build_parser, main
 from qbcsim.config import ConfigError, load_config, parse_sweep
@@ -104,6 +105,9 @@ LINK_BUDGET_LINE = LINK_BUDGET_CONFIG.splitlines().index("[link_budget]") + 1
 
 #: line of the name key in GOOD_CONFIG
 NAME_LINE = GOOD_CONFIG.splitlines().index("name = sfg-bpsk") + 1
+
+#: line of the [output] directory key in GOOD_CONFIG
+DIRECTORY_LINE = GOOD_CONFIG.splitlines().index("directory = {outdir}") + 1
 
 #: GOOD_CONFIG with a second [experiment] block under the same name
 DUPLICATE_NAME_CONFIG = GOOD_CONFIG + GOOD_CONFIG[
@@ -304,6 +308,31 @@ def test_bounds_io_error(tmp_path):
 
 LINK_BUDGET_ARGV = ["link-budget", "--gt", "100", "--gr", "100", "--f-hz", "1e9", "--rt", "10",
                     "--rr", "10", "--sigma-q", "0.01", "--t", "290", "--w", "1e6", "--ts", "1e-3"]
+
+
+#: each subcommand's argv, the first callee it hands its input to, and the
+#: prefix of the stderr line with which `main` refuses that input
+_REFUSALS = {
+    "bounds": (["bounds"], "parse_sweep", "bad sweep"),
+    "simulate": (["simulate", "run.cfg"], "load_config", "config error"),
+    "link-budget": (LINK_BUDGET_ARGV, "LinkBudget", "invalid link budget"),
+    "security": (["security"], "eve_exponent_ratio", "invalid security arguments"),
+}
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+@pytest.mark.parametrize("command", list(_REFUSALS))
+def test_refused_input_exits_2_with_the_command_prefix(monkeypatch, capsys, command, error):
+    """A ValueError or ArithmeticError from any subcommand exits 2 with one
+    stderr line, led by that subcommand's prefix, and prints nothing."""
+    argv, callee, prefix = _REFUSALS[command]
+
+    def refuse(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, callee, refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"{prefix}: boom\n")
 
 
 class _ClosedStdout(io.StringIO):
@@ -740,6 +769,7 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (_plus("seed = 8"), PLUS_LINE),
         (GOOD_CONFIG[GOOD_CONFIG.index("[output]"):], 1),
         (GOOD_CONFIG.replace("sweep = 0.25:0.75:3", "sweep = 0:1:0"), EXPERIMENT_LINE),
+        (GOOD_CONFIG.replace("{outdir}", "o\0d"), DIRECTORY_LINE),
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
@@ -747,12 +777,13 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
          "pa-sfg-tau",
          "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual",
          "key-outside-section", "line-without-equals", "duplicate-key", "no-experiment",
-         "zero-point-sweep"],
+         "zero-point-sweep", "nul-in-directory"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)
     assert main(["simulate", str(cfgpath)]) == 2
     assert f"config error: {cfgpath}:{line}:" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(

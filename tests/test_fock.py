@@ -697,6 +697,8 @@ def test_operator_rejects_bad_arguments():
         poisoned[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             FockOperator(1, 4, poisoned, 0.0)
+    with pytest.raises(ValueError, match=r"matrix must be 4x4, got \(3, 3\)"):
+        FockOperator(1, 4, np.eye(3), 0.0)
 
 
 def test_unsqueezed_pair_is_exactly_diagonal():

@@ -1,6 +1,7 @@
 """Gaussian engine: construction, transforms, moments, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,19 @@ def test_non_finite_states_are_rejected(build):
     can warn or return a NaN state."""
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaussianState(0, [], [[]]), "need at least one mode, got 0"),
+    (lambda: GaussianState(1, [0.0], 0.5 * np.eye(2)), "mean must have length 2, got (1,)"),
+    (lambda: GaussianState(1, [0.0, 0.0], 0.5 * np.eye(3)), "cov must be 2x2, got (3, 3)"),
+    (lambda: mean_photon_number(vacuum(1), 1), "mode 1 out of range for 1 modes"),
+    (lambda: tmss(-0.1), "source brightness must be >= 0, got -0.1"),
+    (lambda: partial_trace(vacuum(2), [0, 0]), "duplicate mode indices in keep list"),
+    (lambda: phase_sensitive_correlation(vacuum(2), 1, 1),
+     "correlation is defined between distinct modes"),
+], ids=["zero-modes", "mean-length", "cov-shape", "mode-out-of-range", "negative-N_S",
+        "duplicate-keep", "same-mode-correlation"])
+def test_documented_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -482,3 +483,16 @@ def test_channel_params_reject_non_finite(field, value):
         ChannelParams(**{**good, field: value})
     with pytest.raises(ValueError, match="finite"):
         Symbol(0.1, value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Alphabet((), AlphabetKind.BPSK), "alphabet must contain at least one symbol"),
+    (lambda: make_alphabet_bpsk(0.0), "need 0 < eta <= 1, got 0.0"),
+    (lambda: min_squared_distance(Alphabet((Symbol(1.0, 0.0),), AlphabetKind.BPSK)),
+     "need at least two symbols"),
+    (lambda: mode_pairs(0.0, 1.0), "W and T_s must be positive"),
+    (lambda: channel_phase(-1.0, 0.0, 1e9), "distance must be >= 0, got -1.0"),
+], ids=["empty-alphabet", "zero-eta-bpsk", "one-symbol-distance", "zero-bandwidth", "negative-distance"])
+def test_documented_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, determinism, curves, exponent fits."""
 
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -698,3 +699,14 @@ def test_heterodyne_fast_path_matches_literal_sampling():
     literal = errors / trials
     se = math.sqrt(2 * max(fast, literal) * (1 - min(fast, literal)) / trials)
     assert abs(fast - literal) < 4 * se
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _config(sweep=()), "sweep must not be empty"),
+    (lambda: wilson_interval(5, 3), "need 0 <= errors <= trials with trials >= 1"),
+    (lambda: eve_random_phase_ber(0.01, 0.01, 1000, 100.0, 10_000, np.random.default_rng(1), "x"),
+     "unknown phase_dist 'x'"),
+], ids=["empty-sweep", "more-errors-than-trials", "unknown-phase-dist"])
+def test_documented_rejections(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

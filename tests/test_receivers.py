@@ -293,6 +293,11 @@ def test_bookkeeping_rejects_overdamped_tap():
         sfg_bookkeeping(_cp(N_Z=5.0), 0.01, _sfg_spec(sfg_tau=0.25))
 
 
+def test_count_rate_rejects_a_negative_distance():
+    with pytest.raises(ValueError, match="squared distance must be >= 0"):
+        sfg_count_rate(_cp(), -1.0, _sfg_spec())
+
+
 def test_bookkeeping_refuses_to_list_billions_of_cycles():
     """tau = 1e-11 needs K ~ 3.4e9 cycles and tau = 1e-300 about 3.4e298;
     the listing refuses at once and points to the closed-form rate."""
