@@ -353,15 +353,16 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:  # finite inputs can still overflow
-        print(f"{args.refused}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if not (getattr(sys.stdout, "closed", False) and "closed file" in str(exc)):
+            print(f"{args.refused}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     except BrokenPipeError:
         if sys.stdout is sys.__stdout__:  # Python flushes it again at exit, which would fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("cannot write output: stdout is closed", file=sys.stderr)
-        return EXIT_IO
-    return code
+    print("cannot write output: stdout is closed", file=sys.stderr)
+    return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -7,13 +7,13 @@ direct eigendecomposition.  It is intentionally limited to at most two modes
 and modest cutoffs; the asymptotic claims of the analytic bounds are checked
 elsewhere.
 
-A `FockOperator` is a spectrum (lam, V), V unitary per block, and the stack
-of blocks V diag(lam) V^dag derived from it.  A conversion produces the
-spectrum: a Gaussian state is a unitary V acting on a thermal diagonal lam,
-and `gaussian_to_fock` forms every stack from (lam, V) in one expression.  An
-operator given as a matrix is one whole block, solved once, when it is
-built.  Both oracles read the kept spectrum, so a converted pair costs one
-`eigvalsh`, of Helstrom's difference.
+A `FockOperator` is the record (stack, spectrum), made by one builder: a
+spectrum (lam, V), V unitary per block, and the stack of blocks V diag(lam)
+V^dag.  A conversion produces the spectrum: a Gaussian state is a unitary V
+acting on a thermal diagonal lam, and `gaussian_to_fock` forms every stack
+from (lam, V) in one expression.  An operator given as a matrix is one whole
+block, solved once, when it is built.  Both oracles read the kept spectrum,
+so a converted pair costs one `eigvalsh`, of Helstrom's difference.
 
 A two-mode state accepted here has phase-insensitive marginals and one
 cross-correlation <a0 a1>, so it commutes with n0 - n1, and so does a per-mode
@@ -21,10 +21,11 @@ cutoff: its matrix is exactly block-diagonal over the 2 dim - 1 sectors of
 fixed n0 - n1.  Each sector is padded with zeros to dim slots, so the sectors
 form one (2 dim - 1, dim, dim) stack, and only `gaussian_to_fock` makes
 such a stack: its spectrum comes from one squeeze spectrum per cutoff, its
-stack from batched matrix products, and the dim**2 x dim**2 matrix is built
-only when `.matrix` is read.  A one-mode operator, or one built from a
-matrix, is one whole block; a pair with such an operator is solved as one
-whole block.  Padded slots have eigenvalue 0, so the spectra are unchanged.
+stack from batched matrix products.  A one-mode operator, or one built from a
+matrix, is one whole block; against it a sector stack is solved again as one
+whole block.  `.matrix` is a block as it is, and a sector stack scattered
+afresh on each read, with no cache.  Padded slots have eigenvalue 0, so the
+spectra are unchanged.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def _require_finite(stack: np.ndarray, trace_deficit: float) -> None:
         raise ValueError("density matrix must be finite")
 
 
-class FockOperator:
+class FockOperator(NamedTuple("FockOperator", [("n_modes", int), ("dimension", int),
+                                                ("trace_deficit", float), ("stack", np.ndarray),
+                                                ("spectrum", tuple[np.ndarray, np.ndarray])])):
     """Density operator in a truncated number basis.
 
     dimension is the per-mode cutoff plus one; matrix has shape
@@ -119,17 +122,17 @@ class FockOperator:
     truncation.  The operator owns its data: the constructor copies `matrix`,
     and every array it keeps or hands out is read-only.
 
-    It keeps a stack of blocks and the PSD-checked spectrum of that stack.  A
-    given matrix is one whole block, checked to be Hermitian and solved here,
-    once.  Only `gaussian_to_fock` makes the (2 dim - 1, dim, dim) sector
-    stack of the module docstring, for a two-mode state, and it hands over
-    the spectrum it converts and the stack formed from it.  `.matrix` is
-    built from a sector stack on first read and kept.
+    It is the record of a stack of blocks and the PSD-checked spectrum (lam,
+    V) of that stack, made by one builder.  A given matrix is one whole
+    block, checked to be Hermitian and solved here, once; `gaussian_to_fock`
+    hands over the spectrum it converts and the stack formed from it.
+    `.matrix` of one block is that block, and of a sector stack is scattered
+    afresh on each read, with no cache.
     """
 
-    __slots__ = ("n_modes", "dimension", "trace_deficit", "_stack", "_matrix", "_eigh")
+    __slots__ = ()
 
-    def __init__(self, n_modes: int, dimension: int, matrix, trace_deficit: float):
+    def __new__(cls, n_modes: int, dimension: int, matrix, trace_deficit: float):
         if n_modes not in (1, 2):
             raise ValueError(f"n_modes must be 1 or 2, got {n_modes}")
         if dimension < 1:
@@ -144,34 +147,28 @@ class FockOperator:
         asym -= stack.transpose(0, 2, 1)
         if np.max(np.abs(asym)) > HERMITICITY_ATOL:
             raise ValueError("density matrix must be Hermitian")
-        self._fill(n_modes, dimension, stack, m, trace_deficit, *np.linalg.eigh(stack))
-
-    def _fill(self, n_modes, dimension, stack, matrix, trace_deficit, lam, vecs) -> None:
-        """Keeps the stack, its matrix (None to build it on first read) and
-        the PSD-checked spectrum stack = vecs diag(lam) vecs^dag, read-only."""
-        _require_psd(lam)
-        for a in (stack, matrix, lam, vecs):
-            if a is not None:
-                a.setflags(write=False)
-        fields = dict(n_modes=n_modes, dimension=dimension, trace_deficit=float(trace_deficit),
-                      _stack=stack, _matrix=matrix, _eigh=(lam, vecs))
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FockOperator is immutable: cannot set {name}")
+        return _operator(n_modes, dimension, stack, trace_deficit, *np.linalg.eigh(stack))
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense dimension**n_modes square matrix, read-only."""
-        if self._matrix is None:
-            sec = _sectors(self.dimension)
-            d = self.dimension**2
-            m = np.zeros((d, d), dtype=complex)
-            m.ravel()[sec.dense] = self._stack.ravel()[sec.stacked]
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
+        if len(self.stack) == 1:
+            return self.stack[0]
+        sec = _sectors(self.dimension)
+        d = self.dimension**2
+        m = np.zeros((d, d), dtype=complex)
+        m.ravel()[sec.dense] = self.stack.ravel()[sec.stacked]
+        m.setflags(write=False)
+        return m
+
+
+def _operator(n_modes, dimension, stack, trace_deficit, lam, vecs) -> FockOperator:
+    """The one builder: keeps the stack and its PSD-checked spectrum
+    stack = vecs diag(lam) vecs^dag, read-only."""
+    _require_psd(lam)
+    for a in (stack, lam, vecs):
+        a.setflags(write=False)
+    return FockOperator._make((n_modes, dimension, float(trace_deficit), stack, (lam, vecs)))
 
 
 def _blocks(rho0: FockOperator, rho1: FockOperator):
@@ -179,16 +176,17 @@ def _blocks(rho0: FockOperator, rho1: FockOperator):
 
     Two operators whose stored stacks have as many blocks (two sector stacks,
     or two whole matrices) give those stacks; a sector stack against a whole
-    matrix gives one block, both whole matrices.
+    matrix gives one block each: the whole matrix's own stack, whose spectrum
+    is kept, and the sector stack's `.matrix`.
     """
     if (rho0.n_modes, rho0.dimension) != (rho1.n_modes, rho1.dimension):
         raise ValueError(
             "operators must share a number of modes and a truncation dimension, got "
             f"{rho0.n_modes} x {rho0.dimension} and {rho1.n_modes} x {rho1.dimension}"
         )
-    if len(rho0._stack) == len(rho1._stack):
-        return rho0._stack, rho1._stack
-    return rho0.matrix[None], rho1.matrix[None]
+    if len(rho0.stack) == len(rho1.stack):
+        return rho0.stack, rho1.stack
+    return tuple(rho.stack if len(rho.stack) == 1 else rho.matrix[None] for rho in (rho0, rho1))
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -313,9 +311,7 @@ def gaussian_to_fock(state: GaussianState, n_max: int) -> FockOperator:
         stack[_sectors(dim).padded] = 0.0
     deficit = float(1.0 - stack[sector, slot, slot].sum().real)
     _require_finite(stack, deficit)
-    rho = FockOperator.__new__(FockOperator)
-    rho._fill(state.n_modes, dim, stack, stack[0] if state.n_modes == 1 else None, deficit, lam, vecs)
-    return rho
+    return _operator(state.n_modes, dim, stack, deficit, lam, vecs)
 
 
 def helstrom_oracle(rho0: FockOperator, rho1: FockOperator) -> float:
@@ -338,7 +334,7 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     0 for every s, s = 0 included."""
     b0, b1 = _blocks(rho0, rho1)
     (lam0, v0), (lam1, v1) = (
-        rho._eigh if b is rho._stack else _checked_eigh(b) for rho, b in ((rho0, b0), (rho1, b1))
+        rho.spectrum if b is rho.stack else _checked_eigh(b) for rho, b in ((rho0, b0), (rho1, b1))
     )
     keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
     w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2

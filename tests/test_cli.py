@@ -324,7 +324,8 @@ _REFUSALS = {
 @pytest.mark.parametrize("command", list(_REFUSALS))
 def test_refused_input_exits_2_with_the_command_prefix(monkeypatch, capsys, command, error):
     """A ValueError or ArithmeticError from any subcommand exits 2 with one
-    stderr line, led by that subcommand's prefix, and prints nothing."""
+    stderr line, led by that subcommand's prefix, and prints nothing; so does
+    one whose stdout is a closed file, as input is refused before any write."""
     argv, callee, prefix = _REFUSALS[command]
 
     def refuse(*args, **kwargs):
@@ -333,6 +334,9 @@ def test_refused_input_exits_2_with_the_command_prefix(monkeypatch, capsys, comm
     monkeypatch.setattr(cli, callee, refuse)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"{prefix}: boom\n")
+    monkeypatch.setattr(sys, "stdout", _closed_file())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 class _ClosedStdout(io.StringIO):
@@ -340,15 +344,24 @@ class _ClosedStdout(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
+def _closed_file():
+    """A closed file object, whose writes raise ValueError, not BrokenPipeError."""
+    out = io.StringIO()
+    out.close()
+    return out
+
+
 @pytest.mark.parametrize("command", ["bounds", "simulate", "link-budget", "security"])
 def test_closed_stdout_is_an_io_failure(tmp_path, capsys, monkeypatch, command):
-    """Every subcommand whose stdout is closed exits 3 with one stderr line,
-    not a BrokenPipeError traceback."""
+    """Every subcommand whose stdout is closed, a broken pipe or a closed file
+    object, exits 3 with one stderr line, not a traceback, and not as
+    refused input."""
     argv = {"bounds": ["bounds"], "simulate": ["simulate", str(_write_config(tmp_path))],
             "link-budget": LINK_BUDGET_ARGV, "security": ["security"]}[command]
-    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
-    assert main(argv) == 3
-    assert capsys.readouterr().err == "cannot write output: stdout is closed\n"
+    for stdout in (_ClosedStdout(), _closed_file()):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "cannot write output: stdout is closed\n"
 
 
 def test_closed_stdout_pipe_exits_3_with_one_line():

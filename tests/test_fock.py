@@ -500,7 +500,10 @@ def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
     order, make no eigh and one eigvalsh, of Helstrom's difference, and the
     Chernoff oracle alone solves nothing.  The same pair built from its
     matrices makes one eigh per operator when it is built, and the
-    oracles then make only Helstrom's eigvalsh."""
+    oracles then make only Helstrom's eigvalsh.  A converted operator against
+    one built from a matrix, in either order, makes Helstrom's eigvalsh and
+    one Chernoff eigh, of the converted one's matrix: the other keeps its own
+    spectrum."""
     cp = ChannelParams(eta=0.2, phi=0.4, N_Z=0.5, M=100, N_S=0.2)
     s0, s1 = Symbol(math.sqrt(cp.eta), 1.1), Symbol(0.3, 2.5)
     gaussian_to_fock(apply_channel(cp, s0), 17)
@@ -526,6 +529,13 @@ def test_converted_pair_solves_only_the_helstrom_difference(monkeypatch):
         for oracle in order:
             oracle(m0, m1)
         assert calls == {"eigh": 2, "eigvalsh": 1}, (order[0].__name__, calls)
+        monkeypatch.undo()
+    for pair in ((f0, m1), (m1, f0)):
+        calls = _count_eig_calls(monkeypatch)
+        helstrom_oracle(*pair)
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+        chernoff_exponent_oracle(*pair)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
         monkeypatch.undo()
 
 
@@ -610,12 +620,28 @@ def test_operator_owns_its_data():
     source[:] = 0.0
     assert (helstrom_oracle(copied, partner), chernoff_exponent_oracle(copied, partner)) == before
     for op in (rho, pair, copied, other, partner):
-        arrays = [op.matrix, _blocks(op, op)[0], *op._eigh]
+        arrays = [op.matrix, _blocks(op, op)[0], *op.spectrum]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.ravel()[0] = 1.0
         with pytest.raises(AttributeError):
             op.trace_deficit = 0.5
+
+
+def test_matrix_is_a_block_as_it_is_or_a_fresh_scatter():
+    """A one-block operator's `.matrix` is its stored block; a sector stack's
+    is scattered again on each read, read-only and the same bit for bit."""
+    dim = 4
+    one_block = [FockOperator(1, dim, np.diag([0.4, 0.3, 0.2, 0.1]), 0.0),
+                 gaussian_to_fock(thermal(0.3), dim - 1), FockOperator(2, 2, np.eye(4) / 4, 0.0)]
+    for op in one_block:
+        assert len(op.stack) == 1 and np.shares_memory(op.matrix, op.stack)
+    pair = gaussian_to_fock(_random_pipeline_state(np.random.default_rng(7)), 5)
+    first, second = pair.matrix, pair.matrix
+    assert first is not second and not np.shares_memory(first, pair.stack)
+    assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0
 
 
 def _wide_pipeline_states(rng, count):
@@ -664,9 +690,9 @@ def test_kept_spectrum_is_the_eigendecomposition_of_the_stack():
     operators += [FockOperator(1, 31, gaussian_to_fock(displaced, 30).matrix, 0.0),
                   FockOperator(2, 18, pipeline.matrix, pipeline.trace_deficit),
                   FockOperator(2, 12, np.kron(coh, coh), 0.0)]
-    assert [len(op._stack) for op in operators[-3:]] == [1, 1, 1]
+    assert [len(op.stack) for op in operators[-3:]] == [1, 1, 1]
     for k, rho in enumerate(operators):
-        lam, vecs = rho._eigh
+        lam, vecs = rho.spectrum
         stack = _blocks(rho, rho)[0]
         dim = rho.dimension
         assert lam.shape == stack.shape[:2] and vecs.shape == stack.shape
