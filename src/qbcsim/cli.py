@@ -265,7 +265,7 @@ def cmd_link_budget(args) -> int:
 
 def cmd_security(args) -> int:
     ratio = eve_exponent_ratio()
-    print(f"legitimate/eavesdropper exponent ratio = {_fmt(ratio)}")
+    print(f"SFG/coherent-probe heterodyne exponent ratio = {_fmt(ratio)}")
     print(f"  ({10.0 * math.log10(ratio):.3g} dB; idler retention is the advantage)")
     print("power-divider penalty (multiplier on the error exponent):")
     for fraction in (1.0, 0.75, 0.5, 0.25):

@@ -11,7 +11,7 @@ bad values (a sweep must be finite with s_min >= 0; N_S and N_Z finite and
 and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in
 (0, 1); a boolean include_thermal_residual), SFG tunables outside an SFG
 experiment, include_thermal_residual in an SFG-QPSK experiment (its sequential
-click test reads only sfg_count_rate), unsupported receiver/alphabet pairs (PA
+click test has no thermal floor), unsupported receiver/alphabet pairs (PA
 with QPSK), experiment names that are not safe file stems or repeat an earlier
 name, an output directory containing a NUL byte, and bytes that are not UTF-8
 are rejected with file:line diagnostics.  An SFG tunable is refused outside an

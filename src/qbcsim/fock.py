@@ -149,6 +149,9 @@ class FockOperator(NamedTuple("FockOperator", [("n_modes", int), ("dimension", i
             raise ValueError("density matrix must be Hermitian")
         return _operator(n_modes, dimension, stack, trace_deficit, *np.linalg.eigh(stack))
 
+    def __reduce__(self):  # copy and pickle rebuild through the builder, not the matrix constructor
+        return _operator, (self.n_modes, self.dimension, self.stack, self.trace_deficit, *self.spectrum)
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense dimension**n_modes square matrix, read-only."""
@@ -190,10 +193,7 @@ def _blocks(rho0: FockOperator, rho1: FockOperator):
 
 
 def _ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
 
 def _unitary_from_antihermitian(K: np.ndarray) -> np.ndarray:

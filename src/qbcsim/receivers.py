@@ -4,9 +4,9 @@ The heterodyne and PA receivers are one nearest-point rule: each averages a
 Gaussian statistic over the M mode pairs (the complex envelope, or the real
 phase-sensitive cross-correlation O = a_I a_R + a_I^dag a_R^dag) and picks
 the nearest expected value.  The SFG receiver is simulated at the
-photon-bookkeeping level: the return-idler correlation is converted cycle by
-cycle into a coherent amplitude read out by photon counting, after a two-mode
-squeeze nulls one hypothesis.
+photon-bookkeeping level: after a two-mode squeeze nulls one hypothesis, the
+surviving return-idler correlation (of `link.return_idler_moments`) is
+converted cycle by cycle into a coherent amplitude read out by photon counting.
 
 Each decision rule exists once, in `point_decider`: the array-form rule
 decide(i, u, z), the only decision path, which the Monte Carlo harness runs
@@ -151,15 +151,15 @@ def _c0_sq(cp: ChannelParams, symbol_distance_sq: float) -> float:
     return symbol_distance_sq * cp.N_S * (cp.N_S + 1.0) / 4.0
 
 
-def _cycle_sum(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
-    """Sum of n_b + n_E over the K cycles of spec.sfg_cycles(N_Z),
-    2 tau M C0_sq x^2 (1 - x^2K) / (1 - x^2).
+def _click_rate(cp: ChannelParams, dc_sq: float, spec: ReceiverSpec) -> float:
+    """Count rate at dc_sq = |c_true - c_null|^2, linear in it: 4 times the n_b + n_E
+    sum over the K cycles of spec.sfg_cycles(N_Z), 2 tau M dc_sq x^2 (1 - x^2K) / (1 - x^2).
     With 1 - x^2K = -expm1(2K ln x) and 1 - x^2 = tau (1 + N_Z) (1 + x), whose
     tau cancels, it costs the same and stays accurate for any tau and K."""
     _, log_x, K = spec.sfg_cycles(cp.N_Z)
     x = math.exp(log_x)
     captured = -math.expm1(2.0 * K * log_x)
-    return 2.0 * cp.M * _c0_sq(cp, symbol_distance_sq) * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
+    return 2.0 * cp.M * dc_sq * x * x * captured / ((1.0 + cp.N_Z) * (1.0 + x))
 
 
 #: most cycles `sfg_bookkeeping` lists (the default tap lists about 341 at N_Z = 100)
@@ -183,7 +183,7 @@ def sfg_bookkeeping(
     if K > MAX_LISTED_CYCLES:
         raise ValueError(f"K = {K} cycles is too many to list; sfg_count_rate is the closed form")
     n_b = [tau * cp.M * C0_sq * math.exp(2 * k * log_x) for k in range(1, K + 1)]
-    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _cycle_sum(cp, symbol_distance_sq, spec))
+    return SfgBookkeeping(C0_sq, tuple((n, n) for n in n_b), K, _click_rate(cp, 4.0 * C0_sq, spec) / 4.0)
 
 
 def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverSpec) -> float:
@@ -193,7 +193,7 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
     The nulling squeeze displaces the correlation of the tested hypothesis to
     zero, so the surviving amplitude is the full pairwise difference: its
     squared magnitude is 4 C0_sq, i.e. four times the per-hypothesis total.
-    The rate is linear in d^2, which the QPSK table of `point_decider` uses.
+    The rules take 4 C0_sq = |c_true - c_null|^2 from the moments instead.
 
     C0_sq = d^2 N_S (N_S + 1) / 4 is leading order in N_S.  In units of
     d^2 N_S M / N_Z, at N_Z = 100 and the default tap, the rate is 1.0716,
@@ -202,7 +202,7 @@ def sfg_count_rate(cp: ChannelParams, symbol_distance_sq: float, spec: ReceiverS
     is 0.586, 0.821 and 0.932 in the same units (Pirandola & Lloyd's Gaussian
     formula, evaluated outside this package), so the model exceeds it.
     """
-    return 4.0 * _cycle_sum(cp, symbol_distance_sq, spec)
+    return _click_rate(cp, 4.0 * _c0_sq(cp, symbol_distance_sq), spec)
 
 
 def sfg_nulling_params(symbol: Symbol, cp: ChannelParams) -> tuple[float, float]:
@@ -239,20 +239,20 @@ def sfg_no_click_probability(
 ) -> float:
     """Probability that the zero-photon test counts nothing over the K cycles.
 
-    exp(-sfg_count_rate) at the true-to-nulled distance, times (1 + nbar)^-K
-    with include_thermal_residual, where nbar = n_I (tau n_R) is the
-    Bose-Einstein floor under each cycle's converted mode, both moments of
-    `return_idler_moments` for the true symbol.  It is dropped by default,
+    exp(-`_click_rate`) of the true and nulled symbols' c at cp, the nominal
+    channel the squeeze is set for, times (1 + nbar)^-K with include_thermal_residual,
+    where nbar = n_I (tau n_R) is the Bose-Einstein floor under each cycle's
+    converted mode, all moments of `return_idler_moments`.  It is dropped by default,
     but it is small only per cycle: over the K cycles
     K nbar ~ N_S n_R ln(1/eps) / (2 (1 + N_Z)) for any tau, 0.034 at
     N_S = 0.01, N_Z = 100 and eps = 1e-3.  With it the nulled hypothesis is
     rejected with probability 1 - e^(-K nbar), so SFG-BPSK has an error floor
     of 1/2 (1 - e^(-K nbar)), about 1.7 % there.
     """
-    d2 = abs(true_symbol.complex_point() - null_symbol.complex_point()) ** 2
-    p = math.exp(-sfg_count_rate(cp, d2, spec))
+    n_r, n_i, c = return_idler_moments(cp, true_symbol)
+    c_null = return_idler_moments(cp, null_symbol)[2]
+    p = math.exp(-_click_rate(cp, abs(c - c_null) ** 2, spec))
     if spec.include_thermal_residual:
-        n_r, n_i, _ = return_idler_moments(cp, true_symbol)
         tau, _, K = spec.sfg_cycles(cp.N_Z)
         p *= math.exp(-K * math.log1p(n_i * tau * n_r))
     return p
@@ -330,14 +330,14 @@ def point_decider(
     come from the entry-offset table R[j, t, v] = rows[t, (v + j) % 4], the
     rate of the j-th hypothesis tested for true symbol t: a trial reads
     column R[:, t, v] and declares (v + held) % 4, held being the index the
-    click test returns.  That test reads only `sfg_count_rate`, so SFG-QPSK
-    with include_thermal_residual raises UnsupportedAlphabetError.
+    click test returns.  Its rates are the moments' |c_t - c_h|^2 terms alone,
+    so SFG-QPSK with include_thermal_residual raises UnsupportedAlphabetError.
 
     Building a rule costs 2-25 us per point at N_Z = 100, the most for the
     SFG-QPSK table (2 cores, Python 3.11.7, numpy 2.4.6), so each
     `ExperimentConfig` builds a point's rule once and its runs reuse it.  Every
-    channel quantity a rule needs (the PA grid, the thermal residual) is read
-    from the closed-form `return_idler_moments`.
+    channel quantity a rule needs (the PA grid, the SFG click rates and
+    thermal residual) is read from the closed-form `return_idler_moments`.
     """
     if spec.kind is not ReceiverKind.SFG:
         if spec.kind is ReceiverKind.HETERODYNE:
@@ -358,10 +358,10 @@ def point_decider(
     elif a.kind is AlphabetKind.QPSK:
         if spec.include_thermal_residual:
             raise UnsupportedAlphabetError("SFG-QPSK has no thermal residual (PAM, BPSK only)")
-        points = np.array([s.complex_point() for s in a.symbols])
+        c = np.array([return_idler_moments(cp, s)[2] for s in a.symbols])
         n = len(a)
         # rows[t, h]: click rate per mode pair for true symbol t with h nulled
-        rows = sfg_count_rate(cp, 1.0, spec) / cp.M * np.abs(points[:, None] - points) ** 2
+        rows = _click_rate(cp, 1.0, spec) / cp.M * np.abs(c[:, None] - c) ** 2
         offsets = np.arange(n)
         # table[j, n t + v] = rows[t, (v + j) % n], the entry-offset table R
         table = rows[:, (offsets + offsets[:, None]) % n].transpose(1, 0, 2).reshape(n, n * n)

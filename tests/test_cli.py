@@ -1012,6 +1012,7 @@ def test_security_report(capsys):
     assert main(["security"]) == 0
     out = capsys.readouterr().out
     assert "ratio = 4" in out
+    assert out.startswith("SFG/coherent-probe heterodyne exponent ratio = 4\n")
     assert "0.50: penalty 0.5" in out
     assert "negates the PA-receiver gain" in out
 

@@ -1,6 +1,7 @@
 """The package needs only numpy and the standard library at run time, its
 modules import each other at module level and without a cycle, the channel
-has one path (receivers builds no Gaussian state), it keeps every function
+has one path (receivers builds no Gaussian state, and only the heterodyne
+rule reads constellation points), it keeps every function
 the benchmark's tracer binds by name and every name its workloads and
 gates call, it looks up numpy's eigensolvers on numpy.linalg at each call,
 where that tracer counts them, its `__init__` re-exports nothing, and every
@@ -99,13 +100,71 @@ def _names_from(tree: ast.Module, module: str) -> set[str]:
     return names
 
 
+def _attribute_reads(tree: ast.Module, attr: str) -> list[tuple[str, ...]]:
+    """Where a module reads `.attr`: for each read, the names of the functions
+    it sits in, then the test of each `if` around it, as `else: <test>` in
+    the else branch (an `elif` is an `if` in the else branch)."""
+    found = []
+
+    def visit(node: ast.AST, where: tuple[str, ...]) -> None:
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load):
+            found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where += (node.name,)
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, where)
+            for child in node.body:
+                visit(child, where + (test,))
+            for child in node.orelse:
+                visit(child, where + (f"else: {test}",))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, ())
+    return found
+
+
+#: the one place receivers reads constellation points: the heterodyne rule's
+#: nearest-point constellation; every SFG rate comes from the moments
+HETERODYNE_POINTS = ("point_decider", "spec.kind is not ReceiverKind.SFG",
+                     "spec.kind is ReceiverKind.HETERODYNE")
+
+
 def test_channel_has_one_path():
     """The channel is `link.return_idler_moments`: receivers imports nothing
-    from gaussian, and link takes only the state type it fills in."""
+    from gaussian, link takes only the state type it fills in, and receivers
+    reads `complex_point` only where the heterodyne rule builds its points,
+    so no SFG function or SFG arm of `point_decider` reads a constellation."""
     trees = {name: ast.parse((ROOT / "src" / "qbcsim" / f"{name}.py").read_text())
              for name in ("link", "receivers")}
     assert _names_from(trees["receivers"], "gaussian") == set()
     assert _names_from(trees["link"], "gaussian") == {"GaussianState"}
+    assert _attribute_reads(trees["receivers"], "complex_point") == [HETERODYNE_POINTS]
+
+
+def test_guard_catches_a_constellation_read_on_the_sfg_path():
+    tree = ast.parse(
+        "def sfg_rate(cp, s, h):\n"
+        "    return abs(s.complex_point() - h.complex_point())\n\n\n"
+        "def point_decider(cp, a, spec):\n"
+        "    if spec.kind is not ReceiverKind.SFG:\n"
+        "        if spec.kind is ReceiverKind.HETERODYNE:\n"
+        "            points = [s.complex_point() for s in a.symbols]\n"
+        "    elif a.kind is AlphabetKind.QPSK:\n"
+        "        points = [s.complex_point() for s in a.symbols]\n"
+        "    else:\n"
+        "        def decide(i, u, z):\n"
+        "            return a.symbols[0].complex_point\n"
+        "    s.complex_point = None\n"
+    )
+    sfg = ("point_decider", "else: spec.kind is not ReceiverKind.SFG")
+    assert _attribute_reads(tree, "complex_point") == [
+        ("sfg_rate",), ("sfg_rate",), HETERODYNE_POINTS,
+        (*sfg, "a.kind is AlphabetKind.QPSK"),
+        (*sfg, "else: a.kind is AlphabetKind.QPSK", "decide"),
+    ]
 
 
 def test_guard_catches_names_taken_from_a_module():
@@ -187,8 +246,8 @@ def test_guard_catches_a_bound_linalg_function():
 def test_bench_traced_functions_exist():
     """qbcbench/tracer.py wraps each (module, function) in TRACED by name; the
     traced bench run breaks if one goes.  No qbcsim code calls the public
-    entry points sfg_nulling_params and the three fock functions, and only
-    the bench uses montecarlo.derive_trial_seed."""
+    entry points sfg_count_rate, sfg_nulling_params and the three fock
+    functions, and only the bench uses montecarlo.derive_trial_seed."""
     spec = importlib.util.spec_from_file_location("qbcbench_tracer", ROOT / "qbcbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -245,7 +304,8 @@ UNUSED_IN_PACKAGE = {
     },
     "bound by the bench's tracer or gates": {
         "link.apply_channel", "link.make_alphabet_bpsk", "link.make_alphabet_qpsk",
-        "montecarlo.derive_trial_seed", "montecarlo.run_experiment", "receivers.sfg_nulling_params",
+        "montecarlo.derive_trial_seed", "montecarlo.run_experiment", "receivers.sfg_count_rate",
+        "receivers.sfg_nulling_params",
     },
     "pinned by an acceptance criterion": {
         "analytics.exponent_gain_db", "link.make_alphabet_pam", "receivers.sfg_bookkeeping",

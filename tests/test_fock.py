@@ -1,7 +1,9 @@
 """Number-basis bridge and discrimination oracles."""
 
 import cmath
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -642,6 +644,24 @@ def test_matrix_is_a_block_as_it_is_or_a_fresh_scatter():
     assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [copy.copy, copy.deepcopy, lambda op: pickle.loads(pickle.dumps(op))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_operator_copies_and_pickles(make):
+    """A copy, a deep copy and a pickle round trip rebuild the record through
+    its builder: the same fields and arrays, read-only, and a Helstrom error
+    of 1/2 against the original."""
+    ops = [gaussian_to_fock(thermal(0.3), 3), FockOperator(2, 2, np.eye(4) / 4, 0.0),
+           gaussian_to_fock(_random_pipeline_state(np.random.default_rng(7)), 5)]
+    for op in ops:
+        twin = make(op)
+        assert type(twin) is FockOperator
+        assert (twin.n_modes, twin.dimension, twin.trace_deficit) == (op.n_modes, op.dimension,
+                                                                       op.trace_deficit)
+        for a, b in zip((twin.stack, *twin.spectrum), (op.stack, *op.spectrum)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        assert helstrom_oracle(op, twin) == 0.5
 
 
 def _wide_pipeline_states(rng, count):

@@ -19,6 +19,7 @@ from qbcsim.link import (
     nominal_alphabet,
     return_idler_moments,
 )
+from qbcsim import receivers
 from qbcsim.gaussian import apply_two_mode_squeeze, heterodyne_samples
 from qbcsim.montecarlo import normals, uniforms, wilson_interval
 from qbcsim.receivers import (
@@ -490,6 +491,50 @@ def test_qpsk_decide_respects_analytic_envelope():
     s = cp.eta * cp.N_S * cp.M / cp.N_Z
     bound = 4.0 * math.exp(-s)
     assert errors / n <= bound * 1.1
+
+
+def _sfg_rates(cp, a, spec, monkeypatch):
+    """What an SFG rule counts on: -ln of each symbol's no-click probability
+    for PAM and BPSK, and for QPSK the entry-offset table of rates per mode
+    pair, caught as the click test reads it (one trial per true symbol t and
+    entry offset v, so column n t + v)."""
+    if a.kind is not AlphabetKind.QPSK:
+        null = sfg_null_symbol(a)
+        return np.array([-math.log(sfg_no_click_probability(cp, s, null, spec)) for s in a.symbols])
+    seen = []
+    monkeypatch.setattr(receivers, "sequential_click_test",
+                        lambda rates, budget, u: seen.append(rates) or np.zeros(rates.shape[1], np.intp))
+    n = len(a)
+    i, v = np.divmod(np.arange(n * n), n)
+    u = np.full((QPSK_DRAWS, n * n), 0.5)
+    u[0] = (v + 0.5) / n
+    point_decider(cp, a, spec)(i, u, np.empty((0, n * n)))
+    return seen[0]
+
+
+@pytest.mark.parametrize("kind,surviving", [(AlphabetKind.PAM, 1), (AlphabetKind.BPSK, 1),
+                                            (AlphabetKind.QPSK, 4 * 12)])
+def test_sfg_rates_follow_the_channel_moments(kind, surviving, monkeypatch):
+    """The SFG rules read the channel only through `return_idler_moments`:
+    scaling its correlation c by sqrt(kappa), and editing nothing else,
+    scales the non-null symbol's -ln p_no_click and every nonzero SFG-QPSK
+    table entry (each of the 12 pairs t != h sits in 4 entries) by kappa,
+    and a nulled hypothesis still never clicks."""
+    kappa = 0.37
+    cp = _cp(eta=3e-3, M=1_000_000)
+    a = nominal_alphabet(kind, cp.eta)
+    nominal = _sfg_rates(cp, a, _sfg_spec(), monkeypatch)
+
+    def faded_moments(cp, symbol):
+        n_r, n_i, c = return_idler_moments(cp, symbol)
+        return n_r, n_i, math.sqrt(kappa) * c
+
+    monkeypatch.setattr(receivers, "return_idler_moments", faded_moments)
+    faded = _sfg_rates(cp, a, _sfg_spec(), monkeypatch)
+    clicks = nominal != 0
+    assert np.count_nonzero(clicks) == surviving
+    assert np.all(faded[~clicks] == 0)
+    assert np.all(np.abs(faded[clicks] - kappa * nominal[clicks]) <= 1e-15 * kappa * nominal[clicks])
 
 
 _DECLARED_DRAWS = [
