@@ -137,7 +137,7 @@ def _json(value, depth: int = 0) -> str:
 
 
 def cmd_bounds(args) -> int:
-    columns = args.columns.split(",") if args.columns else list(BOUND_COLUMNS)
+    columns = list(BOUND_COLUMNS) if args.columns is None else args.columns.split(",")
     for k, col in enumerate(columns):
         if col == "pa_qpsk":
             print(
@@ -264,6 +264,11 @@ def cmd_link_budget(args) -> int:
 
 
 def cmd_security(args) -> int:
+    """The eavesdropping report.  --simulate runs its Monte Carlo before the
+    first line is printed, so bad numbers are refused with nothing printed."""
+    if args.simulate:
+        ber = eve_random_phase_ber(args.eta, args.ns, args.m, args.nz, args.trials,
+                                   np.random.default_rng(args.seed))
     ratio = eve_exponent_ratio()
     print(f"SFG/coherent-probe heterodyne exponent ratio = {_fmt(ratio)}")
     print(f"  ({10.0 * math.log10(ratio):.3g} dB; idler retention is the advantage)")
@@ -273,8 +278,6 @@ def cmd_security(args) -> int:
         note = "  <- negates the PA-receiver gain" if fraction == 0.5 else ""
         print(f"  fraction kept {fraction:4.2f}: penalty {_fmt(penalty)}{note}")
     if args.simulate:
-        rng = np.random.default_rng(args.seed)
-        ber = eve_random_phase_ber(args.eta, args.ns, args.m, args.nz, args.trials, rng)
         se = math.sqrt(max(ber * (1 - ber), 1e-12) / args.trials)
         print(
             f"random-phase defense: eavesdropper BER = {ber:.5f} "

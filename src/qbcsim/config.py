@@ -2,22 +2,24 @@
 
 The format is deliberately flat: section headers in brackets, one key=value
 pair per line, '#' comments; a leading UTF-8 byte-order mark is ignored.  An
-[experiment] section may repeat, once per experiment block, and at least one
-is required; [output] is optional and appears at most once.  The whole file is
-read into sections before any experiment is built, so a malformed line is
-reported before a bad value in an earlier section.  Unknown sections or keys,
-bad values (a sweep must be finite with s_min >= 0; N_S and N_Z finite and
-> 0, with finite channel moments at every sweep point; M >= 1; sfg_tau finite
-and > 0 with sfg_tau N_Z <= 0.1 and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in
-(0, 1); a boolean include_thermal_residual), SFG tunables outside an SFG
-experiment, include_thermal_residual in an SFG-QPSK experiment (its sequential
-click test has no thermal floor), unsupported receiver/alphabet pairs (PA
-with QPSK), experiment names that are not safe file stems or repeat an earlier
-name, an output directory containing a NUL byte, and bytes that are not UTF-8
-are rejected with file:line diagnostics.  An SFG tunable is refused outside an
-SFG experiment even when it is written at its default value: that presence
-rule is stricter than `ReceiverSpec`'s, which refuses only a non-default
-value, and it names the key's own line rather than the experiment's.
+[experiment] section may repeat, once per experiment block, and at least one is
+required; [output] is optional and appears at most once.  An experiment's
+receiver is heterodyne, pa or sfg, and its alphabet pam (alias ook), bpsk or
+qpsk; both are case-insensitive.  The whole file is read into sections before
+any experiment is built, so a malformed line is reported before a bad value in
+an earlier section.  Unknown sections or keys, bad values (a sweep must be
+finite with s_min >= 0; N_S and N_Z finite and > 0, with finite channel moments
+at every sweep point; M >= 1; sfg_tau finite and > 0 with sfg_tau N_Z <= 0.1
+and sfg_tau (1 + N_Z) < 1; sfg_capture_eps in (0, 1); a boolean
+include_thermal_residual), SFG tunables outside an SFG experiment,
+include_thermal_residual in an SFG-QPSK experiment (its sequential click test
+has no thermal floor), unsupported receiver/alphabet pairs (PA with QPSK),
+experiment names that are not safe file stems or repeat an earlier name, an
+output directory containing a NUL byte, and bytes that are not UTF-8 are
+rejected with file:line diagnostics.  An SFG tunable is refused outside an SFG
+experiment even when it is written at its default value: that presence rule is
+stricter than `ReceiverSpec`'s, which refuses only a non-default value, and it
+names the key's own line rather than the experiment's.
 
 Example::
 
@@ -99,53 +101,30 @@ def _parse_bool(text: str) -> bool:
 
 #: sfg-only receiver tunables and their parsers; an absent key keeps its ReceiverSpec default
 _SFG_KEYS = {"sfg_tau": float, "sfg_capture_eps": float, "include_thermal_residual": _parse_bool}
+#: keys every experiment must give, in the order a missing one is reported
+_REQUIRED = ("receiver", "alphabet", "N_S", "N_Z", "M", "sweep", "trials")
 #: each section's allowed keys
-_SECTION_KEYS = {
-    "experiment": {
-        "name",
-        "receiver",
-        "alphabet",
-        "N_S",
-        "N_Z",
-        "M",
-        "sweep",
-        "trials",
-        "seed",
-        *_SFG_KEYS,
-    },
-    "output": {"directory", "format"},
-}
+_SECTION_KEYS = {"experiment": {*_REQUIRED, "name", "seed", *_SFG_KEYS},
+                 "output": {"directory", "format"}}
 #: output formats, for [output] format and the --format options
 FORMATS = ("csv", "json")
 #: experiment names become output file stems; summary.json is the run summary
 _SAFE_NAME = re.compile(r"(?!summary$)[A-Za-z0-9][A-Za-z0-9._-]*")
-
-_RECEIVERS = {k.value: k for k in ReceiverKind}
-_ALPHABETS = {
-    "pam": AlphabetKind.PAM,
-    "ook": AlphabetKind.PAM,
-    "bpsk": AlphabetKind.BPSK,
-    "qpsk": AlphabetKind.QPSK,
-}
+#: the names a config may give each named choice, lower case
+_CHOICES = {"receiver": {k.value: k for k in ReceiverKind},
+            "alphabet": {**{k.value: k for k in AlphabetKind}, "ook": AlphabetKind.PAM}}
 
 
 def _build_experiment(path: str, line: int, values: dict, lines: dict,
                       seed: int | None) -> tuple[str, ExperimentConfig]:
-    for key in ("receiver", "alphabet", "N_S", "N_Z", "M", "sweep", "trials"):
+    for key in _REQUIRED:
         if key not in values:
             raise ConfigError(path, line, f"experiment is missing required key '{key}'")
-    try:
-        receiver_kind = _RECEIVERS[values["receiver"].strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            path, lines["receiver"], f"unknown receiver {values['receiver']!r}"
-        ) from None
-    try:
-        alphabet = _ALPHABETS[values["alphabet"].strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            path, lines["alphabet"], f"unknown alphabet {values['alphabet']!r}"
-        ) from None
+    choice = {key: names.get(values[key].strip().lower()) for key, names in _CHOICES.items()}
+    for key, kind in choice.items():
+        if kind is None:
+            raise ConfigError(path, lines[key], f"unknown {key} {values[key]!r}")
+    receiver_kind, alphabet = choice.values()
     for key in sorted(_SFG_KEYS.keys() & values.keys(), key=lines.get):
         if receiver_kind is not ReceiverKind.SFG:
             raise ConfigError(path, lines[key], f"'{key}' applies only to the sfg receiver")

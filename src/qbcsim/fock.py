@@ -93,18 +93,6 @@ def _sectors(dim: int) -> _Sectors:
     return sectors
 
 
-def _require_psd(lam: np.ndarray) -> None:
-    if np.min(lam) < EIGENVALUE_FLOOR:
-        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(lam)}")
-
-
-def _checked_eigh(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a stack of blocks, refusing a spectrum below EIGENVALUE_FLOOR."""
-    lam, v = np.linalg.eigh(blocks)
-    _require_psd(lam)
-    return lam, v
-
-
 def _require_finite(stack: np.ndarray, trace_deficit: float) -> None:
     if not math.isfinite(trace_deficit):
         raise ValueError(f"trace_deficit must be finite, got {trace_deficit}")
@@ -168,7 +156,8 @@ class FockOperator(NamedTuple("FockOperator", [("n_modes", int), ("dimension", i
 def _operator(n_modes, dimension, stack, trace_deficit, lam, vecs) -> FockOperator:
     """The one builder: keeps the stack and its PSD-checked spectrum
     stack = vecs diag(lam) vecs^dag, read-only."""
-    _require_psd(lam)
+    if np.min(lam) < EIGENVALUE_FLOOR:
+        raise ValueError(f"operator is not positive semidefinite: min eig {np.min(lam)}")
     for a in (stack, lam, vecs):
         a.setflags(write=False)
     return FockOperator._make((n_modes, dimension, float(trace_deficit), stack, (lam, vecs)))
@@ -331,10 +320,11 @@ def _overlap_curve(rho0: FockOperator, rho1: FockOperator):
     callable.  f is a sum of terms w lam0^s lam1^(1-s), and each derivative
     multiplies a term by ln lam0 - ln lam1.  Eigenvalues at or below 1e-14 of
     their operator's largest are dropped, and so are terms of weight 0: 0^s =
-    0 for every s, s = 0 included."""
+    0 for every s, s = 0 included.  A sector stack laid out dense is solved
+    again unchecked, as its blocks were checked when it was built."""
     b0, b1 = _blocks(rho0, rho1)
     (lam0, v0), (lam1, v1) = (
-        rho.spectrum if b is rho.stack else _checked_eigh(b) for rho, b in ((rho0, b0), (rho1, b1))
+        rho.spectrum if b is rho.stack else np.linalg.eigh(b) for rho, b in ((rho0, b0), (rho1, b1))
     )
     keep0, keep1 = (lam > 1e-14 * max(np.max(lam), 1e-300) for lam in (lam0, lam1))
     w = np.abs(v0.conj().transpose(0, 2, 1) @ v1) ** 2

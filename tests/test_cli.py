@@ -19,6 +19,8 @@ import qbcsim.cli as cli
 import qbcsim.montecarlo as montecarlo
 from qbcsim.cli import _POINT_FIELDS, _json, build_parser, main
 from qbcsim.config import ConfigError, load_config, parse_sweep
+from qbcsim.link import AlphabetKind
+from qbcsim.receivers import ReceiverKind
 
 
 GOOD_CONFIG = """
@@ -106,6 +108,10 @@ LINK_BUDGET_LINE = LINK_BUDGET_CONFIG.splitlines().index("[link_budget]") + 1
 #: line of the name key in GOOD_CONFIG
 NAME_LINE = GOOD_CONFIG.splitlines().index("name = sfg-bpsk") + 1
 
+#: lines of the receiver and alphabet keys in GOOD_CONFIG
+RECEIVER_LINE = GOOD_CONFIG.splitlines().index("receiver = sfg") + 1
+ALPHABET_LINE = GOOD_CONFIG.splitlines().index("alphabet = bpsk") + 1
+
 #: line of the [output] directory key in GOOD_CONFIG
 DIRECTORY_LINE = GOOD_CONFIG.splitlines().index("directory = {outdir}") + 1
 
@@ -190,6 +196,28 @@ def test_load_config_missing_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(_write_config(tmp_path, text=bad))
     assert "'M'" in str(err.value)
+
+
+def test_load_config_accepts_every_receiver_and_alphabet_name(tmp_path):
+    """Every receiver and alphabet name a config may give loads, in upper case
+    and with spaces around it too, and ook names the PAM alphabet; PA-QPSK is
+    the one pair left out, as PA does not support it."""
+    pairs = [(receiver, alphabet) for receiver in ("heterodyne", "pa", "sfg")
+             for alphabet in ("pam", "ook", "bpsk", "qpsk") if (receiver, alphabet) != ("pa", "qpsk")]
+    block = GOOD_CONFIG[GOOD_CONFIG.index("[experiment]"):GOOD_CONFIG.index("[output]")]
+    text = "".join(
+        block.replace("name = sfg-bpsk", f"name = {receiver}-{alphabet}-{k}")
+        .replace("receiver = sfg", f"receiver = {spell(receiver)}")
+        .replace("alphabet = bpsk", f"alphabet = {spell(alphabet)}")
+        for k, spell in enumerate((str, lambda name: f"  {name.upper()} "))
+        for receiver, alphabet in pairs
+    )
+    experiments = load_config(_write_config(tmp_path, text=text)).experiments
+    assert len(experiments) == 2 * len(pairs) == 22
+    for name, exp in experiments:
+        receiver, alphabet, _ = name.split("-")
+        assert exp.receiver.kind is ReceiverKind(receiver)
+        assert exp.alphabet_kind is (AlphabetKind.PAM if alphabet == "ook" else AlphabetKind(alphabet))
 
 
 def test_load_config_unsupported_pair(tmp_path):
@@ -294,6 +322,9 @@ def test_bounds_repeated_column_usage_error(tmp_path, capsys, fmt):
 def test_bounds_unknown_column_usage_error(capsys):
     assert main(["bounds", "--columns", "het_bpsk,bogus"]) == 2
     assert "unknown bounds column 'bogus'" in capsys.readouterr().err
+    # an empty selection names one empty column, not the whole table
+    assert main(["bounds", "--columns="]) == 2
+    assert capsys.readouterr() == ("", "unknown bounds column ''\n")
 
 
 def test_bounds_bad_sweep_usage_error(capsys):
@@ -783,6 +814,10 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
         (GOOD_CONFIG[GOOD_CONFIG.index("[output]"):], 1),
         (GOOD_CONFIG.replace("sweep = 0.25:0.75:3", "sweep = 0:1:0"), EXPERIMENT_LINE),
         (GOOD_CONFIG.replace("{outdir}", "o\0d"), DIRECTORY_LINE),
+        (GOOD_CONFIG.replace("receiver = sfg", "receiver = homodyne"), RECEIVER_LINE),
+        (GOOD_CONFIG.replace("alphabet = bpsk", "alphabet = 16qam"), ALPHABET_LINE),
+        (GOOD_CONFIG.replace("receiver = sfg", "receiver = homodyne")
+         .replace("alphabet = bpsk", "alphabet = 16qam"), RECEIVER_LINE),
     ],
     ids=["nan-sweep", "link-budget-section", "zero-N_S", "zero-M", "huge-M", "zero-N_Z", "nan-N_S",
          "text-tau", "zero-tau", "nan-tau", "negative-tau", "tau-past-window", "tau-past-1e308-cycles",
@@ -790,7 +825,8 @@ def test_simulate_unsupported_pair_exit_code(tmp_path, capsys):
          "pa-sfg-tau",
          "heterodyne-capture-eps", "pa-thermal-residual", "qpsk-thermal-residual",
          "key-outside-section", "line-without-equals", "duplicate-key", "no-experiment",
-         "zero-point-sweep", "nul-in-directory"],
+         "zero-point-sweep", "nul-in-directory", "unknown-receiver", "unknown-alphabet",
+         "unknown-receiver-and-alphabet"],
 )
 def test_simulate_bad_config_reports_location(tmp_path, capsys, text, line):
     cfgpath = _write_config(tmp_path, text=text)
@@ -1037,11 +1073,20 @@ def test_security_simulation(capsys):
         ["--nz", "nan"],
         ["--ns", "1e-320"],
         ["--m", str(10**400)],
+        ["--seed", "-1"],
+        ["--trials", "9999"],
     ],
     ids=lambda bad: " ".join(bad)[:24],
 )
-def test_security_simulation_rejects_bad_numbers(bad, capsys):
-    assert main(["security", "--simulate", "--trials", "10000", *bad]) == 2
+def test_security_simulation_rejects_bad_numbers(bad, capsys, monkeypatch):
+    """Bad numbers are refused before the report's first line, so nothing is
+    printed, and a closed stdout does not turn the refusal into an I/O failure."""
+    argv = ["security", "--simulate", "--trials", "10000", *bad]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid security arguments" in err
+    monkeypatch.setattr(sys, "stdout", _closed_file())
+    assert main(argv) == 2
     assert "invalid security arguments" in capsys.readouterr().err
 
 
